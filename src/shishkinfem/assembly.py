@@ -180,33 +180,32 @@ def assemble(mesh, spec, quad_order=3):
     return A, F
 
 
-class _UnitCoeffs:
-    """Constant-coefficient stand-in for mass/stiffness assembly."""
-
-    eps = 1.0
-
-    @staticmethod
-    def b1(x, y):
-        return np.zeros_like(x)
-
-    @staticmethod
-    def c(x, y):
-        return np.ones_like(x)
-
-    @staticmethod
-    def f(x, y):
-        return np.zeros_like(x)
+def _axis_matrices(nodes):
+    """1D P1 mass and stiffness matrices over the interior nodes of an axis."""
+    h = np.diff(nodes)
+    off = h[1:-1]
+    mass = sp.diags([off / 6.0, (h[:-1] + h[1:]) / 3.0, off / 6.0], [-1, 0, 1])
+    stiff = sp.diags([-1.0 / off, 1.0 / h[:-1] + 1.0 / h[1:], -1.0 / off],
+                     [-1, 0, 1])
+    return mass, stiff
 
 
 def assemble_mass(mesh):
-    """Interior-node mass matrix M[i,j] = (phi_j, phi_i); exact (order 2)."""
-    x0, y0, h, k, corners = _cell_arrays(mesh)
-    _, _, reac, _ = _local_matrices(x0, y0, h, k, _UnitCoeffs, 2)
-    return _scatter(mesh, reac, corners)
+    """Interior-node mass matrix M[i,j] = (phi_j, phi_i), exactly.
+
+    Q1 on a tensor mesh gives M = M_y (x) M_x, with x varying fastest
+    as in the interior numbering.
+    """
+    mx, _ = _axis_matrices(mesh.x_axis.nodes)
+    my, _ = _axis_matrices(mesh.y_axis.nodes)
+    return sp.kron(my, mx, format="csr")
 
 
 def assemble_stiffness(mesh):
-    """Interior-node stiffness K[i,j] = (grad phi_j, grad phi_i); exact."""
-    x0, y0, h, k, corners = _cell_arrays(mesh)
-    diff, _, _, _ = _local_matrices(x0, y0, h, k, _UnitCoeffs, 2)
-    return _scatter(mesh, diff, corners)
+    """Interior-node stiffness K[i,j] = (grad phi_j, grad phi_i), exactly.
+
+    K = M_y (x) K_x + K_y (x) M_x on the tensor mesh.
+    """
+    mx, kx = _axis_matrices(mesh.x_axis.nodes)
+    my, ky = _axis_matrices(mesh.y_axis.nodes)
+    return (sp.kron(my, kx) + sp.kron(ky, mx)).tocsr()

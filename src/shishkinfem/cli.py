@@ -4,7 +4,7 @@ Runs are configured by command-line flags or a key=value config file
 and emit CSV (or a plain-text grid for field dumps) with a commented
 metadata header, so every output is rerunnable from its header alone.
 
-Exit codes: 0 success, 1 configuration error, 2 run/solver failure.
+Exit codes: 0 success, 1 configuration error, 2 run/solver/output failure.
 """
 
 import argparse
@@ -238,9 +238,9 @@ def _run_mms(cfg):
 def run(cfg):
     """Execute a validated RunConfig; returns the process exit code."""
     out_dir = os.environ.get(OUTDIR_ENV, cfg.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
     path = None
     try:
+        os.makedirs(out_dir, exist_ok=True)
         if cfg.mode in ("errors", "rates"):
             name, lines = _run_errors(cfg, want_rates=(cfg.mode == "rates"))
         elif cfg.mode == "green":
@@ -253,7 +253,7 @@ def run(cfg):
             name, lines = _run_mms(cfg)
         path = os.path.join(out_dir, name)
         _write(path, cfg, lines)
-    except (SolveError, ValueError, ArithmeticError) as exc:
+    except (SolveError, ValueError, ArithmeticError, OSError) as exc:
         if path is not None and os.path.exists(path):
             os.remove(path)
         print(f"error: {exc}", file=sys.stderr)

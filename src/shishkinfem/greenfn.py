@@ -3,7 +3,8 @@
 The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
 B_h(v, g) = v(x_m, y_n).  Norm sweeps over (eps, N) probe the scaling
-of ||g|| and ||g||_{1,eps} with the source region.
+of ||g|| and ||g||_{1,eps} with the source region.  A sweep factors
+each matrix once and reuses that factorization for all its sources.
 """
 
 from dataclasses import dataclass, asdict
@@ -12,7 +13,8 @@ import numpy as np
 
 from .meshgen import Region, transition_params, build_mesh
 from .assembly import FeField, assemble, assemble_mass, assemble_stiffness
-from .linsolve import solve_transpose, DEFAULT_TOL, DEFAULT_MAX_ITER
+from .linsolve import (solve_transpose, ilu_factor_transpose, DEFAULT_TOL,
+                       DEFAULT_MAX_ITER)
 
 __all__ = [
     "GreenReport",
@@ -39,18 +41,20 @@ class GreenReport:
 
 
 def green_function(A, mesh, source_node, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER, method="auto"):
+                   max_iter=DEFAULT_MAX_ITER, method="auto", ilu=None):
     """Discrete Green's function for a source at a given interior node.
 
-    source_node is a flat mesh node index.  Returns an FeField with
-    zero boundary values.
+    source_node is a flat mesh node index; ilu is an optional prebuilt
+    `ilu_factor_transpose(A)`.  Returns an FeField with zero boundary
+    values.
     """
     idx = mesh.interior_index()
     if source_node < 0 or source_node >= mesh.n_nodes or idx[source_node] < 0:
         raise ValueError(f"source node {source_node} is not an interior node")
     e = np.zeros(mesh.n_interior)
     e[idx[source_node]] = 1.0
-    g, _ = solve_transpose(A, e, tol=tol, max_iter=max_iter, method=method)
+    g, _ = solve_transpose(A, e, tol=tol, max_iter=max_iter, method=method,
+                           ilu=ilu)
     return FeField.from_interior(mesh, g)
 
 
@@ -85,8 +89,10 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
     """Green's-function norms per (eps, N, region).
 
     spec_family maps eps -> ProblemSpec.  For each run the source is the
-    interior node nearest the region's probe point.  Returns a list of
-    GreenReport in deterministic (eps, N, region) order.
+    interior node nearest the region's probe point.  Each assembled
+    matrix is factored once: the ILU of A^T preconditions the GMRES
+    solves of all four sources.  Returns a list of GreenReport in
+    deterministic (eps, N, region) order.
     """
     reports = []
     for eps in eps_list:
@@ -96,6 +102,8 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
         for N in N_list:
             mesh = build_mesh(N, lam_x, lam_y)
             A, _ = assemble(mesh, spec, quad_order)
+            ilu = (ilu_factor_transpose(A) if method in ("auto", "gmres")
+                   else None)
             M = assemble_mass(mesh)
             K = assemble_stiffness(mesh)
             coords = mesh.node_coords()
@@ -103,7 +111,8 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
                            Region.LAYER_Y, Region.LAYER_XY):
                 px, py = probe_map[region]
                 node = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, node, tol=tol, method=method)
+                g = green_function(A, mesh, node, tol=tol, method=method,
+                                   ilu=ilu)
                 sx, sy = coords[node]
                 reports.append(GreenReport(
                     eps=eps, N=N, region=region.value,

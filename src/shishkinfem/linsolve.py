@@ -3,9 +3,15 @@
 Primary path is ILU-preconditioned GMRES; a complete sparse LU is the
 robustness fallback and a dense LU serves as the oracle for systems
 with up to 2,000 unknowns.  Every accepted solution has its residual
-recomputed from scratch before it is returned.
+recomputed from scratch before it is returned.  Each fallback is logged
+at WARNING with its reason.
+
+Several right-hand sides with one matrix can share one ILU: build it
+with `ilu_factor` (or `ilu_factor_transpose` for A^T) and pass it as
+`ilu=` to `solve` (or `solve_transpose`).
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +24,12 @@ __all__ = [
     "SolveError",
     "solve",
     "solve_transpose",
+    "ilu_factor",
+    "ilu_factor_transpose",
     "dense_solve",
 ]
+
+log = logging.getLogger(__name__)
 
 DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
@@ -57,10 +67,33 @@ def dense_solve(A, b):
     return scipy.linalg.solve(A.toarray(), b)
 
 
-def _gmres(A, b, tol, max_iter):
+def ilu_factor(A):
+    """Incomplete LU of A, the GMRES preconditioner of `solve`.
+
+    Returns None when spilu fails; `solve` then factors again and falls
+    back from there, as it does without a prebuilt factorization.
+    """
     try:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=20)
-    except RuntimeError:
+        return spla.spilu(sp.csr_matrix(A).tocsc(), drop_tol=1e-5,
+                          fill_factor=20)
+    except RuntimeError as exc:
+        log.warning("spilu failed (%s); no ILU preconditioner", exc)
+        return None
+
+
+def ilu_factor_transpose(A):
+    """Incomplete LU of A^T, the GMRES preconditioner of `solve_transpose`."""
+    return ilu_factor(_transpose(A))
+
+
+def _transpose(A):
+    return sp.csr_matrix(A).T.tocsr()
+
+
+def _gmres(A, b, tol, max_iter, ilu):
+    if ilu is None:
+        ilu = ilu_factor(A)
+    if ilu is None:
         return None, 0
     M = spla.LinearOperator(A.shape, ilu.solve)
     count = [0]
@@ -72,16 +105,20 @@ def _gmres(A, b, tol, max_iter):
                          maxiter=max(1, max_iter // 50), M=M,
                          callback=cb, callback_type="pr_norm")
     if info != 0:
+        log.warning("gmres stopped after %d iterations (info %d)", count[0],
+                    info)
         return None, count[0]
     return x, count[0]
 
 
-def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto"):
+def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto",
+          ilu=None):
     """Solve A x = b to relative residual <= tol.
 
     method: "auto" (GMRES+ILU, then sparse LU fallback), "gmres",
-    "splu", or "dense".  Deterministic: zero initial guess, no
-    randomized components.  Returns (x, SolveReport).
+    "splu", or "dense".  ilu: a prebuilt `ilu_factor(A)` to precondition
+    GMRES with; None factors A here.  Deterministic: zero initial guess,
+    no randomized components.  Returns (x, SolveReport).
     """
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -95,27 +132,36 @@ def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto"):
     attempts = []
     best = np.inf
     if method in ("auto", "gmres"):
-        x, iters = _gmres(A, b, tol, max_iter)
+        x, iters = _gmres(A, b, tol, max_iter, ilu)
         if x is not None:
             res = _relative_residual(A, x, b)
             best = min(best, res)
             if res <= tol:
                 return x, SolveReport(iters, res, "gmres+ilu")
+            log.warning("gmres+ilu residual %.3e above tol %g", res, tol)
         attempts.append("gmres+ilu")
     if method in ("auto", "splu"):
-        lu = spla.splu(A.tocsc())
-        x = lu.solve(b)
-        res = _relative_residual(A, x, b)
-        best = min(best, res)
-        if res <= tol:
-            return x, SolveReport(1, res, "splu")
+        try:
+            x = spla.splu(A.tocsc()).solve(b)
+        except RuntimeError as exc:
+            log.warning("splu failed (%s)", exc)
+        else:
+            res = _relative_residual(A, x, b)
+            best = min(best, res)
+            if res <= tol:
+                return x, SolveReport(1, res, "splu")
+            log.warning("splu residual %.3e above tol %g", res, tol)
         attempts.append("splu")
     if method == "dense" or (method == "auto" and A.shape[0] <= DENSE_LIMIT):
-        x = dense_solve(A, b)
-        res = _relative_residual(A, x, b)
-        best = min(best, res)
-        if res <= tol:
-            return x, SolveReport(1, res, "dense")
+        try:
+            x = dense_solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            log.warning("dense LU failed (%s)", exc)
+        else:
+            res = _relative_residual(A, x, b)
+            best = min(best, res)
+            if res <= tol:
+                return x, SolveReport(1, res, "dense")
         attempts.append("dense")
     raise SolveError(
         f"no solver reached tol={tol} (tried {attempts}, best residual {best:.3e})",
@@ -123,7 +169,10 @@ def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto"):
 
 
 def solve_transpose(A, e, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    method="auto"):
-    """Solve A^T g = e; same contract as solve."""
-    At = sp.csr_matrix(A).T.tocsr()
-    return solve(At, e, tol=tol, max_iter=max_iter, method=method)
+                    method="auto", ilu=None):
+    """Solve A^T g = e; same contract as solve.
+
+    ilu: a prebuilt `ilu_factor_transpose(A)`; None factors A^T here.
+    """
+    return solve(_transpose(A), e, tol=tol, max_iter=max_iter, method=method,
+                 ilu=ilu)

@@ -4,7 +4,8 @@ import pytest
 from shishkinfem.meshgen import MeshAxis, TensorMesh, build_mesh, transition_params
 from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import (FeField, quad_rule, element_matrices,
-                                  assemble, assemble_mass, assemble_stiffness)
+                                  assemble, assemble_mass, assemble_stiffness,
+                                  _cell_arrays, _local_matrices, _scatter)
 from shishkinfem.linsolve import dense_solve
 
 
@@ -168,6 +169,21 @@ class TestMassStiffness:
                         gy = ((1 - s) * (c01 - c00) + s * (c11 - c10)) / h
                         energy += wa * wb * (h * h / 4) * (gx ** 2 + gy ** 2)
         assert v @ (K @ v) == pytest.approx(energy, abs=1e-10)
+
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_kronecker_matches_quadrature(self, N):
+        # the tensor-product M and K against cell-by-cell 2x2 Gauss
+        # assembly, which is exact for both bilinear integrands
+        mesh = build_mesh(N, *transition_params(1e-6, 2.0, 1.0))
+        x0, y0, h, k, corners = _cell_arrays(mesh)
+        diff, _, reac, _ = _local_matrices(
+            x0, y0, h, k, constant_spec(eps=1.0, b1=0.0, c=1.0, f=0.0), 2)
+        for new, old in ((assemble_mass(mesh), _scatter(mesh, reac, corners)),
+                         (assemble_stiffness(mesh),
+                          _scatter(mesh, diff, corners))):
+            assert new.shape == old.shape
+            assert abs(new - old).max() <= 1e-13 * abs(old).max()
 
 
 class TestFeField:

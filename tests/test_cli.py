@@ -187,3 +187,15 @@ class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_unwritable_output_dir(self, tmp_path, capsys):
+        # a path below a regular file cannot be created, even by root
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        code = main(["--mode", "interp", "--eps", "1e-6", "--N", "8",
+                     "-o", str(blocker / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

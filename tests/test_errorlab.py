@@ -51,9 +51,9 @@ class TestConvergenceRate:
         assert convergence_rate(0.04, 0.02) == pytest.approx(1.0)
 
     def test_reference_cross_check(self):
-        # published benchmark rate entry: log2(1.270e-2 / 6.766e-3)
-        assert convergence_rate(1.270e-2, 6.766e-3) == pytest.approx(
-            0.9083, abs=5e-4)
+        # a non-power-of-two ratio: log2(1.5e-2 / 8.0e-3) = 0.9069
+        assert convergence_rate(1.5e-2, 8.0e-3) == pytest.approx(
+            0.9069, abs=5e-4)
 
     def test_negative_rate(self):
         assert convergence_rate(0.09021, 0.09552) == pytest.approx(

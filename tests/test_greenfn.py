@@ -7,6 +7,7 @@ from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
 from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
+from shishkinfem import linsolve
 from shishkinfem.linsolve import dense_solve, solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
@@ -122,3 +123,34 @@ class TestSweep:
         reports = green_norm_sweep(example_5_1, [8], [1e-4], probes=probes)
         coarse = [r for r in reports if r.region == "coarse"][0]
         assert coarse.source_x < 0.0
+
+
+class TestFactorReuse:
+    def test_one_ilu_per_matrix(self, monkeypatch):
+        calls = []
+        spilu = linsolve.spla.spilu
+
+        def counting_spilu(*args, **kwargs):
+            calls.append(1)
+            return spilu(*args, **kwargs)
+
+        monkeypatch.setattr(linsolve.spla, "spilu", counting_spilu)
+        reports = green_norm_sweep(example_5_1, [8, 16], [1e-4, 1e-6])
+        assert len(reports) == 16
+        assert len(calls) == 4
+
+    def test_norms_match_separate_solves_bitwise(self):
+        eps, N = 1e-6, 16
+        reports = green_norm_sweep(example_5_1, [N], [eps])
+        spec = example_5_1(eps)
+        lam = transition_params(eps, spec.alpha, spec.beta)
+        mesh = build_mesh(N, *lam)
+        A, _ = assemble(mesh, spec, 3)
+        M = assemble_mass(mesh)
+        K = assemble_stiffness(mesh)
+        probes = default_probes(*lam)
+        for r in reports:
+            node = mesh.nearest_node(*probes[Region(r.region)])
+            g = green_function(A, mesh, node)
+            assert r.l2_norm == fe_l2_norm(g, M)
+            assert r.energy_norm == fe_energy_norm(g, K, M, eps)

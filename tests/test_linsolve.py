@@ -1,12 +1,21 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from shishkinfem import linsolve
 
 from shishkinfem.meshgen import build_mesh, transition_params
 from shishkinfem.problem import example_5_1, mms_problem
 from shishkinfem.assembly import assemble
 from shishkinfem.linsolve import (solve, solve_transpose, dense_solve,
+                                  ilu_factor, ilu_factor_transpose,
                                   SolveError)
+
+
+def broken_spilu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
 
 
 class TestSolve:
@@ -46,8 +55,68 @@ class TestSolve:
     def test_nonconvergence_raises(self):
         # singular system with incompatible rhs cannot reach any tolerance
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises((SolveError, RuntimeError)):
+        with pytest.raises(SolveError) as info:
             solve(A, np.array([1.0, 2.0]))
+        assert info.value.best_residual > 1e-10
+
+    def test_singular_splu_raises_solve_error(self):
+        A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(SolveError, match="splu"):
+            solve(A, np.array([1.0, 2.0]), method="splu")
+
+
+class TestFallbackLogging:
+    def test_spilu_failure_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            x, report = solve(A, np.array([3.0, 5.0]))
+        assert report.method == "splu"
+        np.testing.assert_allclose(x, [0.8, 1.4], atol=1e-10)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(messages) == 1
+        assert "spilu failed" in messages[0]
+        assert "exactly singular" in messages[0]
+
+    def test_gmres_miss_logged(self, caplog):
+        spec = mms_problem(1.0)
+        mesh = build_mesh(8, 0.5, 0.25)
+        A, F = assemble(mesh, spec, 3)
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            _, report = solve(A, F, max_iter=1)
+        assert report.method == "splu"
+        assert any("gmres stopped" in r.getMessage() for r in caplog.records)
+
+    def test_converged_solve_is_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            solve(sp.eye(5, format="csr"), np.arange(5.0))
+        assert caplog.records == []
+
+
+class TestPrebuiltIlu:
+    def test_same_bits_as_factoring_inside(self):
+        spec = example_5_1(1e-4)
+        mesh = build_mesh(8, *transition_params(1e-4, 2.0, 1.0))
+        A, F = assemble(mesh, spec, 3)
+        x1, r1 = solve(A, F)
+        x2, r2 = solve(A, F, ilu=ilu_factor(A))
+        assert r1 == r2
+        assert np.array_equal(x1, x2)
+        e = np.zeros(A.shape[0])
+        e[3] = 1.0
+        g1, s1 = solve_transpose(A, e)
+        g2, s2 = solve_transpose(A, e, ilu=ilu_factor_transpose(A))
+        assert s1 == s2
+        assert np.array_equal(g1, g2)
+
+    def test_failed_factor_falls_back(self, monkeypatch):
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
+        ilu = ilu_factor_transpose(A)
+        assert ilu is None
+        g, report = solve_transpose(A, np.array([1.0, 0.0]), ilu=ilu)
+        assert report.method == "splu"
 
 
 class TestSolveTranspose:
