@@ -1,9 +1,11 @@
 """Bilinear (Q1) Galerkin assembly on tensor meshes.
 
 Produces CSR matrices over interior nodes only: homogeneous Dirichlet
-rows and columns are eliminated during scatter (boundary data is zero,
-so elimination is exact).  Cells are processed in a fixed row-major
-order so assembled values are reproducible.
+rows and columns are dropped when the matrix is built (boundary data
+is zero, so elimination is exact).  `assemble` works on the tensor
+structure of the mesh, one axis at a time; `element_matrices`, the
+per-cell form of the same quadrature, is its small-N oracle.  The
+order of every sum is fixed, so assembled values are reproducible.
 """
 
 from dataclasses import dataclass
@@ -53,15 +55,20 @@ class FeField:
         return self.values.reshape(self.mesh.ny, self.mesh.nx)
 
 
+def _gauss(order):
+    """1D Gauss-Legendre points and weights on [-1, 1]."""
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"quadrature order must be in 1..4, got {order}")
+    return np.polynomial.legendre.leggauss(order)
+
+
 def quad_rule(order):
     """Tensor Gauss-Legendre rule on the reference square [-1,1]^2.
 
     Returns (points, weights) with points of shape (order^2, 2); the
     weights sum to 4.
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"quadrature order must be in 1..4, got {order}")
-    q, w = np.polynomial.legendre.leggauss(order)
+    q, w = _gauss(order)
     pts = np.array([(qi, qj) for qj in q for qi in q])
     wts = np.array([wi * wj for wj in w for wi in w])
     return pts, wts
@@ -127,40 +134,44 @@ def element_matrices(cell, spec, quad_order=3):
     return d[0], c[0], r[0], f[0]
 
 
-def _cell_arrays(mesh):
-    """Row-major cell geometry arrays and corner flat indices."""
-    xs = mesh.x_axis.nodes
-    ys = mesh.y_axis.nodes
-    hx = np.diff(xs)
-    hy = np.diff(ys)
-    X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
-    H, K = np.meshgrid(hx, hy)
-    I, J = np.meshgrid(np.arange(mesh.nx - 1), np.arange(mesh.ny - 1))
-    i = I.ravel()
-    j = J.ravel()
-    corners = np.column_stack([
-        mesh.flat_index(i, j),
-        mesh.flat_index(i + 1, j),
-        mesh.flat_index(i + 1, j + 1),
-        mesh.flat_index(i, j + 1),
-    ])
-    return X0.ravel(), Y0.ravel(), H.ravel(), K.ravel(), corners
+def _axis_points(nodes, g):
+    """Gauss points of every interval of an axis, shape (n_intervals, q),
+    computed as in `_local_matrices`; also returns the interval lengths."""
+    h = np.diff(nodes)
+    return nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + g), h
 
 
-def _scatter(mesh, local, corners):
-    """Scatter (ncells,4,4) local matrices to an interior-node CSR matrix."""
-    idx = mesh.interior_index()
-    loc = idx[corners]                     # (ncells, 4), -1 on boundary
-    rows = np.repeat(loc, 4, axis=1).ravel()
-    cols = np.tile(loc, (1, 4)).ravel()
-    vals = local.reshape(len(corners), 16).ravel()  # row-outer (i, j) order
-    keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_interior
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    A = A.tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+def _coefficient(name, fn, X, Y):
+    """fn on the quadrature grid, checked to be finite everywhere."""
+    vals = np.broadcast_to(np.asarray(fn(X, Y), dtype=float), X.shape)
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        points = "point" if bad == 1 else "points"
+        raise ValueError(f"{name} is not finite at {bad} quadrature {points}")
+    return vals
+
+
+def _csr_from_stencil(mesh, stencil):
+    """CSR matrix over interior nodes from 9-point stencil arrays.
+
+    stencil[dy + 1, dx + 1, j, i] couples node (i, j) to node
+    (i + dx, j + dy).  Columns come out sorted, since the interior
+    numbering is row-major with x fastest.
+    """
+    mx, my = mesh.nx - 2, mesh.ny - 2
+    n = mx * my
+    vals = stencil[:, :, 1:-1, 1:-1].reshape(9, n).T
+    steps = np.array([-1, 0, 1])
+
+    def inside(m):
+        pos = np.arange(m)[:, None] + steps
+        return (pos >= 0) & (pos < m)
+
+    keep = (inside(my)[:, None, :, None]
+            & inside(mx)[None, :, None, :]).reshape(n, 9)
+    cols = np.arange(n)[:, None] + (steps[:, None] * mx + steps).ravel()
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
 def assemble(mesh, spec, quad_order=3):
@@ -168,16 +179,61 @@ def assemble(mesh, spec, quad_order=3):
 
     A[i, j] = eps (grad phi_j, grad phi_i) + (b1 d(phi_j)/dx, phi_i)
               + (c phi_j, phi_i),  F[i] = (f, phi_i).
+
+    Uses the quadrature of `element_matrices` on every cell, arranged
+    as a tensor product: b1, c and f are evaluated once on the grid of
+    per-cell Gauss points, and the Q1 shape functions, products of 1D
+    hat functions, are applied one axis at a time.  Raises ValueError
+    if a coefficient is not finite at some quadrature point.
     """
-    x0, y0, h, k, corners = _cell_arrays(mesh)
-    diff, conv, reac, load = _local_matrices(x0, y0, h, k, spec, quad_order)
-    A = _scatter(mesh, diff + conv + reac, corners)
-    idx = mesh.interior_index()
-    loc = idx[corners]
-    F = np.zeros(mesh.n_interior)
-    keep = loc >= 0
-    np.add.at(F, loc[keep], load[keep])
-    return A, F
+    g, w = _gauss(quad_order)
+    q = len(g)
+    xq, h = _axis_points(mesh.x_axis.nodes, g)
+    yq, k = _axis_points(mesh.y_axis.nodes, g)
+    nj, ni = len(k), len(h)
+    # 1D tables at the Gauss points, local node t (test) and s (trial):
+    # hat functions L_t = (1 +- g) / 2 with derivatives dL_s = +-1/2
+    side = np.array([-1.0, 1.0])
+    hat = 0.5 * (1.0 + np.outer(g, side))
+    dhat = 0.5 * side
+    mass = (w[:, None, None] * hat[:, :, None] * hat[:, None, :]).reshape(q, 4)
+    conv = (w[:, None, None] * hat[:, :, None] * dhat).reshape(q, 4)
+    load = w[:, None] * hat
+    mass_1d = mass.sum(axis=0)
+    stiff_1d = w.sum() * np.outer(dhat, dhat).ravel()
+
+    shape = (nj, q, ni, q)                  # (cell j, point b, cell i, point a)
+    X = np.broadcast_to(xq, shape)
+    Y = np.broadcast_to(yq[:, :, None, None], shape)
+    b1 = _coefficient("b1", spec.b1, X, Y)
+    c = _coefficient("c", spec.c, X, Y)
+    f = _coefficient("f", spec.f, X, Y)
+
+    # x direction first, then y; jac = (h/2)(k/2), d/dx = (2/h) d/dxi
+    ax = ((c.reshape(-1, q) @ mass).reshape(nj, q, ni, 4) * (0.5 * h)[:, None]
+          + (b1.reshape(-1, q) @ conv).reshape(nj, q, ni, 4))
+    local = (mass.T @ ax.reshape(nj, q, ni * 4)) * (0.5 * k)[:, None, None]
+    local = local.reshape(nj, 4, ni, 4)
+    local += spec.eps * np.multiply.outer(
+        np.multiply.outer(0.5 * k, mass_1d), np.multiply.outer(2.0 / h, stiff_1d))
+    local += spec.eps * np.multiply.outer(
+        np.multiply.outer(2.0 / k, stiff_1d), np.multiply.outer(0.5 * h, mass_1d))
+    local = local.reshape(nj, 2, 2, ni, 2, 2)     # (j, ty, sy, i, tx, sx)
+    fx = (f.reshape(-1, q) @ load).reshape(nj, q, ni, 2) * (0.5 * h)[:, None]
+    fl = (load.T @ fx.reshape(nj, q, ni * 2)) * (0.5 * k)[:, None, None]
+    fl = fl.reshape(nj, 2, ni, 2)                 # (j, ty, i, tx)
+
+    stencil = np.zeros((3, 3, mesh.ny, mesh.nx))
+    F = np.zeros((mesh.ny, mesh.nx))
+    for ty in (0, 1):
+        for tx in (0, 1):
+            rows = (slice(ty, ty + nj), slice(tx, tx + ni))
+            F[rows] += fl[:, ty, :, tx]
+            for sy in (0, 1):
+                for sx in (0, 1):
+                    stencil[(sy - ty + 1, sx - tx + 1) + rows] += \
+                        local[:, ty, sy, :, tx, sx]
+    return _csr_from_stencil(mesh, stencil), F[1:-1, 1:-1].ravel()
 
 
 def _axis_matrices(nodes):

@@ -161,11 +161,24 @@ def _metadata_lines(cfg):
 
 
 def _write(path, cfg, lines):
-    with open(path, "w") as fh:
-        for line in _metadata_lines(cfg):
-            fh.write(line + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    """Write the file whole or not at all.
+
+    The lines go to a temporary file in the target directory, which
+    then replaces path; on any error it is removed and an existing file
+    at path is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for line in _metadata_lines(cfg):
+                fh.write(line + "\n")
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _run_errors(cfg, want_rates):
@@ -238,7 +251,6 @@ def _run_mms(cfg):
 def run(cfg):
     """Execute a validated RunConfig; returns the process exit code."""
     out_dir = os.environ.get(OUTDIR_ENV, cfg.output_dir)
-    path = None
     try:
         os.makedirs(out_dir, exist_ok=True)
         if cfg.mode in ("errors", "rates"):
@@ -254,8 +266,6 @@ def run(cfg):
         path = os.path.join(out_dir, name)
         _write(path, cfg, lines)
     except (SolveError, ValueError, ArithmeticError, OSError) as exc:
-        if path is not None and os.path.exists(path):
-            os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(path)

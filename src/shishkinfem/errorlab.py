@@ -13,7 +13,7 @@ import numpy as np
 
 from .meshgen import (Region, transition_params, build_mesh, classify_points)
 from .assembly import FeField, assemble
-from .linsolve import solve, DEFAULT_TOL, DEFAULT_MAX_ITER
+from .linsolve import solve, ilu_factor, DEFAULT_TOL, DEFAULT_MAX_ITER
 
 __all__ = [
     "ErrorTable",
@@ -92,12 +92,19 @@ def bilinear_interp(field_, points):
 
 def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL,
                   max_iter=DEFAULT_MAX_ITER, method="auto", lam=None):
-    """Build the Shishkin mesh for (spec, N), assemble, and solve."""
+    """Build the Shishkin mesh for (spec, N), assemble, and solve.
+
+    GMRES is preconditioned with an ILU in the mesh's nested-dissection
+    order; if that factorization fails, `solve` factors with its own
+    ordering and falls back from there.
+    """
     if lam is None:
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
     mesh = build_mesh(N, *lam)
     A, F = assemble(mesh, spec, quad_order)
-    u, _ = solve(A, F, tol=tol, max_iter=max_iter, method=method)
+    ilu = (ilu_factor(A, mesh.dissection_order())
+           if method in ("auto", "gmres") else None)
+    u, _ = solve(A, F, tol=tol, max_iter=max_iter, method=method, ilu=ilu)
     return FeField.from_interior(mesh, u)
 
 

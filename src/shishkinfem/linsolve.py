@@ -67,18 +67,40 @@ def dense_solve(A, b):
     return scipy.linalg.solve(A.toarray(), b)
 
 
-def ilu_factor(A):
+class _PermutedILU:
+    """ILU of A[order][:, order] that solves with A itself."""
+
+    def __init__(self, ilu, order):
+        self.ilu = ilu
+        self.order = order
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.order] = self.ilu.solve(b[self.order])
+        return x
+
+
+def ilu_factor(A, order=None):
     """Incomplete LU of A, the GMRES preconditioner of `solve`.
 
-    Returns None when spilu fails; `solve` then factors again and falls
-    back from there, as it does without a prebuilt factorization.
+    With order None, spilu chooses the column ordering (COLAMD).  With
+    a permutation `order` (such as `TensorMesh.dissection_order()`), it
+    factors A[order][:, order] as given, without pivoting, and the
+    returned object's `solve` permutes in and out.  Returns None when
+    spilu fails; `solve` then factors again and falls back from there,
+    as it does without a prebuilt factorization.
     """
+    A = sp.csr_matrix(A)
+    options = {}
+    if order is not None:
+        A = A[order][:, order]
+        options = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
     try:
-        return spla.spilu(sp.csr_matrix(A).tocsc(), drop_tol=1e-5,
-                          fill_factor=20)
+        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=20, **options)
     except RuntimeError as exc:
         log.warning("spilu failed (%s); no ILU preconditioner", exc)
         return None
+    return ilu if order is None else _PermutedILU(ilu, order)
 
 
 def ilu_factor_transpose(A):

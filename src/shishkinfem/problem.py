@@ -40,7 +40,6 @@ class ProblemSpec:
     alpha: float
     beta: float
     exact: Optional[Callable] = None
-    exact_grad: Optional[Callable] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -98,10 +97,6 @@ def mms_problem(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     def exact(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)
 
-    def exact_grad(x, y):
-        return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-
     def f(x, y):
         u = exact(x, y)
         ux = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
@@ -109,7 +104,7 @@ def mms_problem(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
 
     return ProblemSpec(eps=eps, b1=_b1_ex, c=_c_ex, f=f,
                        alpha=alpha, beta=beta,
-                       exact=exact, exact_grad=exact_grad, name="mms")
+                       exact=exact, name="mms")
 
 
 class TemplateKind(Enum):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shishkinfem.meshgen import MeshAxis, TensorMesh, build_mesh, transition_params
 from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import (FeField, quad_rule, element_matrices,
                                   assemble, assemble_mass, assemble_stiffness,
-                                  _cell_arrays, _local_matrices, _scatter)
+                                  _local_matrices)
 from shishkinfem.linsolve import dense_solve
 
 
@@ -16,6 +19,55 @@ def constant_spec(eps=1.0, b1=0.0, c=1.0, f=1.0):
         c=lambda x, y: np.full_like(np.asarray(x, dtype=float), c),
         f=lambda x, y: np.full_like(np.asarray(x, dtype=float), f),
         alpha=1.0, beta=1.0)
+
+
+def _cell_arrays(mesh):
+    """Row-major cell geometry arrays and corner flat indices."""
+    xs = mesh.x_axis.nodes
+    ys = mesh.y_axis.nodes
+    hx = np.diff(xs)
+    hy = np.diff(ys)
+    X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
+    H, K = np.meshgrid(hx, hy)
+    I, J = np.meshgrid(np.arange(mesh.nx - 1), np.arange(mesh.ny - 1))
+    i = I.ravel()
+    j = J.ravel()
+    corners = np.column_stack([
+        mesh.flat_index(i, j),
+        mesh.flat_index(i + 1, j),
+        mesh.flat_index(i + 1, j + 1),
+        mesh.flat_index(i, j + 1),
+    ])
+    return X0.ravel(), Y0.ravel(), H.ravel(), K.ravel(), corners
+
+
+def _scatter(mesh, local, corners):
+    """Scatter (ncells,4,4) local matrices to an interior-node CSR matrix."""
+    idx = mesh.interior_index()
+    loc = idx[corners]                     # (ncells, 4), -1 on boundary
+    rows = np.repeat(loc, 4, axis=1).ravel()
+    cols = np.tile(loc, (1, 4)).ravel()
+    vals = local.reshape(len(corners), 16).ravel()  # row-outer (i, j) order
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_interior
+    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    A = A.tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
+
+
+def cell_by_cell_assemble(mesh, spec, quad_order):
+    """Oracle: per-cell local matrices (`element_matrices`' quadrature),
+    scattered through COO."""
+    x0, y0, h, k, corners = _cell_arrays(mesh)
+    diff, conv, reac, load = _local_matrices(x0, y0, h, k, spec, quad_order)
+    A = _scatter(mesh, diff + conv + reac, corners)
+    loc = mesh.interior_index()[corners]
+    F = np.zeros(mesh.n_interior)
+    keep = loc >= 0
+    np.add.at(F, loc[keep], load[keep])
+    return A, F
 
 
 def uniform_mesh(n, lo=-1.0, hi=1.0):
@@ -101,6 +153,59 @@ class TestAssemble:
         A3, _ = assemble(mesh, spec, 3)
         A4, _ = assemble(mesh, spec, 4)
         assert abs(A3 - A4).max() <= 1e-8 * abs(A4).max()
+
+
+class TestTensorAssembly:
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_spec", [example_5_1, mms_problem])
+    def test_matches_cell_by_cell_oracle(self, N, order, make_spec):
+        spec = make_spec(1e-6)
+        mesh = build_mesh(N, *transition_params(spec.eps, spec.alpha,
+                                                spec.beta))
+        A, F = assemble(mesh, spec, order)
+        A0, F0 = cell_by_cell_assemble(mesh, spec, order)
+        assert A.shape == A0.shape
+        np.testing.assert_array_equal(A.indptr, A0.indptr)
+        np.testing.assert_array_equal(A.indices, A0.indices)
+        assert abs(A - A0).max() <= 1e-13 * abs(A0).max()
+        assert np.abs(F - F0).max() <= 1e-13 * np.abs(F0).max()
+
+    def test_each_coefficient_called_once(self):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(x, y):
+                calls.append(name)
+                return fn(x, y)
+            return wrapper
+
+        spec = example_5_1(1e-6)
+        spec = dataclasses.replace(spec, b1=counted("b1", spec.b1),
+                                   c=counted("c", spec.c),
+                                   f=counted("f", spec.f))
+        assemble(build_mesh(16, *transition_params(1e-6, 2.0, 1.0)), spec, 3)
+        assert sorted(calls) == ["b1", "c", "f"]
+
+    def test_nan_load_names_coefficient(self):
+        def f(x, y):
+            out = np.zeros(np.shape(x))
+            out.flat[7] = np.nan
+            return out
+
+        spec = dataclasses.replace(example_5_1(1e-6), f=f)
+        with pytest.raises(ValueError,
+                           match="f is not finite at 1 quadrature point$"):
+            assemble(build_mesh(8, 0.1, 0.2), spec, 3)
+
+    def test_infinite_convection_counted(self):
+        def b1(x, y):
+            return np.where(x > 0.9, np.inf, 0.0)
+
+        spec = dataclasses.replace(example_5_1(1e-6), b1=b1)
+        with pytest.raises(ValueError, match=r"b1 is not finite at \d+ "
+                                             r"quadrature points"):
+            assemble(build_mesh(8, 0.1, 0.2), spec, 3)
 
 
 class TestMassStiffness:

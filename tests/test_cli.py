@@ -1,5 +1,9 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
+from shishkinfem import cli
 from shishkinfem.meshgen import Region
 from shishkinfem.cli import (RunConfig, ConfigError, parse_config, run, main,
                              OUTDIR_ENV, DEFAULT_EPS, DEFAULT_N)
@@ -163,6 +167,37 @@ class TestRunModes:
         assert "error" in capsys.readouterr().err
 
 
+class TestAtomicOutput:
+    def test_failed_write_leaves_earlier_file(self, tmp_path, monkeypatch):
+        cfg = RunConfig(mode="interp", eps_list=(1e-6,), N_list=(8,),
+                        output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        good = (tmp_path / "interp.csv").read_bytes()
+
+        def half_written(cfg):
+            def lines():
+                yield "eps,N,region,error"
+                raise OSError("No space left on device")
+            return "interp.csv", lines()
+
+        monkeypatch.setattr(cli, "_run_interp", half_written)
+        assert run(cfg) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["interp.csv"]
+        assert (tmp_path / "interp.csv").read_bytes() == good
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch,
+                                               capsys):
+        def broken_lines(cfg):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "_metadata_lines", broken_lines)
+        cfg = RunConfig(mode="interp", eps_list=(1e-6,), N_list=(8,),
+                        output_dir=str(tmp_path))
+        assert run(cfg) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "No space left" in capsys.readouterr().err
+
+
 class TestMain:
     def test_flags_round_trip(self, tmp_path):
         code = main(["--mode", "field", "--eps", "1e-4", "--N", "8",
@@ -199,3 +234,22 @@ class TestMain:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_non_finite_coefficient_exits_2(self, tmp_path, monkeypatch,
+                                            capsys):
+        make = cli.example_5_1
+
+        def nan_source(eps, alpha, beta):
+            def f(x, y):
+                out = np.zeros(np.shape(x))
+                out.flat[0] = np.nan
+                return out
+            return dataclasses.replace(make(eps, alpha, beta), f=f)
+
+        monkeypatch.setattr(cli, "example_5_1", nan_source)
+        code = main(["--mode", "field", "--eps", "1e-4", "--N", "8",
+                     "-o", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: f is not finite at 1 quadrature point\n"
+        assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shishkinfem import errorlab, linsolve
 from shishkinfem.meshgen import Region, MeshAxis, TensorMesh
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
 from shishkinfem.assembly import FeField
@@ -107,6 +108,51 @@ class TestDoubleMesh:
         mirrored = _compare_nested(m8, m16)
         for r in regs:
             assert mirrored[r] == pytest.approx(regs[r], rel=1e-12)
+
+
+class TestSolveProblemOrdering:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        spilu_calls, methods = [], []
+        spilu, solve = linsolve.spla.spilu, errorlab.solve
+
+        def recording_spilu(*args, **kwargs):
+            spilu_calls.append(kwargs.get("permc_spec"))
+            return spilu(*args, **kwargs)
+
+        def recording_solve(*args, **kwargs):
+            u, report = solve(*args, **kwargs)
+            methods.append(report.method)
+            return u, report
+
+        monkeypatch.setattr(linsolve.spla, "spilu", recording_spilu)
+        monkeypatch.setattr(errorlab, "solve", recording_solve)
+        return spilu_calls, methods
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    def test_one_nested_dissection_ilu(self, recorded, eps, N):
+        spilu_calls, methods = recorded
+        solve_problem(example_5_1(eps), N)
+        assert spilu_calls == ["NATURAL"]
+        assert methods == ["gmres+ilu"]
+
+    def test_failed_ordered_ilu_falls_back_to_colamd(self, recorded,
+                                                      monkeypatch):
+        spilu_calls, methods = recorded
+        spilu = linsolve.spla.spilu
+
+        def natural_fails(*args, **kwargs):
+            if kwargs.get("permc_spec") == "NATURAL":
+                spilu_calls.append("NATURAL")
+                raise RuntimeError("Factor is exactly singular")
+            return spilu(*args, **kwargs)
+
+        monkeypatch.setattr(linsolve.spla, "spilu", natural_fails)
+        u = solve_problem(example_5_1(1e-6), 16)
+        assert spilu_calls == ["NATURAL", None]
+        assert methods == ["gmres+ilu"]
+        assert np.all(np.isfinite(u.values))
 
 
 class TestErrorTable:

@@ -63,10 +63,9 @@ class TestNorms:
     def test_zero_field(self):
         mesh = build_mesh(4, 0.1, 0.2)
         M = assemble_mass(mesh)
-        K = assemble_stiffness(mesh)
         field = FeField.from_interior(mesh, np.zeros(mesh.n_interior))
         assert fe_l2_norm(field, M) == 0.0
-        assert fe_energy_norm(field, K, M, 1e-6) == 0.0
+        assert fe_energy_norm(field, M, 1e-6) == 0.0
 
     def test_sine_interpolant_l2(self):
         # int sin^2(pi x) sin^2(pi y) over [-1,1]^2 = 1
@@ -82,12 +81,53 @@ class TestNorms:
     def test_energy_at_least_l2(self):
         mesh = build_mesh(8, 0.1, 0.2)
         M = assemble_mass(mesh)
-        K = assemble_stiffness(mesh)
         rng = np.random.default_rng(5)
         for _ in range(10):
             field = FeField.from_interior(
                 mesh, rng.standard_normal(mesh.n_interior))
-            assert fe_energy_norm(field, K, M, 1e-7) >= fe_l2_norm(field, M)
+            assert fe_energy_norm(field, M, 1e-7) >= fe_l2_norm(field, M)
+
+    def test_energy_matches_stiffness_form(self):
+        # on a random field v^T K v does not cancel, so it checks the
+        # per-cell gradient sum to rounding
+        mesh = build_mesh(8, 0.1, 0.2)
+        M = assemble_mass(mesh)
+        K = assemble_stiffness(mesh)
+        v = np.random.default_rng(3).standard_normal(mesh.n_interior)
+        field = FeField.from_interior(mesh, v)
+        eps = 0.3
+        expected = np.sqrt(eps * (v @ (K @ v)) + v @ (M @ v))
+        assert fe_energy_norm(field, M, eps) == pytest.approx(expected,
+                                                              rel=1e-14)
+
+    def test_energy_of_layer_green_function_to_rounding(self):
+        # the x-layer Green's function at eps = 1e-6 is where v^T K v
+        # loses about 1e-10; the oracle integrates |grad v|^2 per cell
+        # with the 2x2 Gauss rule (exact for it) in extended precision
+        eps, N = 1e-6, 128
+        spec = example_5_1(eps)
+        lam = transition_params(eps, spec.alpha, spec.beta)
+        mesh = build_mesh(N, *lam)
+        A, _ = assemble(mesh, spec, 3)
+        node = mesh.nearest_node(*default_probes(*lam)[Region.LAYER_X])
+        g = green_function(A, mesh, node)
+        M = assemble_mass(mesh)
+
+        ld = np.longdouble
+        V = g.grid().astype(ld)
+        h = np.diff(mesh.x_axis.nodes.astype(ld))
+        k = np.diff(mesh.y_axis.nodes.astype(ld))[:, None]
+        q = (1 + np.array([-1, 1], dtype=ld) / np.sqrt(ld(3))) / 2
+        grad_sq = ld(0)
+        for t in q:
+            vx = ((1 - t) * (V[:-1, 1:] - V[:-1, :-1])
+                  + t * (V[1:, 1:] - V[1:, :-1])) / h
+            vy = ((1 - t) * (V[1:, :-1] - V[:-1, :-1])
+                  + t * (V[1:, 1:] - V[:-1, 1:])) / k
+            grad_sq += np.sum(vx * vx * h * k) / 2 + np.sum(vy * vy * h * k) / 2
+        v = g.interior_values()
+        exact = np.sqrt(ld(eps) * grad_sq + ld(v @ (M @ v)))
+        assert abs(fe_energy_norm(g, M, eps) / exact - 1) <= 1e-15
 
     def test_dimension_mismatch(self):
         mesh = build_mesh(4, 0.1, 0.2)
@@ -147,10 +187,9 @@ class TestFactorReuse:
         mesh = build_mesh(N, *lam)
         A, _ = assemble(mesh, spec, 3)
         M = assemble_mass(mesh)
-        K = assemble_stiffness(mesh)
         probes = default_probes(*lam)
         for r in reports:
             node = mesh.nearest_node(*probes[Region(r.region)])
             g = green_function(A, mesh, node)
             assert r.l2_norm == fe_l2_norm(g, M)
-            assert r.energy_norm == fe_energy_norm(g, K, M, eps)
+            assert r.energy_norm == fe_energy_norm(g, M, eps)

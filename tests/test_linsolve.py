@@ -119,6 +119,40 @@ class TestPrebuiltIlu:
         assert report.method == "splu"
 
 
+class TestOrderedIlu:
+    @pytest.fixture
+    def system(self):
+        spec = example_5_1(1e-6)
+        mesh = build_mesh(8, *transition_params(1e-6, 2.0, 1.0))
+        A, F = assemble(mesh, spec, 3)
+        return mesh, A, F
+
+    def test_solve_permutes_in_and_out(self, system):
+        # at this size the incomplete factor is nearly complete, so its
+        # solve is nearly A^-1 only if both permutations are right
+        mesh, A, F = system
+        ilu = ilu_factor(A, mesh.dissection_order())
+        x = ilu.solve(F)
+        assert np.linalg.norm(F - A @ x) <= 1e-6 * np.linalg.norm(F)
+
+    def test_factors_given_order_without_pivoting(self, system, monkeypatch):
+        mesh, A, F = system
+        seen = []
+        spilu = linsolve.spla.spilu
+
+        def recording_spilu(M, **kwargs):
+            seen.append((M, kwargs))
+            return spilu(M, **kwargs)
+
+        monkeypatch.setattr(linsolve.spla, "spilu", recording_spilu)
+        order = mesh.dissection_order()
+        ilu_factor(A, order)
+        (M, kwargs), = seen
+        assert kwargs == {"drop_tol": 1e-5, "fill_factor": 20,
+                          "permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+        assert abs(M - A[order][:, order]).max() == 0.0
+
+
 class TestSolveTranspose:
     def test_symmetric_matches_solve(self):
         A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0],
