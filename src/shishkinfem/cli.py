@@ -13,10 +13,11 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .meshgen import Region, transition_params
+# perfbench/tracer.py wraps transition_params and default_probes here.
+from .meshgen import Region, transition_params  # noqa: F401
 from .problem import example_5_1, mms_problem, layer_template, DEFAULT_ALPHA, DEFAULT_BETA
 from .linsolve import SolveError
-from .greenfn import green_norm_sweep, default_probes
+from .greenfn import green_norm_sweep, default_probes  # noqa: F401
 from .errorlab import (error_table, interp_error_study, mms_convergence,
                        solve_problem, REGION_ORDER)
 
@@ -146,7 +147,7 @@ def _spec_family(cfg):
 
 
 def _metadata_lines(cfg):
-    return [
+    lines = [
         f"# version = {__version__}",
         f"# mode = {cfg.mode}",
         f"# problem = {cfg.problem}",
@@ -156,8 +157,16 @@ def _metadata_lines(cfg):
         f"# beta = {cfg.beta!r}",
         f"# quad_order = {cfg.quad_order}",
         f"# tol = {cfg.tol!r}",
-        f"# x_intervals = 2N (mirrored half-axis refinement)",
+        f"# max_iter = {cfg.max_iter}",
     ]
+    if cfg.mode == "interp":
+        lines.append(f"# template = {cfg.template}")
+    for key, region in _PROBE_REGION.items():
+        if cfg.mode == "green" and region in cfg.probes:
+            x, y = cfg.probes[region]
+            lines.append(f"# {key} = {x!r},{y!r}")
+    lines.append("# x_intervals = 2N (mirrored half-axis refinement)")
+    return lines
 
 
 def _write(path, cfg, lines):
@@ -195,15 +204,9 @@ def _run_errors(cfg, want_rates):
 
 
 def _run_green(cfg):
-    probes = None
-    if cfg.probes:
-        eps0 = cfg.eps_list[0]
-        lam = transition_params(eps0, cfg.alpha, cfg.beta)
-        probes = default_probes(*lam)
-        probes.update(cfg.probes)
     reports = green_norm_sweep(_spec_family(cfg), cfg.N_list, cfg.eps_list,
-                               probes=probes, quad_order=cfg.quad_order,
-                               tol=cfg.tol)
+                               probes=cfg.probes, quad_order=cfg.quad_order,
+                               tol=cfg.tol, max_iter=cfg.max_iter)
     rows = ["eps,N,region,source_x,source_y,l2_norm,energy_norm"]
     rows += [f"{r.eps!r},{r.N},{r.region},{r.source_x!r},{r.source_y!r},"
              f"{r.l2_norm!r},{r.energy_norm!r}" for r in reports]

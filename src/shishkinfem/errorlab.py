@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meshgen import (Region, transition_params, build_mesh, classify_points)
+# perfbench/tracer.py wraps classify_points under this module's name.
+from .meshgen import (Region, transition_params, build_mesh, region_masks,
+                      classify_points)  # noqa: F401
 from .assembly import FeField, assemble
 from .linsolve import solve, ilu_factor, DEFAULT_TOL, DEFAULT_MAX_ITER
 
@@ -29,6 +31,11 @@ __all__ = [
 REGION_ORDER = (Region.COARSE, Region.LAYER_X, Region.LAYER_Y, Region.LAYER_XY)
 
 NESTING_TOL = 1e-12
+
+# Samples per cell and axis in the interpolation study, edges included.
+SAMPLES_PER_CELL = 5
+# Errors at or below this are rounding; mms_convergence forms no rate.
+ZERO_TOL = 1e-13
 
 
 @dataclass
@@ -71,27 +78,43 @@ def bilinear_interp(field_, points):
     if (pts[:, 0].min() < xs[0] - 1e-14 or pts[:, 0].max() > xs[-1] + 1e-14
             or pts[:, 1].min() < ys[0] - 1e-14 or pts[:, 1].max() > ys[-1] + 1e-14):
         raise ValueError("point outside the mesh domain")
-    i = np.clip(np.searchsorted(xs, pts[:, 0], side="right") - 1, 0, len(xs) - 2)
-    j = np.clip(np.searchsorted(ys, pts[:, 1], side="right") - 1, 0, len(ys) - 2)
-    hx = xs[i + 1] - xs[i]
-    hy = ys[j + 1] - ys[j]
-    s = (pts[:, 0] - xs[i]) / hx
-    t = (pts[:, 1] - ys[j]) / hy
-    grid = field_.grid()
-    v00 = grid[j, i]
-    v10 = grid[j, i + 1]
-    v11 = grid[j + 1, i + 1]
-    v01 = grid[j + 1, i]
-    # corner-difference form: exact for constant fields, not just close
-    out = (v00 + s * (v10 - v00) + t * (v01 - v00)
-           + s * t * (v11 - v10 - v01 + v00))
+    i, s = _locate(xs, pts[:, 0])
+    j, t = _locate(ys, pts[:, 1])
+    out = _bilinear(field_.grid(), i, j, s, t)
     if np.asarray(points).ndim == 1:
         return float(out[0])
     return out
 
 
+def _locate(nodes, p):
+    """Cell index and local coordinate in [0, 1] of each p on an axis."""
+    i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, len(nodes) - 2)
+    return i, (p - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+
+def _bilinear(grid, i, j, s, t):
+    """Bilinear interpolant of grid (ny, nx) in cells (i, j) at local (s, t).
+
+    The arguments broadcast against each other: equal 1D arrays give
+    points, i and s along columns with j and t along rows give a grid.
+    """
+    v00 = grid[j, i]
+    v10 = grid[j, i + 1]
+    v11 = grid[j + 1, i + 1]
+    v01 = grid[j + 1, i]
+    # corner-difference form: exact for constant fields, not just close
+    return (v00 + s * (v10 - v00) + t * (v01 - v00)
+            + s * t * (v11 - v10 - v01 + v00))
+
+
+def _region_max(err, masks):
+    """Maximum of err in each region of `region_masks`; 0 where empty."""
+    return {region: float(err[mask].max()) if mask.any() else 0.0
+            for region, mask in masks.items()}
+
+
 def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL,
-                  max_iter=DEFAULT_MAX_ITER, method="auto", lam=None):
+                  max_iter=DEFAULT_MAX_ITER, lam=None):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
     GMRES is preconditioned with an ILU in the mesh's nested-dissection
@@ -102,9 +125,8 @@ def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL,
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
     mesh = build_mesh(N, *lam)
     A, F = assemble(mesh, spec, quad_order)
-    ilu = (ilu_factor(A, mesh.dissection_order())
-           if method in ("auto", "gmres") else None)
-    u, _ = solve(A, F, tol=tol, max_iter=max_iter, method=method, ilu=ilu)
+    ilu = ilu_factor(A, mesh.dissection_order())
+    u, _ = solve(A, F, tol=tol, max_iter=max_iter, ilu=ilu)
     return FeField.from_interior(mesh, u)
 
 
@@ -114,33 +136,23 @@ def _check_nested(coarse_axis, fine_axis):
         raise ValueError("meshes are not nested; transition parameters differ")
 
 
-def _region_max(mesh, diff):
-    """Region-wise maxima of |diff| over all mesh nodes."""
-    coords = mesh.node_coords()
-    tags = classify_points(coords[:, 0], coords[:, 1],
-                           mesh.lambda_x, mesh.lambda_y)
-    out = {}
-    for region in REGION_ORDER:
-        mask = tags == region
-        out[region] = float(np.abs(diff[mask]).max()) if mask.any() else 0.0
-    return out
-
-
 def _compare_nested(u_N, u_2N):
     """Region-wise max |U_N - U_2N| at the N-mesh nodes."""
     _check_nested(u_N.mesh.x_axis, u_2N.mesh.x_axis)
     _check_nested(u_N.mesh.y_axis, u_2N.mesh.y_axis)
-    fine = u_2N.grid()[::2, ::2]
-    diff = (u_N.grid() - fine).ravel()
-    return _region_max(u_N.mesh, diff)
+    mesh = u_N.mesh
+    masks = region_masks(mesh.x_axis.nodes[None, :],
+                         mesh.y_axis.nodes[:, None],
+                         mesh.lambda_x, mesh.lambda_y)
+    return _region_max(np.abs(u_N.grid() - u_2N.grid()[::2, ::2]), masks)
 
 
 def double_mesh_error(spec, N, quad_order=3, tol=DEFAULT_TOL,
-                      max_iter=DEFAULT_MAX_ITER, method="auto"):
+                      max_iter=DEFAULT_MAX_ITER):
     """Double-mesh error estimate per region for one (spec, N)."""
     lam = transition_params(spec.eps, spec.alpha, spec.beta)
-    u_N = solve_problem(spec, N, quad_order, tol, max_iter, method, lam=lam)
-    u_2N = solve_problem(spec, 2 * N, quad_order, tol, max_iter, method, lam=lam)
+    u_N = solve_problem(spec, N, quad_order, tol, max_iter, lam=lam)
+    u_2N = solve_problem(spec, 2 * N, quad_order, tol, max_iter, lam=lam)
     return _compare_nested(u_N, u_2N)
 
 
@@ -152,8 +164,7 @@ def convergence_rate(e_N, e_2N):
 
 
 def error_table(spec_family, eps_list, N_list, quad_order=3,
-                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto",
-                progress=None):
+                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Double-mesh errors and rates over an (eps, N) grid.
 
     spec_family maps eps -> ProblemSpec.  Solutions are shared between
@@ -168,10 +179,8 @@ def error_table(spec_family, eps_list, N_list, quad_order=3,
         lam = transition_params(eps, spec.alpha, spec.beta)
         fields = {}
         for n in solve_Ns:
-            if progress is not None:
-                progress(eps, n)
             fields[n] = solve_problem(spec, n, quad_order, tol, max_iter,
-                                      method, lam=lam)
+                                      lam=lam)
         errors = {}
         for n in N_list:
             errors[n] = _compare_nested(fields[n], fields[2 * n])
@@ -188,66 +197,61 @@ def error_table(spec_family, eps_list, N_list, quad_order=3,
     return table
 
 
-def interp_error_study(template, eps, alpha, beta, N_list,
-                       samples_per_cell=5):
+def interp_error_study(template, eps, alpha, beta, N_list):
     """Max bilinear-interpolation error of a template, per region.
 
     For each N: build the Shishkin mesh, sample the template at the
     nodes, and measure max |template - interpolant| over an s x s
-    uniform sub-sample of every cell.  Returns {N: {Region: error}}.
+    uniform sub-sample of every cell (s = SAMPLES_PER_CELL).  The
+    samples of one offset form a tensor grid, so cells, local
+    coordinates and regions are found per axis.  Returns
+    {N: {Region: error}}.
     """
     lam_x, lam_y = transition_params(eps, alpha, beta)
+    offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
     results = {}
     for N in sorted(N_list):
         mesh = build_mesh(N, lam_x, lam_y)
         xs = mesh.x_axis.nodes
         ys = mesh.y_axis.nodes
         nodal = template(*np.meshgrid(xs, ys))
-        fld = FeField(mesh=mesh, values=nodal.ravel())
         maxima = {region: 0.0 for region in REGION_ORDER}
-        offsets = np.linspace(0.0, 1.0, samples_per_cell)
-        hx = np.diff(xs)
-        hy = np.diff(ys)
-        X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
-        H, K = np.meshgrid(hx, hy)
         for u in offsets:
+            px = xs[:-1] + u * np.diff(xs)
+            i, s = _locate(xs, px)
             for v in offsets:
-                px = (X0 + u * H).ravel()
-                py = (Y0 + v * K).ravel()
-                exact = template(px, py)
-                approx = bilinear_interp(fld, np.column_stack([px, py]))
-                err = np.abs(exact - approx)
-                tags = classify_points(px, py, lam_x, lam_y)
-                for region in REGION_ORDER:
-                    mask = tags == region
-                    if mask.any():
-                        maxima[region] = max(maxima[region],
-                                             float(err[mask].max()))
+                py = ys[:-1] + v * np.diff(ys)
+                j, t = _locate(ys, py)
+                approx = _bilinear(nodal, i[None, :], j[:, None],
+                                   s[None, :], t[:, None])
+                err = np.abs(template(*np.meshgrid(px, py)) - approx)
+                masks = region_masks(px[None, :], py[:, None], lam_x, lam_y)
+                for region, e in _region_max(err, masks).items():
+                    maxima[region] = max(maxima[region], e)
         results[N] = maxima
     return results
 
 
 def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL,
-                    max_iter=DEFAULT_MAX_ITER, method="auto", lam=None,
-                    zero_tol=1e-13):
+                    max_iter=DEFAULT_MAX_ITER, lam=None):
     """Max nodal error against the exact solution, with observed rates.
 
     Returns (errors, rates): errors maps N -> max |u_h - u|; rates maps
-    N -> log2 ratio against the next N, or None when an error is below
-    zero_tol (rate undefined).
+    N -> log2 ratio against the next N, or None when an error is at or
+    below ZERO_TOL (rate undefined).
     """
     if spec.exact is None:
         raise ValueError("spec has no exact solution")
     N_list = sorted(N_list)
     errors = {}
     for N in N_list:
-        uh = solve_problem(spec, N, quad_order, tol, max_iter, method, lam=lam)
+        uh = solve_problem(spec, N, quad_order, tol, max_iter, lam=lam)
         coords = uh.mesh.node_coords()
         exact = spec.exact(coords[:, 0], coords[:, 1])
         errors[N] = float(np.abs(uh.values - exact).max())
     rates = {}
     for a, b in zip(N_list[:-1], N_list[1:]):
-        if errors[a] <= zero_tol or errors[b] <= zero_tol:
+        if errors[a] <= ZERO_TOL or errors[b] <= ZERO_TOL:
             rates[a] = None
         else:
             rates[a] = math.log2(errors[a] / errors[b])

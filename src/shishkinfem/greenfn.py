@@ -43,7 +43,7 @@ class GreenReport:
 
 
 def green_function(A, mesh, source_node, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER, method="auto", ilu=None):
+                   max_iter=DEFAULT_MAX_ITER, ilu=None):
     """Discrete Green's function for a source at a given interior node.
 
     source_node is a flat mesh node index; ilu is an optional prebuilt
@@ -55,8 +55,7 @@ def green_function(A, mesh, source_node, tol=DEFAULT_TOL,
         raise ValueError(f"source node {source_node} is not an interior node")
     e = np.zeros(mesh.n_interior)
     e[idx[source_node]] = 1.0
-    g, _ = solve_transpose(A, e, tol=tol, max_iter=max_iter, method=method,
-                           ilu=ilu)
+    g, _ = solve_transpose(A, e, tol=tol, max_iter=max_iter, ilu=ilu)
     return FeField.from_interior(mesh, g)
 
 
@@ -102,33 +101,32 @@ def default_probes(lambda_x, lambda_y):
 
 
 def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
-                     quad_order=3, tol=DEFAULT_TOL, method="auto"):
+                     quad_order=3, tol=DEFAULT_TOL,
+                     max_iter=DEFAULT_MAX_ITER):
     """Green's-function norms per (eps, N, region).
 
     spec_family maps eps -> ProblemSpec.  For each run the source is the
-    interior node nearest the region's probe point.  Each assembled
-    matrix is factored once: the ILU of A^T preconditions the GMRES
-    solves of all four sources.  Returns a list of GreenReport in
-    deterministic (eps, N, region) order.
+    interior node nearest the region's probe point.  probes maps some or
+    all regions to a point; the other regions keep each eps's
+    `default_probes`.  Each assembled matrix is factored once: the ILU
+    of A^T preconditions the GMRES solves of all four sources.  Returns
+    a list of GreenReport in deterministic (eps, N, region) order.
     """
     reports = []
     for eps in eps_list:
         spec = spec_family(eps)
         lam_x, lam_y = transition_params(eps, spec.alpha, spec.beta)
-        probe_map = probes if probes is not None else default_probes(lam_x, lam_y)
+        probe_map = {**default_probes(lam_x, lam_y), **(probes or {})}
         for N in N_list:
             mesh = build_mesh(N, lam_x, lam_y)
             A, _ = assemble(mesh, spec, quad_order)
-            ilu = (ilu_factor_transpose(A) if method in ("auto", "gmres")
-                   else None)
+            ilu = ilu_factor_transpose(A)
             M = assemble_mass(mesh)
             coords = mesh.node_coords()
-            for region in (Region.COARSE, Region.LAYER_X,
-                           Region.LAYER_Y, Region.LAYER_XY):
-                px, py = probe_map[region]
+            for region, (px, py) in probe_map.items():
                 node = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, node, tol=tol, method=method,
-                                   ilu=ilu)
+                g = green_function(A, mesh, node, tol=tol,
+                                   max_iter=max_iter, ilu=ilu)
                 sx, sy = coords[node]
                 reports.append(GreenReport(
                     eps=eps, N=N, region=region.value,

@@ -1,10 +1,11 @@
 """Sparse solvers for the nonsymmetric discrete systems.
 
-Primary path is ILU-preconditioned GMRES; a complete sparse LU is the
-robustness fallback and a dense LU serves as the oracle for systems
-with up to 2,000 unknowns.  Every accepted solution has its residual
-recomputed from scratch before it is returned.  Each fallback is logged
-at WARNING with its reason.
+`solve` has one path: ILU-preconditioned GMRES, then a complete sparse
+LU when that misses the tolerance, then `SolveError`.  A dense LU,
+`dense_solve`, is the test oracle for systems with up to 2,000 unknowns
+and no solve falls back to it.  Every accepted solution has its
+residual recomputed from scratch before it is returned.  Each fallback
+is logged at WARNING with its reason.
 
 Several right-hand sides with one matrix can share one ILU: build it
 with `ilu_factor` (or `ilu_factor_transpose` for A^T) and pass it as
@@ -133,14 +134,14 @@ def _gmres(A, b, tol, max_iter, ilu):
     return x, count[0]
 
 
-def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto",
-          ilu=None):
+def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, ilu=None):
     """Solve A x = b to relative residual <= tol.
 
-    method: "auto" (GMRES+ILU, then sparse LU fallback), "gmres",
-    "splu", or "dense".  ilu: a prebuilt `ilu_factor(A)` to precondition
-    GMRES with; None factors A here.  Deterministic: zero initial guess,
-    no randomized components.  Returns (x, SolveReport).
+    Runs GMRES+ILU, then a complete sparse LU; raises SolveError when
+    neither reaches tol.  ilu: a prebuilt `ilu_factor(A)` to
+    precondition GMRES with; None factors A here.  Deterministic: zero
+    initial guess, no randomized components.  Returns (x, SolveReport),
+    whose method names the path that succeeded.
     """
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -151,50 +152,33 @@ def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, method="auto",
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, "trivial")
 
-    attempts = []
     best = np.inf
-    if method in ("auto", "gmres"):
-        x, iters = _gmres(A, b, tol, max_iter, ilu)
-        if x is not None:
-            res = _relative_residual(A, x, b)
-            best = min(best, res)
-            if res <= tol:
-                return x, SolveReport(iters, res, "gmres+ilu")
-            log.warning("gmres+ilu residual %.3e above tol %g", res, tol)
-        attempts.append("gmres+ilu")
-    if method in ("auto", "splu"):
-        try:
-            x = spla.splu(A.tocsc()).solve(b)
-        except RuntimeError as exc:
-            log.warning("splu failed (%s)", exc)
-        else:
-            res = _relative_residual(A, x, b)
-            best = min(best, res)
-            if res <= tol:
-                return x, SolveReport(1, res, "splu")
-            log.warning("splu residual %.3e above tol %g", res, tol)
-        attempts.append("splu")
-    if method == "dense" or (method == "auto" and A.shape[0] <= DENSE_LIMIT):
-        try:
-            x = dense_solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            log.warning("dense LU failed (%s)", exc)
-        else:
-            res = _relative_residual(A, x, b)
-            best = min(best, res)
-            if res <= tol:
-                return x, SolveReport(1, res, "dense")
-        attempts.append("dense")
+    x, iters = _gmres(A, b, tol, max_iter, ilu)
+    if x is not None:
+        res = _relative_residual(A, x, b)
+        best = res
+        if res <= tol:
+            return x, SolveReport(iters, res, "gmres+ilu")
+        log.warning("gmres+ilu residual %.3e above tol %g", res, tol)
+    try:
+        x = spla.splu(A.tocsc()).solve(b)
+    except RuntimeError as exc:
+        log.warning("splu failed (%s)", exc)
+    else:
+        res = _relative_residual(A, x, b)
+        best = min(best, res)
+        if res <= tol:
+            return x, SolveReport(1, res, "splu")
+        log.warning("splu residual %.3e above tol %g", res, tol)
     raise SolveError(
-        f"no solver reached tol={tol} (tried {attempts}, best residual {best:.3e})",
-        best_residual=best)
+        f"no solver reached tol={tol} (tried gmres+ilu and splu, "
+        f"best residual {best:.3e})", best_residual=best)
 
 
 def solve_transpose(A, e, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    method="auto", ilu=None):
+                    ilu=None):
     """Solve A^T g = e; same contract as solve.
 
     ilu: a prebuilt `ilu_factor_transpose(A)`; None factors A^T here.
     """
-    return solve(_transpose(A), e, tol=tol, max_iter=max_iter, method=method,
-                 ilu=ilu)
+    return solve(_transpose(A), e, tol=tol, max_iter=max_iter, ilu=ilu)

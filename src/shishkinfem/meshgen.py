@@ -21,6 +21,7 @@ __all__ = [
     "build_mesh",
     "classify",
     "classify_points",
+    "region_masks",
 ]
 
 # Largest block that `TensorMesh.dissection_order` numbers without
@@ -221,32 +222,38 @@ def classify(x, y, lambda_x, lambda_y):
     """Region tag of a point of the closed domain [-1,1]^2.
 
     Points on a transition line belong to the layer region (closed-layer
-    tie-break).
+    tie-break), as `region_masks` defines.
     """
-    if abs(x) > 1.0 or abs(y) > 1.0:
-        raise ValueError(f"point ({x}, {y}) outside [-1,1]^2")
-    in_x = abs(x) <= lambda_x
-    in_y = abs(y) >= 1.0 - lambda_y
-    if in_x and in_y:
-        return Region.LAYER_XY
-    if in_x:
-        return Region.LAYER_X
-    if in_y:
-        return Region.LAYER_Y
-    return Region.COARSE
+    masks = region_masks(x, y, lambda_x, lambda_y)
+    return next(region for region, mask in masks.items() if mask)
 
 
 def classify_points(x, y, lambda_x, lambda_y):
     """Vectorized classify: returns an object array of Region tags."""
+    masks = region_masks(x, y, lambda_x, lambda_y)
+    out = np.empty(masks[Region.COARSE].shape, dtype=object)
+    for region, mask in masks.items():
+        out[mask] = region
+    return out
+
+
+def region_masks(x, y, lambda_x, lambda_y):
+    """{Region: boolean mask} over the broadcast of x and y.
+
+    Each region is an x-condition crossed with a y-condition, so on the
+    tensor grid pass the 1D axes as x[None, :] and y[:, None] to get
+    (ny, nx) masks.  Points on a transition line belong to the layer
+    region (closed-layer tie-break); the masks partition the points.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(x) > 1.0) or np.any(np.abs(y) > 1.0):
         raise ValueError("points outside [-1,1]^2")
     in_x = np.abs(x) <= lambda_x
     in_y = np.abs(y) >= 1.0 - lambda_y
-    out = np.empty(x.shape, dtype=object)
-    out[...] = Region.COARSE
-    out[in_x & ~in_y] = Region.LAYER_X
-    out[~in_x & in_y] = Region.LAYER_Y
-    out[in_x & in_y] = Region.LAYER_XY
-    return out
+    return {
+        Region.COARSE: ~in_x & ~in_y,
+        Region.LAYER_X: in_x & ~in_y,
+        Region.LAYER_Y: ~in_x & in_y,
+        Region.LAYER_XY: in_x & in_y,
+    }

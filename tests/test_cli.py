@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shishkinfem import cli
+from shishkinfem import cli, greenfn
 from shishkinfem.meshgen import Region
 from shishkinfem.cli import (RunConfig, ConfigError, parse_config, run, main,
                              OUTDIR_ENV, DEFAULT_EPS, DEFAULT_N)
@@ -17,6 +17,17 @@ def clean_outdir_env(monkeypatch):
 def read_lines(path):
     with open(path) as fh:
         return fh.read().splitlines()
+
+
+def header(path):
+    return [l for l in read_lines(path) if l.startswith("#")]
+
+
+def green_sources(path):
+    """{(eps, N, region): (source_x, source_y)} of a green.csv."""
+    rows = [l.split(",") for l in read_lines(path)
+            if not l.startswith("#")][1:]
+    return {tuple(r[:3]): tuple(r[3:5]) for r in rows}
 
 
 class TestParseConfig:
@@ -145,6 +156,52 @@ class TestRunModes:
         n8 = body[1].split(",")
         assert float(n8[2]) == pytest.approx(2.0, abs=0.3)
         assert body[2].split(",")[2] == ""  # no rate at the last N
+
+    def test_header_records_template(self, tmp_path):
+        headers = []
+        for template in ("corner_xy", "smooth"):
+            out = tmp_path / template
+            assert main(["--mode", "interp", "--eps", "1e-6", "--N", "8",
+                         "--template", template, "-o", str(out)]) == 0
+            headers.append(header(out / "interp.csv"))
+        assert "# template = corner_xy" in headers[0]
+        assert "# max_iter = 20000" in headers[0]
+        assert headers[0] != headers[1]
+
+    def test_header_records_probe_overrides(self, tmp_path):
+        assert main(["--mode", "green", "--eps", "1e-4", "--N", "8",
+                     "--probe-coarse", "0.5,0.1", "-o", str(tmp_path)]) == 0
+        lines = header(tmp_path / "green.csv")
+        assert "# probe_coarse = 0.5,0.1" in lines
+        assert not any(l.startswith("# probe_layer") for l in lines)
+
+    def test_partial_probe_override_keeps_other_sources(self, tmp_path):
+        # each eps keeps its own default probes for the regions not given
+        argv = ["--mode", "green", "--eps", "1e-4,1e-8", "--N", "16"]
+        assert main(argv + ["-o", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--probe-coarse", "0.5,0.3",
+                            "-o", str(tmp_path / "b")]) == 0
+        plain = green_sources(tmp_path / "a" / "green.csv")
+        moved = green_sources(tmp_path / "b" / "green.csv")
+        assert plain.keys() == moved.keys() and len(plain) == 8
+        for key in plain:
+            if key[2] == "coarse":
+                assert moved[key] != plain[key]
+            else:
+                assert moved[key] == plain[key]
+
+    def test_green_passes_max_iter(self, tmp_path, monkeypatch):
+        seen = []
+        solve_transpose = greenfn.solve_transpose
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["max_iter"])
+            return solve_transpose(*args, **kwargs)
+
+        monkeypatch.setattr(greenfn, "solve_transpose", recording)
+        assert main(["--mode", "green", "--eps", "1e-4", "--N", "8",
+                     "--max-iter", "7", "-o", str(tmp_path)]) == 0
+        assert seen == [7] * 4
 
     def test_reruns_byte_identical(self, tmp_path):
         text = f"mode = errors\neps = 1e-4\nN = 8\noutput = {tmp_path}"

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from shishkinfem import errorlab, linsolve
-from shishkinfem.meshgen import Region, MeshAxis, TensorMesh
+from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
+                                 classify_points, transition_params)
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
 from shishkinfem.assembly import FeField
 from shishkinfem.errorlab import (bilinear_interp, double_mesh_error,
                                   convergence_rate, error_table,
                                   interp_error_study, mms_convergence,
-                                  solve_problem, _compare_nested)
+                                  solve_problem, _compare_nested,
+                                  REGION_ORDER, SAMPLES_PER_CELL)
 
 
 def uniform_field(n, fn):
@@ -174,7 +176,44 @@ class TestErrorTable:
             tab.rate(1e-4, 16, Region.COARSE)
 
 
+def pointwise_interp_study(template, eps, alpha, beta, N_list):
+    """Oracle: the interpolation study on flat arrays of sample points,
+    each located by `bilinear_interp` and tagged by `classify_points`."""
+    lam_x, lam_y = transition_params(eps, alpha, beta)
+    offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
+    results = {}
+    for N in sorted(N_list):
+        mesh = build_mesh(N, lam_x, lam_y)
+        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        fld = FeField(mesh=mesh, values=template(*np.meshgrid(xs, ys)).ravel())
+        X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
+        H, K = np.meshgrid(np.diff(xs), np.diff(ys))
+        maxima = {region: 0.0 for region in REGION_ORDER}
+        for u in offsets:
+            for v in offsets:
+                px = (X0 + u * H).ravel()
+                py = (Y0 + v * K).ravel()
+                err = np.abs(template(px, py)
+                             - bilinear_interp(fld, np.column_stack([px, py])))
+                tags = classify_points(px, py, lam_x, lam_y)
+                for region in REGION_ORDER:
+                    mask = tags == region
+                    if mask.any():
+                        maxima[region] = max(maxima[region],
+                                             float(err[mask].max()))
+        results[N] = maxima
+    return results
+
+
 class TestInterpStudy:
+    @pytest.mark.parametrize("kind", ["smooth", "interior_x", "boundary_y",
+                                      "corner_xy"])
+    @pytest.mark.parametrize("eps", [1e-6, 3.7e-9, 0.2])
+    def test_equals_pointwise_study(self, kind, eps):
+        tpl = layer_template(kind, eps, 2.0, 1.0)
+        assert (interp_error_study(tpl, eps, 2.0, 1.0, [8, 16])
+                == pointwise_interp_study(tpl, eps, 2.0, 1.0, [8, 16]))
+
     def test_constant_template_exact(self):
         from shishkinfem.problem import LayerTemplate, TemplateKind
         const = LayerTemplate(kind=TemplateKind.SMOOTH,

@@ -59,10 +59,21 @@ class TestSolve:
             solve(A, np.array([1.0, 2.0]))
         assert info.value.best_residual > 1e-10
 
-    def test_singular_splu_raises_solve_error(self):
+    def test_singular_splu_raises_solve_error(self, monkeypatch):
+        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(SolveError, match="splu"):
-            solve(A, np.array([1.0, 2.0]), method="splu")
+            solve(A, np.array([1.0, 2.0]))
+
+    def test_singular_tries_gmres_then_splu_only(self, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("solve must not fall back to dense LU")
+
+        monkeypatch.setattr(linsolve, "dense_solve", no_dense)
+        A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(SolveError) as info:
+            solve(A, np.array([1.0, 2.0]))
+        assert "tried gmres+ilu and splu," in str(info.value)
 
 
 class TestFallbackLogging:
@@ -182,12 +193,14 @@ class TestSolveTranspose:
 class TestSparseVsDense:
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("eps", [1e-2, 1e-6])
-    def test_agreement(self, N, eps):
+    def test_agreement(self, N, eps, monkeypatch):
         spec = example_5_1(eps)
         mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
         A, F = assemble(mesh, spec, 3)
         assert A.shape[0] <= 2000
-        x_sparse, _ = solve(A, F, method="splu")
+        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
+        x_sparse, report = solve(A, F)
+        assert report.method == "splu"
         x_dense = dense_solve(A, F)
         denom = np.linalg.norm(x_dense)
         assert np.linalg.norm(x_sparse - x_dense) / denom <= 1e-8

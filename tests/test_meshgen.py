@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from shishkinfem.meshgen import (Region, transition_params, build_x_axis,
                                  build_y_axis, build_mesh, classify,
-                                 classify_points, DISSECTION_LEAF)
+                                 classify_points, region_masks,
+                                 DISSECTION_LEAF)
 
 
 class TestTransitionParams:
@@ -148,6 +149,34 @@ class TestClassify:
             assert np.min(np.abs(xs - v)) < 1e-14
         for v in (-1 + ly, 1 - ly):
             assert np.min(np.abs(ys - v)) < 1e-14
+
+
+class TestRegionMasks:
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_every_node(self, N, eps):
+        # x-nodes N/2...3N/2 span [-lambda_x, lambda_x]; y-nodes 0...N/4
+        # and 3N/4...N the strips; both ranges include the transition lines
+        mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
+        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        masks = region_masks(xs[None, :], ys[:, None], mesh.lambda_x,
+                             mesh.lambda_y)
+        i, j = np.arange(2 * N + 1), np.arange(N + 1)
+        in_x = ((i >= N // 2) & (i <= 3 * N // 2))[None, :]
+        in_y = ((j <= N // 4) | (j >= 3 * N // 4))[:, None]
+        expected = {Region.COARSE: ~in_x & ~in_y, Region.LAYER_X: in_x & ~in_y,
+                    Region.LAYER_Y: ~in_x & in_y, Region.LAYER_XY: in_x & in_y}
+        for region, mask in masks.items():
+            assert mask.shape == (N + 1, 2 * N + 1)
+            assert np.array_equal(mask, expected[region])
+        for jj, y in enumerate(ys):
+            for ii, x in enumerate(xs):
+                tag = classify(x, y, mesh.lambda_x, mesh.lambda_y)
+                assert [r for r, m in masks.items() if m[jj, ii]] == [tag]
+
+    def test_outside_domain(self):
+        with pytest.raises(ValueError):
+            region_masks(np.array([0.0, 1.5]), 0.0, 0.1, 0.2)
 
 
 def split_order(grid):
