@@ -5,12 +5,11 @@ and double-mesh convergence studies."""
 __version__ = "0.1.0"
 
 from .meshgen import (Region, MeshAxis, TensorMesh, transition_params,
-                      build_x_axis, build_y_axis, build_mesh, classify)
+                      build_x_axis, build_y_axis, build_mesh)
 from .problem import (ProblemSpec, LayerTemplate, TemplateKind,
                       example_5_1, mms_problem, layer_template)
-from .assembly import (FeField, quad_rule, element_matrices, assemble,
-                       assemble_mass, assemble_stiffness)
-from .linsolve import SolveReport, SolveError, solve, solve_transpose, dense_solve
+from .assembly import FeField, assemble, assemble_mass, assemble_stiffness
+from .linsolve import SolveReport, SolveError, solve, solve_transpose
 from .greenfn import (GreenReport, green_function, fe_l2_norm,
                       fe_energy_norm, green_norm_sweep)
 from .errorlab import (ErrorTable, bilinear_interp, double_mesh_error,
@@ -19,12 +18,11 @@ from .errorlab import (ErrorTable, bilinear_interp, double_mesh_error,
 
 __all__ = [
     "Region", "MeshAxis", "TensorMesh", "transition_params",
-    "build_x_axis", "build_y_axis", "build_mesh", "classify",
+    "build_x_axis", "build_y_axis", "build_mesh",
     "ProblemSpec", "LayerTemplate", "TemplateKind",
     "example_5_1", "mms_problem", "layer_template",
-    "FeField", "quad_rule", "element_matrices", "assemble",
-    "assemble_mass", "assemble_stiffness",
-    "SolveReport", "SolveError", "solve", "solve_transpose", "dense_solve",
+    "FeField", "assemble", "assemble_mass", "assemble_stiffness",
+    "SolveReport", "SolveError", "solve", "solve_transpose",
     "GreenReport", "green_function", "fe_l2_norm", "fe_energy_norm",
     "green_norm_sweep",
     "ErrorTable", "bilinear_interp", "double_mesh_error",

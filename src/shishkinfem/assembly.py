@@ -3,9 +3,8 @@
 Produces CSR matrices over interior nodes only: homogeneous Dirichlet
 rows and columns are dropped when the matrix is built (boundary data
 is zero, so elimination is exact).  `assemble` works on the tensor
-structure of the mesh, one axis at a time; `element_matrices`, the
-per-cell form of the same quadrature, is its small-N oracle.  The
-order of every sum is fixed, so assembled values are reproducible.
+structure of the mesh, one axis at a time.  The order of every sum is
+fixed, so assembled values are reproducible.
 """
 
 from dataclasses import dataclass
@@ -17,17 +16,10 @@ from .meshgen import TensorMesh
 
 __all__ = [
     "FeField",
-    "quad_rule",
-    "element_matrices",
     "assemble",
     "assemble_mass",
     "assemble_stiffness",
 ]
-
-# Reference-square corner signs, counterclockwise from (-1,-1).
-_XI = np.array([-1.0, 1.0, 1.0, -1.0])
-_ETA = np.array([-1.0, -1.0, 1.0, 1.0])
-
 
 @dataclass
 class FeField:
@@ -62,81 +54,9 @@ def _gauss(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def quad_rule(order):
-    """Tensor Gauss-Legendre rule on the reference square [-1,1]^2.
-
-    Returns (points, weights) with points of shape (order^2, 2); the
-    weights sum to 4.
-    """
-    q, w = _gauss(order)
-    pts = np.array([(qi, qj) for qj in q for qi in q])
-    wts = np.array([wi * wj for wj in w for wi in w])
-    return pts, wts
-
-
-def _shape(xi, eta):
-    """Q1 shape functions and reference-space derivatives at one point."""
-    n = 0.25 * (1.0 + _XI * xi) * (1.0 + _ETA * eta)
-    dxi = 0.25 * _XI * (1.0 + _ETA * eta)
-    deta = 0.25 * _ETA * (1.0 + _XI * xi)
-    return n, dxi, deta
-
-
-def _local_matrices(x0, y0, h, k, spec, quad_order):
-    """Local matrices for a batch of cells.
-
-    x0, y0, h, k are arrays of shape (ncells,).  Returns
-    (diffusion, convection, reaction, load) with shapes
-    (ncells,4,4) x3 and (ncells,4).  Diffusion is scaled by spec.eps.
-    """
-    pts, wts = quad_rule(quad_order)
-    nc = len(x0)
-    diff = np.zeros((nc, 4, 4))
-    conv = np.zeros((nc, 4, 4))
-    reac = np.zeros((nc, 4, 4))
-    load = np.zeros((nc, 4))
-    jac = 0.25 * h * k
-    inv_h2 = (2.0 / h) ** 2
-    inv_k2 = (2.0 / k) ** 2
-    for (xi, eta), w in zip(pts, wts):
-        n, dxi, deta = _shape(xi, eta)
-        xq = x0 + 0.5 * h * (1.0 + xi)
-        yq = y0 + 0.5 * k * (1.0 + eta)
-        wj = w * jac
-        # grad-grad: (2/h)^2 dxi_i dxi_j + (2/k)^2 deta_i deta_j
-        gx = np.outer(dxi, dxi)
-        gy = np.outer(deta, deta)
-        diff += spec.eps * (wj * inv_h2)[:, None, None] * gx \
-            + spec.eps * (wj * inv_k2)[:, None, None] * gy
-        b1q = wj * spec.b1(xq, yq)
-        cq = wj * spec.c(xq, yq)
-        fq = wj * spec.f(xq, yq)
-        # convection: b1 * dphi_j/dx * phi_i; dphi/dx = (2/h) dxi
-        dx_j = np.outer(n, dxi)            # (i, j) -> phi_i dxi_j
-        conv += (b1q * 2.0 / h)[:, None, None] * dx_j
-        reac += cq[:, None, None] * np.outer(n, n)
-        load += fq[:, None] * n
-    return diff, conv, reac, load
-
-
-def element_matrices(cell, spec, quad_order=3):
-    """Local 4x4 matrices and load vector for one rectangular cell.
-
-    cell = (x0, y0, h, k); local node order is counterclockwise from
-    (x0, y0).
-    """
-    x0, y0, h, k = cell
-    if h <= 0.0 or k <= 0.0:
-        raise ValueError(f"degenerate cell: h={h}, k={k}")
-    d, c, r, f = _local_matrices(
-        np.array([x0]), np.array([y0]), np.array([h]), np.array([k]),
-        spec, quad_order)
-    return d[0], c[0], r[0], f[0]
-
-
 def _axis_points(nodes, g):
-    """Gauss points of every interval of an axis, shape (n_intervals, q),
-    computed as in `_local_matrices`; also returns the interval lengths."""
+    """Gauss points of every interval of an axis, shape (n_intervals, q);
+    also returns the interval lengths."""
     h = np.diff(nodes)
     return nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + g), h
 
@@ -180,10 +100,11 @@ def assemble(mesh, spec, quad_order=3):
     A[i, j] = eps (grad phi_j, grad phi_i) + (b1 d(phi_j)/dx, phi_i)
               + (c phi_j, phi_i),  F[i] = (f, phi_i).
 
-    Uses the quadrature of `element_matrices` on every cell, arranged
-    as a tensor product: b1, c and f are evaluated once on the grid of
-    per-cell Gauss points, and the Q1 shape functions, products of 1D
-    hat functions, are applied one axis at a time.  Raises ValueError
+    Uses the tensor Gauss-Legendre rule of quad_order points per axis
+    on every cell, arranged as a tensor product: b1, c and f are
+    evaluated once on the grid of per-cell Gauss points, and the Q1
+    shape functions, products of 1D hat functions, are applied one axis
+    at a time.  Raises ValueError
     if a coefficient is not finite at some quadrature point.
     """
     g, w = _gauss(quad_order)

@@ -46,7 +46,6 @@ class RunConfig:
     beta: float = DEFAULT_BETA
     quad_order: int = 3
     tol: float = 1e-10
-    max_iter: int = 20000
     template: str = "interior_x"
     probes: dict = field(default_factory=dict)
     output_dir: str = "."
@@ -83,7 +82,6 @@ _KEYS = {
     "beta": float,
     "quad_order": int,
     "tol": float,
-    "max_iter": int,
     "template": str,
     "output": str,
     "probe_coarse": "point",
@@ -157,7 +155,6 @@ def _metadata_lines(cfg):
         f"# beta = {cfg.beta!r}",
         f"# quad_order = {cfg.quad_order}",
         f"# tol = {cfg.tol!r}",
-        f"# max_iter = {cfg.max_iter}",
     ]
     if cfg.mode == "interp":
         lines.append(f"# template = {cfg.template}")
@@ -192,8 +189,7 @@ def _write(path, cfg, lines):
 
 def _run_errors(cfg, want_rates):
     table = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list,
-                        quad_order=cfg.quad_order, tol=cfg.tol,
-                        max_iter=cfg.max_iter)
+                        quad_order=cfg.quad_order, tol=cfg.tol)
     if want_rates:
         rows = ["eps,N,region,rate"]
         rows += [f"{e!r},{n},{r},{v!r}" for e, n, r, v in table.rates]
@@ -206,7 +202,7 @@ def _run_errors(cfg, want_rates):
 def _run_green(cfg):
     reports = green_norm_sweep(_spec_family(cfg), cfg.N_list, cfg.eps_list,
                                probes=cfg.probes, quad_order=cfg.quad_order,
-                               tol=cfg.tol, max_iter=cfg.max_iter)
+                               tol=cfg.tol)
     rows = ["eps,N,region,source_x,source_y,l2_norm,energy_norm"]
     rows += [f"{r.eps!r},{r.N},{r.region},{r.source_x!r},{r.source_y!r},"
              f"{r.l2_norm!r},{r.energy_norm!r}" for r in reports]
@@ -217,8 +213,7 @@ def _run_field(cfg):
     eps = cfg.eps_list[0]
     N = cfg.N_list[0]
     spec = _spec_family(cfg)(eps)
-    uh = solve_problem(spec, N, quad_order=cfg.quad_order, tol=cfg.tol,
-                       max_iter=cfg.max_iter)
+    uh = solve_problem(spec, N, quad_order=cfg.quad_order, tol=cfg.tol)
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
     coords = mesh.node_coords()
@@ -243,7 +238,7 @@ def _run_mms(cfg):
     spec = mms_problem(eps, cfg.alpha, cfg.beta)
     lam = (0.5, 0.25) if eps >= 1.0 else None
     errors, rates = mms_convergence(spec, cfg.N_list, quad_order=cfg.quad_order,
-                                    tol=cfg.tol, max_iter=cfg.max_iter, lam=lam)
+                                    tol=cfg.tol, lam=lam)
     rows = ["N,error,rate"]
     for n in sorted(errors):
         rate = rates.get(n)
@@ -289,7 +284,6 @@ def _build_argparser():
     p.add_argument("--beta", type=float)
     p.add_argument("--quad-order", type=int, dest="quad_order")
     p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--template",
                    choices=("smooth", "interior_x", "boundary_y", "corner_xy"))
     p.add_argument("--probe-coarse", dest="probe_coarse", help="x,y")
@@ -310,9 +304,7 @@ def main(argv=None):
         except OSError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-    for key in ("mode", "problem", "eps", "N", "alpha", "beta", "quad_order",
-                "tol", "max_iter", "template", "probe_coarse", "probe_layer_x",
-                "probe_layer_y", "probe_layer_xy", "output"):
+    for key in _KEYS:
         value = getattr(args, key)
         if value is not None:
             lines.append(f"{key}={value}")

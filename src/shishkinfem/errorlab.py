@@ -15,7 +15,7 @@ import numpy as np
 from .meshgen import (Region, transition_params, build_mesh, region_masks,
                       classify_points)  # noqa: F401
 from .assembly import FeField, assemble
-from .linsolve import solve, ilu_factor, DEFAULT_TOL, DEFAULT_MAX_ITER
+from .linsolve import solve, ilu_factor, DEFAULT_TOL
 
 __all__ = [
     "ErrorTable",
@@ -113,8 +113,7 @@ def _region_max(err, masks):
             for region, mask in masks.items()}
 
 
-def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL,
-                  max_iter=DEFAULT_MAX_ITER, lam=None):
+def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL, lam=None):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
     GMRES is preconditioned with an ILU in the mesh's nested-dissection
@@ -126,7 +125,7 @@ def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL,
     mesh = build_mesh(N, *lam)
     A, F = assemble(mesh, spec, quad_order)
     ilu = ilu_factor(A, mesh.dissection_order())
-    u, _ = solve(A, F, tol=tol, max_iter=max_iter, ilu=ilu)
+    u, _ = solve(A, F, tol=tol, ilu=ilu)
     return FeField.from_interior(mesh, u)
 
 
@@ -147,12 +146,11 @@ def _compare_nested(u_N, u_2N):
     return _region_max(np.abs(u_N.grid() - u_2N.grid()[::2, ::2]), masks)
 
 
-def double_mesh_error(spec, N, quad_order=3, tol=DEFAULT_TOL,
-                      max_iter=DEFAULT_MAX_ITER):
+def double_mesh_error(spec, N, quad_order=3, tol=DEFAULT_TOL):
     """Double-mesh error estimate per region for one (spec, N)."""
     lam = transition_params(spec.eps, spec.alpha, spec.beta)
-    u_N = solve_problem(spec, N, quad_order, tol, max_iter, lam=lam)
-    u_2N = solve_problem(spec, 2 * N, quad_order, tol, max_iter, lam=lam)
+    u_N = solve_problem(spec, N, quad_order, tol, lam=lam)
+    u_2N = solve_problem(spec, 2 * N, quad_order, tol, lam=lam)
     return _compare_nested(u_N, u_2N)
 
 
@@ -164,7 +162,7 @@ def convergence_rate(e_N, e_2N):
 
 
 def error_table(spec_family, eps_list, N_list, quad_order=3,
-                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+                tol=DEFAULT_TOL):
     """Double-mesh errors and rates over an (eps, N) grid.
 
     spec_family maps eps -> ProblemSpec.  Solutions are shared between
@@ -179,8 +177,7 @@ def error_table(spec_family, eps_list, N_list, quad_order=3,
         lam = transition_params(eps, spec.alpha, spec.beta)
         fields = {}
         for n in solve_Ns:
-            fields[n] = solve_problem(spec, n, quad_order, tol, max_iter,
-                                      lam=lam)
+            fields[n] = solve_problem(spec, n, quad_order, tol, lam=lam)
         errors = {}
         for n in N_list:
             errors[n] = _compare_nested(fields[n], fields[2 * n])
@@ -232,8 +229,7 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     return results
 
 
-def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL,
-                    max_iter=DEFAULT_MAX_ITER, lam=None):
+def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL, lam=None):
     """Max nodal error against the exact solution, with observed rates.
 
     Returns (errors, rates): errors maps N -> max |u_h - u|; rates maps
@@ -245,7 +241,7 @@ def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL,
     N_list = sorted(N_list)
     errors = {}
     for N in N_list:
-        uh = solve_problem(spec, N, quad_order, tol, max_iter, lam=lam)
+        uh = solve_problem(spec, N, quad_order, tol, lam=lam)
         coords = uh.mesh.node_coords()
         exact = spec.exact(coords[:, 0], coords[:, 1])
         errors[N] = float(np.abs(uh.values - exact).max())

@@ -4,7 +4,8 @@ The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
 B_h(v, g) = v(x_m, y_n).  Norm sweeps over (eps, N) probe the scaling
 of ||g|| and ||g||_{1,eps} with the source region.  A sweep factors
-each matrix once and reuses that factorization for all its sources.
+each matrix once, with the nested-dissection ILU of A that forward
+solves use, and reuses that factorization for all its sources.
 """
 
 from dataclasses import dataclass, asdict
@@ -15,8 +16,7 @@ from .meshgen import Region, transition_params, build_mesh
 from .assembly import FeField, assemble, assemble_mass
 # perfbench/tracer.py wraps assemble_stiffness under this module's name.
 from .assembly import assemble_stiffness  # noqa: F401
-from .linsolve import (solve_transpose, ilu_factor_transpose, DEFAULT_TOL,
-                       DEFAULT_MAX_ITER)
+from .linsolve import solve_transpose, ilu_factor, DEFAULT_TOL
 
 __all__ = [
     "GreenReport",
@@ -42,20 +42,21 @@ class GreenReport:
         return asdict(self)
 
 
-def green_function(A, mesh, source_node, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER, ilu=None):
+def green_function(A, mesh, source_node, tol=DEFAULT_TOL, ilu=None):
     """Discrete Green's function for a source at a given interior node.
 
     source_node is a flat mesh node index; ilu is an optional prebuilt
-    `ilu_factor_transpose(A)`.  Returns an FeField with zero boundary
-    values.
+    `ilu_factor(A, mesh.dissection_order())`, which None builds here.
+    Returns an FeField with zero boundary values.
     """
     idx = mesh.interior_index()
     if source_node < 0 or source_node >= mesh.n_nodes or idx[source_node] < 0:
         raise ValueError(f"source node {source_node} is not an interior node")
+    if ilu is None:
+        ilu = ilu_factor(A, mesh.dissection_order())
     e = np.zeros(mesh.n_interior)
     e[idx[source_node]] = 1.0
-    g, _ = solve_transpose(A, e, tol=tol, max_iter=max_iter, ilu=ilu)
+    g, _ = solve_transpose(A, e, tol=tol, ilu=ilu)
     return FeField.from_interior(mesh, g)
 
 
@@ -101,16 +102,16 @@ def default_probes(lambda_x, lambda_y):
 
 
 def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
-                     quad_order=3, tol=DEFAULT_TOL,
-                     max_iter=DEFAULT_MAX_ITER):
+                     quad_order=3, tol=DEFAULT_TOL):
     """Green's-function norms per (eps, N, region).
 
     spec_family maps eps -> ProblemSpec.  For each run the source is the
     interior node nearest the region's probe point.  probes maps some or
     all regions to a point; the other regions keep each eps's
-    `default_probes`.  Each assembled matrix is factored once: the ILU
-    of A^T preconditions the GMRES solves of all four sources.  Returns
-    a list of GreenReport in deterministic (eps, N, region) order.
+    `default_probes`.  Each assembled matrix is factored once: the
+    nested-dissection ILU of A preconditions the GMRES solves with A^T
+    of all four sources.  Returns a list of GreenReport in
+    deterministic (eps, N, region) order.
     """
     reports = []
     for eps in eps_list:
@@ -120,13 +121,12 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
         for N in N_list:
             mesh = build_mesh(N, lam_x, lam_y)
             A, _ = assemble(mesh, spec, quad_order)
-            ilu = ilu_factor_transpose(A)
+            ilu = ilu_factor(A, mesh.dissection_order())
             M = assemble_mass(mesh)
             coords = mesh.node_coords()
             for region, (px, py) in probe_map.items():
                 node = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, node, tol=tol,
-                                   max_iter=max_iter, ilu=ilu)
+                g = green_function(A, mesh, node, tol=tol, ilu=ilu)
                 sx, sy = coords[node]
                 reports.append(GreenReport(
                     eps=eps, N=N, region=region.value,

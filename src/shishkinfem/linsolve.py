@@ -1,22 +1,21 @@
 """Sparse solvers for the nonsymmetric discrete systems.
 
-`solve` has one path: ILU-preconditioned GMRES, then a complete sparse
-LU when that misses the tolerance, then `SolveError`.  A dense LU,
-`dense_solve`, is the test oracle for systems with up to 2,000 unknowns
-and no solve falls back to it.  Every accepted solution has its
+`solve` (A x = b) and `solve_transpose` (A^T g = e) share one path:
+ILU-preconditioned GMRES, then a complete sparse LU when that misses
+the tolerance, then `SolveError`.  Every accepted solution has its
 residual recomputed from scratch before it is returned.  Each fallback
 is logged at WARNING with its reason.
 
-Several right-hand sides with one matrix can share one ILU: build it
-with `ilu_factor` (or `ilu_factor_transpose` for A^T) and pass it as
-`ilu=` to `solve` (or `solve_transpose`).
+One factorization of A serves both directions: a transpose solve runs
+its triangular solves transposed and never forms A^T.  Several
+right-hand sides with one matrix, in either direction, can share one
+ILU: build it with `ilu_factor` and pass it as `ilu=`.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -26,15 +25,13 @@ __all__ = [
     "solve",
     "solve_transpose",
     "ilu_factor",
-    "ilu_factor_transpose",
-    "dense_solve",
 ]
 
 log = logging.getLogger(__name__)
 
-DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 20000
+# GMRES restarts of 50 iterations each before it gives up.
+MAX_RESTARTS = 400
 
 
 @dataclass
@@ -59,30 +56,21 @@ def _relative_residual(A, x, b):
     return np.linalg.norm(b - A @ x) / nb
 
 
-def dense_solve(A, b):
-    """Dense LU oracle; only for small systems."""
-    A = sp.csr_matrix(A)
-    if A.shape[0] > DENSE_LIMIT:
-        raise ValueError(
-            f"dense oracle limited to {DENSE_LIMIT} unknowns, got {A.shape[0]}")
-    return scipy.linalg.solve(A.toarray(), b)
-
-
 class _PermutedILU:
-    """ILU of A[order][:, order] that solves with A itself."""
+    """ILU of A[order][:, order] that solves with A itself (or A^T)."""
 
     def __init__(self, ilu, order):
         self.ilu = ilu
         self.order = order
 
-    def solve(self, b):
+    def solve(self, b, trans="N"):
         x = np.empty_like(b)
-        x[self.order] = self.ilu.solve(b[self.order])
+        x[self.order] = self.ilu.solve(b[self.order], trans)
         return x
 
 
 def ilu_factor(A, order=None):
-    """Incomplete LU of A, the GMRES preconditioner of `solve`.
+    """Incomplete LU of A, the GMRES preconditioner of both solve directions.
 
     With order None, spilu chooses the column ordering (COLAMD).  With
     a permutation `order` (such as `TensorMesh.dissection_order()`), it
@@ -104,28 +92,15 @@ def ilu_factor(A, order=None):
     return ilu if order is None else _PermutedILU(ilu, order)
 
 
-def ilu_factor_transpose(A):
-    """Incomplete LU of A^T, the GMRES preconditioner of `solve_transpose`."""
-    return ilu_factor(_transpose(A))
-
-
-def _transpose(A):
-    return sp.csr_matrix(A).T.tocsr()
-
-
-def _gmres(A, b, tol, max_iter, ilu):
-    if ilu is None:
-        ilu = ilu_factor(A)
-    if ilu is None:
-        return None, 0
-    M = spla.LinearOperator(A.shape, ilu.solve)
+def _gmres(op, b, tol, precondition):
+    M = spla.LinearOperator(op.shape, precondition)
     count = [0]
 
     def cb(_):
         count[0] += 1
 
-    x, info = spla.gmres(A, b, rtol=0.1 * tol, atol=0.0, restart=50,
-                         maxiter=max(1, max_iter // 50), M=M,
+    x, info = spla.gmres(op, b, rtol=0.1 * tol, atol=0.0, restart=50,
+                         maxiter=MAX_RESTARTS, M=M,
                          callback=cb, callback_type="pr_norm")
     if info != 0:
         log.warning("gmres stopped after %d iterations (info %d)", count[0],
@@ -134,7 +109,7 @@ def _gmres(A, b, tol, max_iter, ilu):
     return x, count[0]
 
 
-def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, ilu=None):
+def solve(A, b, tol=DEFAULT_TOL, ilu=None):
     """Solve A x = b to relative residual <= tol.
 
     Runs GMRES+ILU, then a complete sparse LU; raises SolveError when
@@ -143,6 +118,19 @@ def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, ilu=None):
     initial guess, no randomized components.  Returns (x, SolveReport),
     whose method names the path that succeeded.
     """
+    return _solve(A, b, tol, ilu, "N")
+
+
+def solve_transpose(A, e, tol=DEFAULT_TOL, ilu=None):
+    """Solve A^T g = e; same contract as solve.
+
+    ilu: a prebuilt `ilu_factor(A)`, the same one forward solves use.
+    """
+    return _solve(A, e, tol, ilu, "T")
+
+
+def _solve(A, b, tol, ilu, trans):
+    """The body of `solve` (trans "N") and `solve_transpose` (trans "T")."""
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
@@ -152,20 +140,25 @@ def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, ilu=None):
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, "trivial")
 
+    op = A.T if trans == "T" else A
+    if ilu is None:
+        ilu = ilu_factor(A)
+    x = None
+    if ilu is not None:
+        x, iters = _gmres(op, b, tol, lambda r: ilu.solve(r, trans))
     best = np.inf
-    x, iters = _gmres(A, b, tol, max_iter, ilu)
     if x is not None:
-        res = _relative_residual(A, x, b)
+        res = _relative_residual(op, x, b)
         best = res
         if res <= tol:
             return x, SolveReport(iters, res, "gmres+ilu")
         log.warning("gmres+ilu residual %.3e above tol %g", res, tol)
     try:
-        x = spla.splu(A.tocsc()).solve(b)
+        x = spla.splu(A.tocsc()).solve(b, trans)
     except RuntimeError as exc:
         log.warning("splu failed (%s)", exc)
     else:
-        res = _relative_residual(A, x, b)
+        res = _relative_residual(op, x, b)
         best = min(best, res)
         if res <= tol:
             return x, SolveReport(1, res, "splu")
@@ -173,12 +166,3 @@ def solve(A, b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, ilu=None):
     raise SolveError(
         f"no solver reached tol={tol} (tried gmres+ilu and splu, "
         f"best residual {best:.3e})", best_residual=best)
-
-
-def solve_transpose(A, e, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    ilu=None):
-    """Solve A^T g = e; same contract as solve.
-
-    ilu: a prebuilt `ilu_factor_transpose(A)`; None factors A^T here.
-    """
-    return solve(_transpose(A), e, tol=tol, max_iter=max_iter, ilu=ilu)

@@ -19,7 +19,6 @@ __all__ = [
     "build_x_axis",
     "build_y_axis",
     "build_mesh",
-    "classify",
     "classify_points",
     "region_masks",
 ]
@@ -218,18 +217,9 @@ def build_mesh(N, lambda_x, lambda_y):
                       y_axis=build_y_axis(N, lambda_y))
 
 
-def classify(x, y, lambda_x, lambda_y):
-    """Region tag of a point of the closed domain [-1,1]^2.
-
-    Points on a transition line belong to the layer region (closed-layer
-    tie-break), as `region_masks` defines.
-    """
-    masks = region_masks(x, y, lambda_x, lambda_y)
-    return next(region for region, mask in masks.items() if mask)
-
-
 def classify_points(x, y, lambda_x, lambda_y):
-    """Vectorized classify: returns an object array of Region tags."""
+    """Region tags of points, as an object array over the broadcast of x
+    and y; the tags follow `region_masks`."""
     masks = region_masks(x, y, lambda_x, lambda_y)
     out = np.empty(masks[Region.COARSE].shape, dtype=object)
     for region, mask in masks.items():

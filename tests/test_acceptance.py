@@ -24,11 +24,12 @@ import numpy as np
 import pytest
 
 from conftest import record
+from oracles import dense_solve
 
 from shishkinfem.meshgen import Region, transition_params, build_mesh
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
 from shishkinfem.assembly import assemble, assemble_mass, assemble_stiffness
-from shishkinfem.linsolve import solve, dense_solve
+from shishkinfem.linsolve import solve
 from shishkinfem.greenfn import (green_function, green_norm_sweep,
                                  default_probes)
 from shishkinfem.errorlab import (error_table, interp_error_study,

@@ -6,10 +6,10 @@ import scipy.sparse as sp
 
 from shishkinfem.meshgen import MeshAxis, TensorMesh, build_mesh, transition_params
 from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
-from shishkinfem.assembly import (FeField, quad_rule, element_matrices,
-                                  assemble, assemble_mass, assemble_stiffness,
-                                  _local_matrices)
-from shishkinfem.linsolve import dense_solve
+from shishkinfem.assembly import (FeField, assemble, assemble_mass,
+                                  assemble_stiffness)
+
+from oracles import dense_solve, element_matrices, local_matrices, quad_rule
 
 
 def constant_spec(eps=1.0, b1=0.0, c=1.0, f=1.0):
@@ -61,7 +61,7 @@ def cell_by_cell_assemble(mesh, spec, quad_order):
     """Oracle: per-cell local matrices (`element_matrices`' quadrature),
     scattered through COO."""
     x0, y0, h, k, corners = _cell_arrays(mesh)
-    diff, conv, reac, load = _local_matrices(x0, y0, h, k, spec, quad_order)
+    diff, conv, reac, load = local_matrices(x0, y0, h, k, spec, quad_order)
     A = _scatter(mesh, diff + conv + reac, corners)
     loc = mesh.interior_index()[corners]
     F = np.zeros(mesh.n_interior)
@@ -282,7 +282,7 @@ class TestMassStiffness:
         # assembly, which is exact for both bilinear integrands
         mesh = build_mesh(N, *transition_params(1e-6, 2.0, 1.0))
         x0, y0, h, k, corners = _cell_arrays(mesh)
-        diff, _, reac, _ = _local_matrices(
+        diff, _, reac, _ = local_matrices(
             x0, y0, h, k, constant_spec(eps=1.0, b1=0.0, c=1.0, f=0.0), 2)
         for new, old in ((assemble_mass(mesh), _scatter(mesh, reac, corners)),
                          (assemble_stiffness(mesh),

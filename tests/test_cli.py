@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shishkinfem import cli, greenfn
+from shishkinfem import cli
 from shishkinfem.meshgen import Region
 from shishkinfem.cli import (RunConfig, ConfigError, parse_config, run, main,
                              OUTDIR_ENV, DEFAULT_EPS, DEFAULT_N)
@@ -165,7 +165,6 @@ class TestRunModes:
                          "--template", template, "-o", str(out)]) == 0
             headers.append(header(out / "interp.csv"))
         assert "# template = corner_xy" in headers[0]
-        assert "# max_iter = 20000" in headers[0]
         assert headers[0] != headers[1]
 
     def test_header_records_probe_overrides(self, tmp_path):
@@ -189,19 +188,6 @@ class TestRunModes:
                 assert moved[key] != plain[key]
             else:
                 assert moved[key] == plain[key]
-
-    def test_green_passes_max_iter(self, tmp_path, monkeypatch):
-        seen = []
-        solve_transpose = greenfn.solve_transpose
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs["max_iter"])
-            return solve_transpose(*args, **kwargs)
-
-        monkeypatch.setattr(greenfn, "solve_transpose", recording)
-        assert main(["--mode", "green", "--eps", "1e-4", "--N", "8",
-                     "--max-iter", "7", "-o", str(tmp_path)]) == 0
-        assert seen == [7] * 4
 
     def test_reruns_byte_identical(self, tmp_path):
         text = f"mode = errors\neps = 1e-4\nN = 8\noutput = {tmp_path}"

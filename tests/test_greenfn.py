@@ -8,9 +8,11 @@ from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
 from shishkinfem import linsolve
-from shishkinfem.linsolve import dense_solve, solve
+from shishkinfem.linsolve import solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
+
+from oracles import classify, dense_solve
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +148,6 @@ class TestSweep:
         assert regions == {r.value for r in Region}
 
     def test_sources_land_in_their_region(self):
-        from shishkinfem.meshgen import classify
         reports = green_norm_sweep(example_5_1, [16], [1e-6])
         lam = transition_params(1e-6, 2.0, 1.0)
         for r in reports:
@@ -167,17 +168,30 @@ class TestSweep:
 
 class TestFactorReuse:
     def test_one_ilu_per_matrix(self, monkeypatch):
+        # one spilu per matrix, of A itself in nested-dissection order:
+        # the transpose solves use it without forming A^T
         calls = []
         spilu = linsolve.spla.spilu
 
-        def counting_spilu(*args, **kwargs):
-            calls.append(1)
-            return spilu(*args, **kwargs)
+        def recording_spilu(M, **kwargs):
+            calls.append((M, kwargs))
+            return spilu(M, **kwargs)
 
-        monkeypatch.setattr(linsolve.spla, "spilu", counting_spilu)
+        monkeypatch.setattr(linsolve.spla, "spilu", recording_spilu)
         reports = green_norm_sweep(example_5_1, [8, 16], [1e-4, 1e-6])
         assert len(reports) == 16
         assert len(calls) == 4
+        runs = [(eps, N) for eps in (1e-4, 1e-6) for N in (8, 16)]
+        for (eps, N), (M, kwargs) in zip(runs, calls):
+            spec = example_5_1(eps)
+            mesh = build_mesh(N, *transition_params(eps, spec.alpha,
+                                                    spec.beta))
+            A, _ = assemble(mesh, spec, 3)
+            order = mesh.dissection_order()
+            assert kwargs["permc_spec"] == "NATURAL"
+            assert kwargs["diag_pivot_thresh"] == 0.0
+            assert abs(M - A[order][:, order]).max() == 0.0
+            assert abs(M - A.T[order][:, order]).max() > 0.0
 
     def test_norms_match_separate_solves_bitwise(self):
         eps, N = 1e-6, 16

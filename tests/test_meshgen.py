@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shishkinfem.meshgen import (Region, transition_params, build_x_axis,
-                                 build_y_axis, build_mesh, classify,
-                                 classify_points, region_masks,
-                                 DISSECTION_LEAF)
+                                 build_y_axis, build_mesh, classify_points,
+                                 region_masks, DISSECTION_LEAF)
+
+from oracles import classify
 
 
 class TestTransitionParams:
