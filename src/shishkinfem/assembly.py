@@ -23,28 +23,25 @@ __all__ = [
 
 @dataclass
 class FeField:
-    """Nodal-valued finite element function; boundary entries are zero."""
+    """Nodal-valued finite element function on the (ny, nx) node grid;
+    boundary entries are zero."""
 
     mesh: TensorMesh
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != self.mesh.n_nodes:
-            raise ValueError("values length does not match node count")
+        if self.values.shape != (self.mesh.ny, self.mesh.nx):
+            raise ValueError(f"values have shape {self.values.shape}, not "
+                             f"(ny, nx) = {(self.mesh.ny, self.mesh.nx)}")
 
     @classmethod
     def from_interior(cls, mesh, interior_values):
-        values = np.zeros(mesh.n_nodes)
-        values[mesh.interior_mask()] = interior_values
-        return cls(mesh=mesh, values=values)
+        inner = np.reshape(interior_values, (mesh.ny - 2, mesh.nx - 2))
+        return cls(mesh=mesh, values=np.pad(inner, 1))
 
     def interior_values(self):
-        return self.values[self.mesh.interior_mask()]
-
-    def grid(self):
-        """values reshaped to (ny, nx)."""
-        return self.values.reshape(self.mesh.ny, self.mesh.nx)
+        return self.values[1:-1, 1:-1].ravel()
 
 
 def _gauss(order):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from . import __version__
 # perfbench/tracer.py wraps transition_params and default_probes here.
 from .meshgen import Region, transition_params  # noqa: F401
-from .problem import example_5_1, mms_problem, layer_template, DEFAULT_ALPHA, DEFAULT_BETA
+from .problem import (example_5_1, mms_problem, layer_template, TemplateKind,
+                      DEFAULT_ALPHA, DEFAULT_BETA)
 from .linsolve import SolveError
 from .greenfn import green_norm_sweep, default_probes  # noqa: F401
 from .errorlab import (error_table, interp_error_study, mms_convergence,
@@ -70,6 +71,8 @@ class RunConfig:
             raise ConfigError(f"tol: must be positive, got {self.tol}")
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ConfigError("alpha/beta: must be positive")
+        if self.template not in {kind.value for kind in TemplateKind}:
+            raise ConfigError(f"template: unknown template {self.template!r}")
         return self
 
 
@@ -216,9 +219,9 @@ def _run_field(cfg):
     uh = solve_problem(spec, N, quad_order=cfg.quad_order, tol=cfg.tol)
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
-    coords = mesh.node_coords()
-    for (x, y), u in zip(coords, uh.values):
-        lines.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
+    for y, row in zip(mesh.y_axis.nodes, uh.values):
+        for x, u in zip(mesh.x_axis.nodes, row):
+            lines.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
     return "field.txt", lines
 
 
@@ -271,26 +274,16 @@ def run(cfg):
 
 
 def _build_argparser():
+    # flags take raw strings: parse_config alone parses and checks values,
+    # so a bad flag value fails like a bad config line (exit 1)
     p = argparse.ArgumentParser(
         prog="shishkinfem",
         description="Shishkin-mesh FEM experiments for 2D turning-point "
                     "convection-diffusion problems")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--eps", help="comma-separated list")
-    p.add_argument("--N", help="comma-separated list (multiples of 4)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--quad-order", type=int, dest="quad_order")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--template",
-                   choices=("smooth", "interior_x", "boundary_y", "corner_xy"))
-    p.add_argument("--probe-coarse", dest="probe_coarse", help="x,y")
-    p.add_argument("--probe-layer-x", dest="probe_layer_x", help="x,y")
-    p.add_argument("--probe-layer-y", dest="probe_layer_y", help="x,y")
-    p.add_argument("--probe-layer-xy", dest="probe_layer_xy", help="x,y")
-    p.add_argument("--output", "-o", help="output directory")
+    for key in _KEYS:
+        p.add_argument("--" + key.replace("_", "-"),
+                       *(["-o"] if key == "output" else []))
     return p
 
 

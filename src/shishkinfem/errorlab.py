@@ -80,7 +80,7 @@ def bilinear_interp(field_, points):
         raise ValueError("point outside the mesh domain")
     i, s = _locate(xs, pts[:, 0])
     j, t = _locate(ys, pts[:, 1])
-    out = _bilinear(field_.grid(), i, j, s, t)
+    out = _bilinear(field_.values, i, j, s, t)
     if np.asarray(points).ndim == 1:
         return float(out[0])
     return out
@@ -143,7 +143,7 @@ def _compare_nested(u_N, u_2N):
     masks = region_masks(mesh.x_axis.nodes[None, :],
                          mesh.y_axis.nodes[:, None],
                          mesh.lambda_x, mesh.lambda_y)
-    return _region_max(np.abs(u_N.grid() - u_2N.grid()[::2, ::2]), masks)
+    return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]), masks)
 
 
 def double_mesh_error(spec, N, quad_order=3, tol=DEFAULT_TOL):
@@ -242,8 +242,8 @@ def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL, lam=None):
     errors = {}
     for N in N_list:
         uh = solve_problem(spec, N, quad_order, tol, lam=lam)
-        coords = uh.mesh.node_coords()
-        exact = spec.exact(coords[:, 0], coords[:, 1])
+        exact = spec.exact(*np.meshgrid(uh.mesh.x_axis.nodes,
+                                        uh.mesh.y_axis.nodes))
         errors[N] = float(np.abs(uh.values - exact).max())
     rates = {}
     for a, b in zip(N_list[:-1], N_list[1:]):

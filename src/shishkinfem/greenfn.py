@@ -8,7 +8,7 @@ each matrix once, with the nested-dissection ILU of A that forward
 solves use, and reuses that factorization for all its sources.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,25 +38,22 @@ class GreenReport:
     l2_norm: float
     energy_norm: float
 
-    def as_dict(self):
-        return asdict(self)
 
-
-def green_function(A, mesh, source_node, tol=DEFAULT_TOL, ilu=None):
+def green_function(A, mesh, source, tol=DEFAULT_TOL, ilu=None):
     """Discrete Green's function for a source at a given interior node.
 
-    source_node is a flat mesh node index; ilu is an optional prebuilt
-    `ilu_factor(A, mesh.dissection_order())`, which None builds here.
-    Returns an FeField with zero boundary values.
+    source is the grid index (i, j) of an interior node; ilu is an
+    optional prebuilt `ilu_factor(A, mesh.dissection_order())`, which
+    None builds here.  Returns an FeField with zero boundary values.
     """
-    idx = mesh.interior_index()
-    if source_node < 0 or source_node >= mesh.n_nodes or idx[source_node] < 0:
-        raise ValueError(f"source node {source_node} is not an interior node")
+    i, j = source
+    if not (0 < i < mesh.nx - 1 and 0 < j < mesh.ny - 1):
+        raise ValueError(f"source node {source} is not an interior node")
     if ilu is None:
         ilu = ilu_factor(A, mesh.dissection_order())
-    e = np.zeros(mesh.n_interior)
-    e[idx[source_node]] = 1.0
-    g, _ = solve_transpose(A, e, tol=tol, ilu=ilu)
+    e = np.zeros((mesh.ny - 2, mesh.nx - 2))
+    e[j - 1, i - 1] = 1.0
+    g, _ = solve_transpose(A, e.ravel(), tol=tol, ilu=ilu)
     return FeField.from_interior(mesh, g)
 
 
@@ -82,7 +79,7 @@ def fe_energy_norm(field, M, eps):
         raise ValueError("mass matrix does not match field")
     h = field.mesh.x_axis.spacings()
     k = field.mesh.y_axis.spacings()[:, None]
-    V = field.grid()
+    V = field.values
     dx = np.diff(V, axis=1)
     dy = np.diff(V, axis=0)
     ex = dx[:-1] ** 2 + dx[1:] ** 2 + (dx[:-1] + dx[1:]) ** 2
@@ -123,14 +120,13 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
             A, _ = assemble(mesh, spec, quad_order)
             ilu = ilu_factor(A, mesh.dissection_order())
             M = assemble_mass(mesh)
-            coords = mesh.node_coords()
             for region, (px, py) in probe_map.items():
-                node = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, node, tol=tol, ilu=ilu)
-                sx, sy = coords[node]
+                i, j = mesh.nearest_node(px, py)
+                g = green_function(A, mesh, (i, j), tol=tol, ilu=ilu)
                 reports.append(GreenReport(
                     eps=eps, N=N, region=region.value,
-                    source_x=float(sx), source_y=float(sy),
+                    source_x=float(mesh.x_axis.nodes[i]),
+                    source_y=float(mesh.y_axis.nodes[j]),
                     l2_norm=fe_l2_norm(g, M),
                     energy_norm=fe_energy_norm(g, M, eps)))
     return reports

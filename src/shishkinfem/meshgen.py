@@ -107,8 +107,10 @@ def build_y_axis(N, lambda_y):
 class TensorMesh:
     """Tensor product of the two Shishkin axes.
 
-    Nodes are numbered row-major in y: node (i, j) has flat index
-    j * nx + i, with i indexing x and j indexing y.
+    Node (i, j) sits at (x_axis.nodes[i], y_axis.nodes[j]); nodal
+    arrays have shape (ny, nx), so the value at node (i, j) is
+    values[j, i].  The unknowns are the interior block [1:-1, 1:-1],
+    raveled row-major with x fastest.
     """
 
     x_axis: MeshAxis
@@ -131,32 +133,8 @@ class TensorMesh:
         return len(self.y_axis.nodes)
 
     @property
-    def n_nodes(self):
-        return self.nx * self.ny
-
-    @property
     def n_interior(self):
         return (self.nx - 2) * (self.ny - 2)
-
-    def node_coords(self):
-        """(n_nodes, 2) array of node coordinates in flat numbering."""
-        X, Y = np.meshgrid(self.x_axis.nodes, self.y_axis.nodes)
-        return np.column_stack([X.ravel(), Y.ravel()])
-
-    def interior_index(self):
-        """Map flat node index -> interior index, -1 on the boundary."""
-        idx = -np.ones(self.n_nodes, dtype=np.int64)
-        mask = self.interior_mask()
-        idx[mask] = np.arange(mask.sum())
-        return idx
-
-    def interior_mask(self):
-        i = np.tile(np.arange(self.nx), self.ny)
-        j = np.repeat(np.arange(self.ny), self.nx)
-        return (i > 0) & (i < self.nx - 1) & (j > 0) & (j < self.ny - 1)
-
-    def flat_index(self, i, j):
-        return j * self.nx + i
 
     def dissection_order(self):
         """Nested-dissection ordering of the interior nodes.
@@ -195,20 +173,11 @@ class TensorMesh:
 
         return block(self.ny - 2, mx)
 
-    def nearest_node(self, x, y, interior=True):
-        """Flat index of the mesh node nearest (x, y).
-
-        With interior=True the search is restricted to interior nodes.
-        """
-        xs = self.x_axis.nodes
-        ys = self.y_axis.nodes
-        if interior:
-            i = 1 + int(np.argmin(np.abs(xs[1:-1] - x)))
-            j = 1 + int(np.argmin(np.abs(ys[1:-1] - y)))
-        else:
-            i = int(np.argmin(np.abs(xs - x)))
-            j = int(np.argmin(np.abs(ys - y)))
-        return self.flat_index(i, j)
+    def nearest_node(self, x, y):
+        """Grid index (i, j) of the interior node nearest (x, y)."""
+        i = 1 + int(np.argmin(np.abs(self.x_axis.nodes[1:-1] - x)))
+        j = 1 + int(np.argmin(np.abs(self.y_axis.nodes[1:-1] - y)))
+        return i, j
 
 
 def build_mesh(N, lambda_x, lambda_y):

@@ -20,7 +20,6 @@ __all__ = [
     "TemplateKind",
     "LayerTemplate",
     "example_5_1",
-    "example_5_1_db1_dx",
     "mms_problem",
     "layer_template",
 ]
@@ -59,11 +58,6 @@ def _c_ex(x, y):
 
 def _f_ex(x, y):
     return x * y / (1.0 + x * x + y * y)
-
-
-def example_5_1_db1_dx(x, y):
-    """Analytic d(b1)/dx for the benchmark problem."""
-    return -(3.0 * x * x + (1.0 + x * y) * np.exp(1.0 + x * y))
 
 
 def example_5_1(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):

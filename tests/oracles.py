@@ -1,11 +1,14 @@
 """Independent oracles for the tests: a dense LU, per-cell element
-matrices, and a scalar region tag.
+matrices, a scalar region tag, flat node numbering and an analytic
+coefficient derivative.
 
 Nothing in the package calls these.  Each computes something the
 package computes another way, so the tests can compare the two:
 `dense_solve` against the sparse solvers, `element_matrices` and
 `local_matrices` (one cell at a time) against the tensor-product
-`assemble`, and `classify` (one point) against `region_masks`.
+`assemble`, `classify` (one point) against `region_masks`, and the
+flat numbering j * nx + i (`flat_index`, `interior_index`,
+`node_coords`) against the package's (ny, nx) node grids.
 """
 
 import numpy as np
@@ -111,3 +114,30 @@ def classify(x, y, lambda_x, lambda_y):
     """
     masks = region_masks(x, y, lambda_x, lambda_y)
     return next(region for region, mask in masks.items() if mask)
+
+
+def flat_index(mesh, i, j):
+    """Flat number of node (i, j): row-major in y, x fastest."""
+    return j * mesh.nx + i
+
+
+def interior_index(mesh):
+    """Map flat node number -> index among the unknowns, -1 on the
+    boundary; the unknowns are the interior nodes in flat order."""
+    i = np.tile(np.arange(mesh.nx), mesh.ny)
+    j = np.repeat(np.arange(mesh.ny), mesh.nx)
+    inside = (i > 0) & (i < mesh.nx - 1) & (j > 0) & (j < mesh.ny - 1)
+    idx = np.full(mesh.nx * mesh.ny, -1)
+    idx[inside] = np.arange(np.count_nonzero(inside))
+    return idx
+
+
+def node_coords(mesh):
+    """(nx * ny, 2) node coordinates in flat order."""
+    xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+    return np.array([(x, y) for y in ys for x in xs])
+
+
+def example_5_1_db1_dx(x, y):
+    """Analytic d(b1)/dx for the benchmark problem."""
+    return -(3.0 * x * x + (1.0 + x * y) * np.exp(1.0 + x * y))

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import record
-from oracles import dense_solve
+from oracles import dense_solve, flat_index, interior_index
 
 from shishkinfem.meshgen import Region, transition_params, build_mesh
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
@@ -235,13 +235,13 @@ def test_criterion_7_reproducing_identity():
     mesh = build_mesh(N, *lam)
     A, F = assemble(mesh, spec, 3)
     u, _ = solve(A, F)
-    idx = mesh.interior_index()
+    idx = interior_index(mesh)
     worst = 0.0
     for region, (px, py) in default_probes(*lam).items():
         node = mesh.nearest_node(px, py)
         g = green_function(A, mesh, node)
         lhs = float(F @ g.interior_values())
-        rhs = float(u[idx[node]])
+        rhs = float(u[idx[flat_index(mesh, *node)]])
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     ok = worst <= 1e-7
     assert record(7, "green-reproducing-identity", ok,

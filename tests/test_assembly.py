@@ -9,7 +9,8 @@ from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
 
-from oracles import dense_solve, element_matrices, local_matrices, quad_rule
+from oracles import (dense_solve, element_matrices, flat_index,
+                     interior_index, local_matrices, node_coords, quad_rule)
 
 
 def constant_spec(eps=1.0, b1=0.0, c=1.0, f=1.0):
@@ -33,17 +34,17 @@ def _cell_arrays(mesh):
     i = I.ravel()
     j = J.ravel()
     corners = np.column_stack([
-        mesh.flat_index(i, j),
-        mesh.flat_index(i + 1, j),
-        mesh.flat_index(i + 1, j + 1),
-        mesh.flat_index(i, j + 1),
+        flat_index(mesh, i, j),
+        flat_index(mesh, i + 1, j),
+        flat_index(mesh, i + 1, j + 1),
+        flat_index(mesh, i, j + 1),
     ])
     return X0.ravel(), Y0.ravel(), H.ravel(), K.ravel(), corners
 
 
 def _scatter(mesh, local, corners):
     """Scatter (ncells,4,4) local matrices to an interior-node CSR matrix."""
-    idx = mesh.interior_index()
+    idx = interior_index(mesh)
     loc = idx[corners]                     # (ncells, 4), -1 on boundary
     rows = np.repeat(loc, 4, axis=1).ravel()
     cols = np.tile(loc, (1, 4)).ravel()
@@ -63,7 +64,7 @@ def cell_by_cell_assemble(mesh, spec, quad_order):
     x0, y0, h, k, corners = _cell_arrays(mesh)
     diff, conv, reac, load = local_matrices(x0, y0, h, k, spec, quad_order)
     A = _scatter(mesh, diff + conv + reac, corners)
-    loc = mesh.interior_index()[corners]
+    loc = interior_index(mesh)[corners]
     F = np.zeros(mesh.n_interior)
     keep = loc >= 0
     np.add.at(F, loc[keep], load[keep])
@@ -141,8 +142,9 @@ class TestAssemble:
         A, F = assemble(mesh, spec, 3)
         u = dense_solve(A, F)
         field = FeField.from_interior(mesh, u)
-        coords = mesh.node_coords()
-        err = np.abs(field.values - spec.exact(coords[:, 0], coords[:, 1]))
+        coords = node_coords(mesh)
+        err = np.abs(field.values.ravel()
+                     - spec.exact(coords[:, 0], coords[:, 1]))
         assert err.max() <= 0.3
 
     def test_quadrature_convergence(self):
@@ -249,19 +251,17 @@ class TestMassStiffness:
         # field supported on one interior patch instead.
         mesh = uniform_mesh(8)
         K = assemble_stiffness(mesh)
-        coords = mesh.node_coords()
-        vals = coords[:, 0] * coords[:, 1]
+        X, Y = np.meshgrid(mesh.x_axis.nodes, mesh.y_axis.nodes)
         # zero out everything outside the central 2x2-cell patch
-        inside = (np.abs(coords[:, 0]) <= 0.25 + 1e-12) & \
-                 (np.abs(coords[:, 1]) <= 0.25 + 1e-12)
-        vals = np.where(inside, vals, 0.0)
+        inside = (np.abs(X) <= 0.25 + 1e-12) & (np.abs(Y) <= 0.25 + 1e-12)
+        vals = np.where(inside, X * Y, 0.0)
         field = FeField(mesh=mesh, values=vals)
         v = field.interior_values()
         # independent oracle: high-order quadrature of |grad I(v)|^2 per cell
         energy = 0.0
         xs = mesh.x_axis.nodes
         h = xs[1] - xs[0]
-        grid = field.grid()
+        grid = field.values
         q, w = np.polynomial.legendre.leggauss(4)
         for i in range(len(xs) - 1):
             for j in range(len(xs) - 1):
@@ -294,11 +294,20 @@ class TestMassStiffness:
 class TestFeField:
     def test_boundary_zero(self):
         mesh = build_mesh(4, 0.1, 0.2)
-        field = FeField.from_interior(mesh, np.ones(mesh.n_interior))
-        boundary = ~mesh.interior_mask()
-        np.testing.assert_allclose(field.values[boundary], 0.0)
+        v = np.arange(1.0, mesh.n_interior + 1)
+        field = FeField.from_interior(mesh, v)
+        assert field.values.shape == (mesh.ny, mesh.nx)
+        idx = interior_index(mesh)
+        flat = field.values.ravel()
+        np.testing.assert_allclose(flat[idx < 0], 0.0)
+        np.testing.assert_array_equal(flat[idx >= 0], v)
+        np.testing.assert_array_equal(field.interior_values(), v)
 
     def test_length_mismatch(self):
+        # values live on the (ny, nx) grid: a flat vector of every node,
+        # or the grid transposed, is rejected like a short one
         mesh = build_mesh(4, 0.1, 0.2)
-        with pytest.raises(ValueError):
-            FeField(mesh=mesh, values=np.ones(3))
+        for values in (np.ones(3), np.ones(mesh.nx * mesh.ny),
+                       np.ones((mesh.nx, mesh.ny))):
+            with pytest.raises(ValueError):
+                FeField(mesh=mesh, values=values)

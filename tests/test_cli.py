@@ -262,6 +262,24 @@ class TestMain:
         assert main(["--N", "15"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--mode", "bogus"],
+                                      ["--alpha", "x"],
+                                      ["--template", "bogus"],
+                                      ["--config", "template = bogus"]])
+    def test_bad_flag_value_exits_1(self, argv, tmp_path, capsys):
+        # a bad value is a configuration error whether it comes from a
+        # flag or a config file: exit 1, one line, no usage dump
+        if argv[0] == "--config":
+            conf = tmp_path / "run.conf"
+            conf.write_text(argv[1] + "\n")
+            argv = ["--config", str(conf)]
+        out = tmp_path / "out"
+        assert main(argv + ["-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1
         assert "config error" in capsys.readouterr().err

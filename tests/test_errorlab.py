@@ -14,25 +14,25 @@ from shishkinfem.errorlab import (bilinear_interp, double_mesh_error,
                                   solve_problem, _compare_nested,
                                   REGION_ORDER, SAMPLES_PER_CELL)
 
+from oracles import node_coords
+
 
 def uniform_field(n, fn):
     nodes = np.linspace(-1.0, 1.0, n + 1)
     mesh = TensorMesh(x_axis=MeshAxis(nodes, 0.5), y_axis=MeshAxis(nodes, 0.25))
-    coords = mesh.node_coords()
-    return FeField(mesh=mesh, values=fn(coords[:, 0], coords[:, 1]))
+    return FeField(mesh=mesh, values=fn(*np.meshgrid(nodes, nodes)))
 
 
 class TestBilinearInterp:
     def test_exact_at_nodes(self):
         field = uniform_field(4, lambda x, y: x ** 2 + y)
-        coords = field.mesh.node_coords()
-        vals = bilinear_interp(field, coords)
-        np.testing.assert_allclose(vals, field.values, atol=1e-14)
+        vals = bilinear_interp(field, node_coords(field.mesh))
+        np.testing.assert_allclose(vals, field.values.ravel(), atol=1e-14)
 
     def test_cell_center_average(self):
         mesh = TensorMesh(x_axis=MeshAxis(np.array([-1.0, 1.0]), 0.5),
                           y_axis=MeshAxis(np.array([-1.0, 1.0]), 0.25))
-        field = FeField(mesh=mesh, values=np.array([0.0, 0.0, 0.0, 4.0]))
+        field = FeField(mesh=mesh, values=np.array([[0.0, 0.0], [0.0, 4.0]]))
         assert bilinear_interp(field, (0.0, 0.0)) == pytest.approx(1.0)
 
     def test_reproduces_linears(self):
@@ -80,7 +80,7 @@ class TestDoubleMesh:
         spec = example_5_1(1e-4)
         u16 = solve_problem(spec, 16)
         restricted = FeField(mesh=solve_problem(spec, 8).mesh,
-                             values=u16.grid()[::2, ::2].ravel())
+                             values=u16.values[::2, ::2])
         regs = _compare_nested(restricted, u16)
         for r, v in regs.items():
             assert v == 0.0
@@ -105,8 +105,8 @@ class TestDoubleMesh:
         u8 = solve_problem(spec, 8)
         u16 = solve_problem(spec, 16)
         regs = _compare_nested(u8, u16)
-        m8 = FeField(mesh=u8.mesh, values=u8.grid()[:, ::-1].ravel())
-        m16 = FeField(mesh=u16.mesh, values=u16.grid()[:, ::-1].ravel())
+        m8 = FeField(mesh=u8.mesh, values=u8.values[:, ::-1])
+        m16 = FeField(mesh=u16.mesh, values=u16.values[:, ::-1])
         mirrored = _compare_nested(m8, m16)
         for r in regs:
             assert mirrored[r] == pytest.approx(regs[r], rel=1e-12)
@@ -185,7 +185,7 @@ def pointwise_interp_study(template, eps, alpha, beta, N_list):
     for N in sorted(N_list):
         mesh = build_mesh(N, lam_x, lam_y)
         xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
-        fld = FeField(mesh=mesh, values=template(*np.meshgrid(xs, ys)).ravel())
+        fld = FeField(mesh=mesh, values=template(*np.meshgrid(xs, ys)))
         X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
         H, K = np.meshgrid(np.diff(xs), np.diff(ys))
         maxima = {region: 0.0 for region in REGION_ORDER}

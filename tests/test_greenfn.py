@@ -12,7 +12,7 @@ from shishkinfem.linsolve import solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
 
-from oracles import classify, dense_solve
+from oracles import classify, dense_solve, flat_index, interior_index
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ class TestGreenFunction:
         node = mesh.nearest_node(0.0, 0.0)
         g = green_function(A, mesh, node)
         e = np.zeros(mesh.n_interior)
-        e[mesh.interior_index()[node]] = 1.0
+        e[interior_index(mesh)[flat_index(mesh, *node)]] = 1.0
         g_dense = dense_solve(sp.csr_matrix(A).T.tocsr(), e)
         np.testing.assert_allclose(g.interior_values(), g_dense,
                                    rtol=1e-8, atol=1e-12)
@@ -41,14 +41,14 @@ class TestGreenFunction:
         node = mesh.nearest_node(0.5, 0.0)
         g = green_function(A, mesh, node)
         lhs = float(F @ g.interior_values())
-        rhs = u[mesh.interior_index()[node]]
+        rhs = u[interior_index(mesh)[flat_index(mesh, *node)]]
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_column_check(self, small_run):
         _, mesh, A, _ = small_run
         node = mesh.nearest_node(0.2, 0.3)
         g = green_function(A, mesh, node)
-        k = mesh.interior_index()[node]
+        k = interior_index(mesh)[flat_index(mesh, *node)]
         # (A e_j) . g = delta_{j,source} for every j
         prod = A.T @ g.interior_values()
         expect = np.zeros(mesh.n_interior)
@@ -57,8 +57,11 @@ class TestGreenFunction:
 
     def test_boundary_node_rejected(self, small_run):
         _, mesh, A, _ = small_run
-        with pytest.raises(ValueError):
-            green_function(A, mesh, 0)
+        nx, ny = mesh.nx, mesh.ny
+        for source in ((0, 0), (0, 2), (nx - 1, 2), (3, 0), (3, ny - 1),
+                       (-1, 2), (nx, 2), (3, ny), (3, -1)):
+            with pytest.raises(ValueError):
+                green_function(A, mesh, source)
 
 
 class TestNorms:
@@ -74,8 +77,8 @@ class TestNorms:
         nodes = np.linspace(-1.0, 1.0, 65)
         mesh = TensorMesh(x_axis=MeshAxis(nodes, 0.5),
                           y_axis=MeshAxis(nodes, 0.25))
-        coords = mesh.node_coords()
-        vals = np.sin(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1])
+        X, Y = np.meshgrid(nodes, nodes)
+        vals = np.sin(np.pi * X) * np.sin(np.pi * Y)
         field = FeField(mesh=mesh, values=vals)
         M = assemble_mass(mesh)
         assert fe_l2_norm(field, M) == pytest.approx(1.0, abs=2e-3)
@@ -116,7 +119,7 @@ class TestNorms:
         M = assemble_mass(mesh)
 
         ld = np.longdouble
-        V = g.grid().astype(ld)
+        V = g.values.astype(ld)
         h = np.diff(mesh.x_axis.nodes.astype(ld))
         k = np.diff(mesh.y_axis.nodes.astype(ld))[:, None]
         q = (1 + np.array([-1, 1], dtype=ld) / np.sqrt(ld(3))) / 2

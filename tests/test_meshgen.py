@@ -212,3 +212,20 @@ class TestDissectionOrder:
         mx, my = mesh.nx - 2, mesh.ny - 2
         order = mesh.dissection_order()
         np.testing.assert_array_equal(order[-my:], np.arange(my) * mx + 15)
+
+
+class TestNearestNode:
+    def test_interior_point(self):
+        mesh = build_mesh(8, 0.1, 0.2)
+        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        # (0.56, 0.05) is nearest to x = 0.55 (i = 14) and y = 0 (j = 4)
+        assert (xs[14], ys[4]) == pytest.approx((0.55, 0.0))
+        assert mesh.nearest_node(0.56, 0.05) == (14, 4)
+
+    def test_boundary_point_clamped_to_interior(self):
+        mesh = build_mesh(8, 0.1, 0.2)
+        last_i, last_j = mesh.nx - 2, mesh.ny - 2
+        assert mesh.nearest_node(-1.0, -1.0) == (1, 1)
+        assert mesh.nearest_node(1.0, 1.0) == (last_i, last_j)
+        assert mesh.nearest_node(-1.0, 0.0) == (1, 4)
+        assert mesh.nearest_node(0.56, 1.0) == (14, last_j)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from shishkinfem.problem import (example_5_1, example_5_1_db1_dx, mms_problem,
-                                 layer_template, TemplateKind)
+from shishkinfem.problem import (example_5_1, mms_problem, layer_template,
+                                 TemplateKind)
+
+from oracles import example_5_1_db1_dx
 
 
 class TestExample51:

@@ -52,9 +52,11 @@ FORMER_REF_ERRORS_LAYER_X = {
 
 
 def region_max(mesh, values):
-    """Region-wise max |values| over all nodes of mesh."""
-    xy = mesh.node_coords()
-    tags = classify_points(xy[:, 0], xy[:, 1], mesh.lambda_x, mesh.lambda_y)
+    """Region-wise max |values| over all nodes of mesh; values is an
+    (ny, nx) nodal grid."""
+    tags = classify_points(mesh.x_axis.nodes[None, :],
+                           mesh.y_axis.nodes[:, None],
+                           mesh.lambda_x, mesh.lambda_y)
     return {r: float(np.abs(values[tags == r]).max()) for r in REGIONS}
 
 
@@ -150,9 +152,8 @@ def layer_study():
         true = {}
         for N in LAYER_NS:
             uh = solve_problem(spec, N)
-            xy = uh.mesh.node_coords()
-            true[N] = region_max(uh.mesh,
-                                 uh.values - spec.exact(xy[:, 0], xy[:, 1]))
+            X, Y = np.meshgrid(uh.mesh.x_axis.nodes, uh.mesh.y_axis.nodes)
+            true[N] = region_max(uh.mesh, uh.values - spec.exact(X, Y))
         out[eps] = (true, table)
     return out
 
@@ -291,8 +292,8 @@ def test_q1_and_fd_agree_per_region(cross_check):
         mesh = q1.mesh
         gap = region_max(mesh, q1.values - fd.values)
         gap_2 = region_max(q1_2.mesh, q1_2.values - fd_2.values)
-        dm_q1 = region_max(mesh, (q1.grid() - q1_2.grid()[::2, ::2]).ravel())
-        dm_fd = region_max(mesh, (fd.grid() - fd_2.grid()[::2, ::2]).ravel())
+        dm_q1 = region_max(mesh, q1.values - q1_2.values[::2, ::2])
+        dm_fd = region_max(mesh, fd.values - fd_2.values[::2, ::2])
         for region in REGIONS:
             bound = 2.0 * (dm_q1[region] + dm_fd[region])
             print(f"example51 eps={eps:g} {region.value}: |Q1-FD| "
