@@ -9,7 +9,8 @@ from .meshgen import (Region, MeshAxis, TensorMesh, transition_params,
 from .problem import (ProblemSpec, LayerTemplate, TemplateKind,
                       example_5_1, mms_problem, layer_template)
 from .assembly import FeField, assemble, assemble_mass, assemble_stiffness
-from .linsolve import SolveReport, SolveError, solve, solve_transpose
+from .linsolve import (SolveReport, SolveError, multigrid, solve,
+                       solve_transpose)
 from .greenfn import (GreenReport, green_function, fe_l2_norm,
                       fe_energy_norm, green_norm_sweep)
 from .errorlab import (ErrorTable, bilinear_interp, double_mesh_error,
@@ -22,7 +23,7 @@ __all__ = [
     "ProblemSpec", "LayerTemplate", "TemplateKind",
     "example_5_1", "mms_problem", "layer_template",
     "FeField", "assemble", "assemble_mass", "assemble_stiffness",
-    "SolveReport", "SolveError", "solve", "solve_transpose",
+    "SolveReport", "SolveError", "multigrid", "solve", "solve_transpose",
     "GreenReport", "green_function", "fe_l2_norm", "fe_energy_norm",
     "green_norm_sweep",
     "ErrorTable", "bilinear_interp", "double_mesh_error",

@@ -7,7 +7,6 @@ metadata header, so every output is rerunnable from its header alone.
 Exit codes: 0 success, 1 configuration error, 2 run/solver/output failure.
 """
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass, field
@@ -87,18 +86,10 @@ _KEYS = {
     "tol": float,
     "template": str,
     "output": str,
-    "probe_coarse": "point",
-    "probe_layer_x": "point",
-    "probe_layer_y": "point",
-    "probe_layer_xy": "point",
 }
 
-_PROBE_REGION = {
-    "probe_coarse": Region.COARSE,
-    "probe_layer_x": Region.LAYER_X,
-    "probe_layer_y": Region.LAYER_Y,
-    "probe_layer_xy": Region.LAYER_XY,
-}
+_PROBE_REGION = {f"probe_{region.value}": region for region in Region}
+_KEYS.update(dict.fromkeys(_PROBE_REGION, "point"))
 
 
 def _parse_value(key, kind, raw):
@@ -273,37 +264,32 @@ def run(cfg):
     return 0
 
 
-def _build_argparser():
-    # flags take raw strings: parse_config alone parses and checks values,
-    # so a bad flag value fails like a bad config line (exit 1)
-    p = argparse.ArgumentParser(
-        prog="shishkinfem",
-        description="Shishkin-mesh FEM experiments for 2D turning-point "
-                    "convection-diffusion problems")
-    p.add_argument("--config", help="key=value config file")
-    for key in _KEYS:
-        p.add_argument("--" + key.replace("_", "-"),
-                       *(["-o"] if key == "output" else []))
-    return p
+# Each flag takes one value, --key VALUE or --key=VALUE; the token after
+# a flag is its value even when it starts with "-" (--probe-coarse -0.5,0).
+_FLAGS = {"--" + key.replace("_", "-"): key for key in ("config", *_KEYS)}
+_FLAGS["-o"] = "output"
 
 
 def main(argv=None):
-    args = _build_argparser().parse_args(argv)
-    lines = []
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                lines.append(fh.read())
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-    for key in _KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            lines.append(f"{key}={value}")
+    args = list(sys.argv[1:] if argv is None else argv)
+    if args in (["-h"], ["--help"]):
+        print("usage: shishkinfem", *(f"[{flag} VALUE]" for flag in _FLAGS))
+        return 0
+    flags, lines = {}, []
     try:
+        while args:
+            flag, eq, value = args.pop(0).partition("=")
+            if flag not in _FLAGS:
+                raise ConfigError(f"{flag}: unknown flag")
+            if not (eq or args):
+                raise ConfigError(f"{flag}: expected a value")
+            flags[_FLAGS[flag]] = value if eq else args.pop(0)
+        if "config" in flags:
+            with open(flags.pop("config")) as fh:
+                lines.append(fh.read())
+        lines += [f"{key}={value}" for key, value in flags.items()]
         cfg = parse_config("\n".join(lines))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: the config file
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return run(cfg)

@@ -15,7 +15,7 @@ import numpy as np
 from .meshgen import (Region, transition_params, build_mesh, region_masks,
                       classify_points)  # noqa: F401
 from .assembly import FeField, assemble
-from .linsolve import solve, ilu_factor, DEFAULT_TOL
+from .linsolve import solve, multigrid, DEFAULT_TOL
 
 __all__ = [
     "ErrorTable",
@@ -116,16 +116,14 @@ def _region_max(err, masks):
 def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL, lam=None):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
-    GMRES is preconditioned with an ILU in the mesh's nested-dissection
-    order; if that factorization fails, `solve` factors with its own
-    ordering and falls back from there.
+    GMRES is preconditioned with the multigrid of A on the mesh's
+    interior grid; if its setup fails, `solve` goes straight to splu.
     """
     if lam is None:
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
     mesh = build_mesh(N, *lam)
     A, F = assemble(mesh, spec, quad_order)
-    ilu = ilu_factor(A, mesh.dissection_order())
-    u, _ = solve(A, F, tol=tol, ilu=ilu)
+    u, _ = solve(A, F, tol=tol, mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
     return FeField.from_interior(mesh, u)
 
 

@@ -3,9 +3,9 @@
 The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
 B_h(v, g) = v(x_m, y_n).  Norm sweeps over (eps, N) probe the scaling
-of ||g|| and ||g||_{1,eps} with the source region.  A sweep factors
-each matrix once, with the nested-dissection ILU of A that forward
-solves use, and reuses that factorization for all its sources.
+of ||g|| and ||g||_{1,eps} with the source region.  A sweep sets up
+the multigrid of A once per matrix, as forward solves do, and reuses
+it for all its sources.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from .meshgen import Region, transition_params, build_mesh
 from .assembly import FeField, assemble, assemble_mass
 # perfbench/tracer.py wraps assemble_stiffness under this module's name.
 from .assembly import assemble_stiffness  # noqa: F401
-from .linsolve import solve_transpose, ilu_factor, DEFAULT_TOL
+from .linsolve import solve_transpose, multigrid, DEFAULT_TOL
 
 __all__ = [
     "GreenReport",
@@ -39,21 +39,19 @@ class GreenReport:
     energy_norm: float
 
 
-def green_function(A, mesh, source, tol=DEFAULT_TOL, ilu=None):
+def green_function(A, mesh, source, tol=DEFAULT_TOL, mg=None):
     """Discrete Green's function for a source at a given interior node.
 
-    source is the grid index (i, j) of an interior node; ilu is an
-    optional prebuilt `ilu_factor(A, mesh.dissection_order())`, which
-    None builds here.  Returns an FeField with zero boundary values.
+    source is the grid index (i, j) of an interior node; mg, as in
+    `solve_transpose`, is the multigrid of A or None.  Returns an
+    FeField with zero boundary values.
     """
     i, j = source
     if not (0 < i < mesh.nx - 1 and 0 < j < mesh.ny - 1):
         raise ValueError(f"source node {source} is not an interior node")
-    if ilu is None:
-        ilu = ilu_factor(A, mesh.dissection_order())
     e = np.zeros((mesh.ny - 2, mesh.nx - 2))
     e[j - 1, i - 1] = 1.0
-    g, _ = solve_transpose(A, e.ravel(), tol=tol, ilu=ilu)
+    g, _ = solve_transpose(A, e.ravel(), tol=tol, mg=mg)
     return FeField.from_interior(mesh, g)
 
 
@@ -105,9 +103,9 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
     spec_family maps eps -> ProblemSpec.  For each run the source is the
     interior node nearest the region's probe point.  probes maps some or
     all regions to a point; the other regions keep each eps's
-    `default_probes`.  Each assembled matrix is factored once: the
-    nested-dissection ILU of A preconditions the GMRES solves with A^T
-    of all four sources.  Returns a list of GreenReport in
+    `default_probes`.  Each matrix gets one multigrid, which serves the
+    solves with A^T of all four sources; if its setup fails, all four
+    go to splu without trying again.  Returns a list of GreenReport in
     deterministic (eps, N, region) order.
     """
     reports = []
@@ -118,11 +116,11 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
         for N in N_list:
             mesh = build_mesh(N, lam_x, lam_y)
             A, _ = assemble(mesh, spec, quad_order)
-            ilu = ilu_factor(A, mesh.dissection_order())
+            mg = multigrid(A, (mesh.ny - 2, mesh.nx - 2))
             M = assemble_mass(mesh)
             for region, (px, py) in probe_map.items():
                 i, j = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, (i, j), tol=tol, ilu=ilu)
+                g = green_function(A, mesh, (i, j), tol=tol, mg=mg)
                 reports.append(GreenReport(
                     eps=eps, N=N, region=region.value,
                     source_x=float(mesh.x_axis.nodes[i]),

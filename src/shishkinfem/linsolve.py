@@ -1,15 +1,11 @@
 """Sparse solvers for the nonsymmetric discrete systems.
 
 `solve` (A x = b) and `solve_transpose` (A^T g = e) share one path:
-ILU-preconditioned GMRES, then a complete sparse LU when that misses
-the tolerance, then `SolveError`.  Every accepted solution has its
-residual recomputed from scratch before it is returned.  Each fallback
-is logged at WARNING with its reason.
-
-One factorization of A serves both directions: a transpose solve runs
-its triangular solves transposed and never forms A^T.  Several
-right-hand sides with one matrix, in either direction, can share one
-ILU: build it with `ilu_factor` and pass it as `ilu=`.
+GMRES preconditioned by a `multigrid` V-cycle, then a complete sparse
+LU, then `SolveError`; without a multigrid they go straight to the
+sparse LU.  Every accepted solution has its residual recomputed from
+scratch and is logged at DEBUG; each fallback is logged at WARNING.
+One multigrid of A serves both directions and many right-hand sides.
 """
 
 import logging
@@ -18,20 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-__all__ = [
-    "SolveReport",
-    "SolveError",
-    "solve",
-    "solve_transpose",
-    "ilu_factor",
-]
+__all__ = ["SolveReport", "SolveError", "Multigrid", "multigrid", "solve",
+           "solve_transpose"]
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
 # GMRES restarts of 50 iterations each before it gives up.
 MAX_RESTARTS = 400
+# A level with at most this many unknowns is the coarsest one.
+COARSE_LIMIT = 1000
 
 
 @dataclass
@@ -50,86 +44,154 @@ class SolveError(RuntimeError):
 
 
 def _relative_residual(A, x, b):
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return 0.0
-    return np.linalg.norm(b - A @ x) / nb
+    return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
 
 
-class _PermutedILU:
-    """ILU of A[order][:, order] that solves with A itself (or A^T)."""
-
-    def __init__(self, ilu, order):
-        self.ilu = ilu
-        self.order = order
-
-    def solve(self, b, trans="N"):
-        x = np.empty_like(b)
-        x[self.order] = self.ilu.solve(b[self.order], trans)
-        return x
+def _interpolation(m):
+    """Linear interpolation from m to 2m + 1 interior nodes of an axis:
+    coarse node k is fine node 2k + 1, and each fine node between takes
+    half of each neighbour (boundary values are 0).  Exact on nested
+    meshes, whose new fine nodes are the midpoints of coarse cells."""
+    cols = np.repeat(np.arange(m), 3)
+    rows = 2 * cols + np.tile([0, 1, 2], m)
+    return sp.csr_matrix((np.tile([0.5, 1.0, 0.5], m), (rows, cols)),
+                         shape=(2 * m + 1, m))
 
 
-def ilu_factor(A, order=None):
-    """Incomplete LU of A, the GMRES preconditioner of both solve directions.
+class Multigrid:
+    """V(1,1) cycle of A on its (my, mx) interior grid; see `multigrid`.
 
-    With order None, spilu chooses the column ordering (COLAMD).  With
-    a permutation `order` (such as `TensorMesh.dissection_order()`), it
-    factors A[order][:, order] as given, without pivoting, and the
-    returned object's `solve` permutes in and out.  Returns None when
-    spilu fails; `solve` then factors again and falls back from there,
-    as it does without a prebuilt factorization.
+    The coarsest level holds the splu factors `lu` of A; the others the
+    interpolation P from `coarse`, the Multigrid of P^T A P, and a zebra
+    x-line smoother.  Grid rows (x-lines) of one colour, even or odd,
+    couple only to rows of the other colour (`up`: even to odd, `down`:
+    odd to even), so the lines of a colour form one tridiagonal system,
+    zero at line ends; `lines` holds both factored.
+    """
+
+    def __init__(self, A, shape):
+        self.A, self.shape, self.P, self.coarse = A, shape, None, None
+        my, mx = shape
+        if not my % 2 or not mx % 2 or min(shape) < 3 \
+                or my * mx <= COARSE_LIMIT:
+            self.lu = spla.splu(A.tocsc())
+            return
+        rows = np.arange(my * mx).reshape(shape)
+        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
+        west, east = np.zeros((2, my * mx))
+        west[1:], east[:-1] = A.diagonal(-1), A.diagonal(1)
+        west[rows[:, 0]] = east[rows[:, -1]] = 0.0
+        diag = A.diagonal()
+        self.lines = []
+        for colour in (even, odd):
+            *factors, info = lapack.dgttrf(west[colour][1:], diag[colour],
+                                           east[colour][:-1])
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular x-line at row {info}")
+            self.lines.append(factors)
+        self.up, self.down = A[even][:, odd], A[odd][:, even]
+        self.P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),
+                         format="csr")
+        self.P_even, self.P_odd = self.P[even], self.P[odd]
+        self.coarse = Multigrid((self.P.T @ A @ self.P).tocsr(),
+                                (my // 2, mx // 2))
+
+    @property
+    def levels(self):
+        """This grid and the coarser ones, fine to coarse."""
+        return [self] + (self.coarse.levels if self.coarse else [])
+
+    def solve(self, f, trans="N"):
+        """One cycle applied to f; with trans "T", the cycle of A^T."""
+        if self.coarse is None:
+            return self.lu.solve(f, trans)
+        up, down = ((self.down.T, self.up.T) if trans == "T"
+                    else (self.up, self.down))
+
+        def lines(colour, b):
+            return lapack.dgttrs(*self.lines[colour], b, trans=trans)[0]
+
+        F = np.reshape(f, self.shape)
+        fe, fo = F[0::2].ravel(), F[1::2].ravel()
+        # pre-smoothing from u = 0 leaves the odd rows solved, so only
+        # the even rows carry a residual
+        ue = lines(0, fe)
+        uo = lines(1, fo - down @ ue)
+        uo += self.P_odd @ self.coarse.solve(self.P_even.T @ -(up @ uo),
+                                             trans)
+        # the even half-sweep overwrites the even rows, so only the odd
+        # part of the coarse-grid correction is added
+        ue = lines(0, fe - up @ uo)
+        uo = lines(1, fo - down @ ue)
+        U = np.empty_like(F)
+        U[0::2] = ue.reshape(-1, F.shape[1])
+        U[1::2] = uo.reshape(-1, F.shape[1])
+        return U.ravel()
+
+
+def multigrid(A, shape):
+    """Multigrid V(1,1) preconditioner of A on the (my, mx) interior grid.
+
+    A couples each interior node (unknowns raveled with x fastest) to
+    at most its eight grid neighbours.  Each coarser level has the
+    Galerkin operator P^T A P, P = P_y (x) P_x, each 1D P linear
+    interpolation from m to 2m + 1 nodes, while both counts are odd and
+    a level has more than COARSE_LIMIT unknowns.  One zebra x-line
+    Gauss-Seidel sweep, even rows then odd rows, smooths before and
+    after the coarse-grid correction.  Returns a Multigrid, or None with
+    a WARNING when setup fails or runs out of memory.  (Gaspar, Clavero
+    & Lisbona, J. Comput. Appl. Math. 138, 2002.)
     """
     A = sp.csr_matrix(A)
-    options = {}
-    if order is not None:
-        A = A[order][:, order]
-        options = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+    if A.shape != (np.prod(shape),) * 2:
+        raise ValueError(f"A does not match an interior grid {shape}")
     try:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=20, **options)
-    except RuntimeError as exc:
-        log.warning("spilu failed (%s); no ILU preconditioner", exc)
+        return Multigrid(A, shape)
+    except (MemoryError, np.linalg.LinAlgError, RuntimeError) as exc:
+        log.warning("multigrid setup failed (%r); no preconditioner", exc)
         return None
-    return ilu if order is None else _PermutedILU(ilu, order)
 
 
 def _gmres(op, b, tol, precondition):
     M = spla.LinearOperator(op.shape, precondition)
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
+    norms = []      # one preconditioned residual norm per iteration
     x, info = spla.gmres(op, b, rtol=0.1 * tol, atol=0.0, restart=50,
                          maxiter=MAX_RESTARTS, M=M,
-                         callback=cb, callback_type="pr_norm")
+                         callback=norms.append, callback_type="pr_norm")
     if info != 0:
-        log.warning("gmres stopped after %d iterations (info %d)", count[0],
-                    info)
-        return None, count[0]
-    return x, count[0]
+        log.warning("gmres stopped after %d iterations (info %d)",
+                    len(norms), info)
+        return None, len(norms)
+    return x, len(norms)
 
 
-def solve(A, b, tol=DEFAULT_TOL, ilu=None):
+def solve(A, b, tol=DEFAULT_TOL, mg=None):
     """Solve A x = b to relative residual <= tol.
 
-    Runs GMRES+ILU, then a complete sparse LU; raises SolveError when
-    neither reaches tol.  ilu: a prebuilt `ilu_factor(A)` to
-    precondition GMRES with; None factors A here.  Deterministic: zero
-    initial guess, no randomized components.  Returns (x, SolveReport),
-    whose method names the path that succeeded.
+    mg: a `multigrid(A, shape)` to precondition GMRES with, before the
+    splu fallback; None goes straight to splu.  Raises SolveError when
+    no path reaches tol.  Deterministic: zero initial guess.  Returns
+    (x, SolveReport), whose method names the path that succeeded.
     """
-    return _solve(A, b, tol, ilu, "N")
+    return _solve(A, b, tol, mg, "N")
 
 
-def solve_transpose(A, e, tol=DEFAULT_TOL, ilu=None):
+def solve_transpose(A, e, tol=DEFAULT_TOL, mg=None):
     """Solve A^T g = e; same contract as solve.
 
-    ilu: a prebuilt `ilu_factor(A)`, the same one forward solves use.
+    mg: a `multigrid(A, shape)`, the same one forward solves use.
     """
-    return _solve(A, e, tol, ilu, "T")
+    return _solve(A, e, tol, mg, "T")
 
 
-def _solve(A, b, tol, ilu, trans):
+def _accept(x, report, mg):
+    log.debug("%s: n %d, levels %d, %d iterations, residual %.3e",
+              report.method, len(x), len(mg.levels) if mg else 0,
+              report.iterations, report.relative_residual)
+    return x, report
+
+
+def _solve(A, b, tol, mg, trans):
     """The body of `solve` (trans "N") and `solve_transpose` (trans "T")."""
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -138,31 +200,27 @@ def _solve(A, b, tol, ilu, trans):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if np.linalg.norm(b) == 0.0:
-        return np.zeros_like(b), SolveReport(0, 0.0, "trivial")
-
+        return _accept(np.zeros_like(b), SolveReport(0, 0.0, "trivial"), mg)
     op = A.T if trans == "T" else A
-    if ilu is None:
-        ilu = ilu_factor(A)
-    x = None
-    if ilu is not None:
-        x, iters = _gmres(op, b, tol, lambda r: ilu.solve(r, trans))
     best = np.inf
-    if x is not None:
-        res = _relative_residual(op, x, b)
-        best = res
-        if res <= tol:
-            return x, SolveReport(iters, res, "gmres+ilu")
-        log.warning("gmres+ilu residual %.3e above tol %g", res, tol)
+    if mg is not None:
+        x, iters = _gmres(op, b, tol, lambda r: mg.solve(r, trans))
+        if x is not None:
+            best = _relative_residual(op, x, b)
+            if best <= tol:
+                return _accept(x, SolveReport(iters, best, "gmres+mg"), mg)
+            log.warning("gmres+mg residual %.3e above tol %g", best, tol)
     try:
         x = spla.splu(A.tocsc()).solve(b, trans)
-    except RuntimeError as exc:
-        log.warning("splu failed (%s)", exc)
+    except (MemoryError, RuntimeError) as exc:
+        log.warning("splu failed (%r)", exc)
     else:
         res = _relative_residual(op, x, b)
         best = min(best, res)
         if res <= tol:
-            return x, SolveReport(1, res, "splu")
+            return _accept(x, SolveReport(1, res, "splu"), mg)
         log.warning("splu residual %.3e above tol %g", res, tol)
     raise SolveError(
-        f"no solver reached tol={tol} (tried gmres+ilu and splu, "
+        f"no solver reached tol={tol} (tried "
+        f"{'gmres+mg and ' if mg else ''}splu, "
         f"best residual {best:.3e})", best_residual=best)

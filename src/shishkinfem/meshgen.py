@@ -23,11 +23,6 @@ __all__ = [
     "region_masks",
 ]
 
-# Largest block that `TensorMesh.dissection_order` numbers without
-# splitting.  Among 4...256, 16 gave the least ILU fill and setup time
-# on Shishkin meshes at N = 256.
-DISSECTION_LEAF = 16
-
 
 class Region(Enum):
     """Subregion tags induced by the mesh transition lines."""
@@ -135,43 +130,6 @@ class TensorMesh:
     @property
     def n_interior(self):
         return (self.nx - 2) * (self.ny - 2)
-
-    def dissection_order(self):
-        """Nested-dissection ordering of the interior nodes.
-
-        The interior index grid is split recursively across its longer
-        side by the middle line, which is numbered after both halves;
-        blocks of at most DISSECTION_LEAF nodes are numbered row-major.
-        Returns a permutation of range(n_interior): entry k is the
-        interior index of the k-th node in the new order.  (George,
-        "Nested dissection of a regular finite element mesh", SIAM J.
-        Numer. Anal. 10, 1973.)
-        """
-        mx = self.nx - 2
-        blocks = {}
-
-        def block(rows, cols):
-            # order of a rows x cols block, as offsets from its first node;
-            # it depends only on the shape, so each shape is built once
-            if (rows, cols) not in blocks:
-                if rows * cols <= DISSECTION_LEAF:
-                    order = (np.arange(rows)[:, None] * mx
-                             + np.arange(cols)).ravel()
-                elif cols >= rows:
-                    m = cols // 2
-                    order = np.concatenate([
-                        block(rows, m), block(rows, cols - m - 1) + m + 1,
-                        np.arange(rows) * mx + m])
-                else:
-                    m = rows // 2
-                    order = np.concatenate([
-                        block(m, cols),
-                        block(rows - m - 1, cols) + (m + 1) * mx,
-                        m * mx + np.arange(cols)])
-                blocks[rows, cols] = order
-            return blocks[rows, cols]
-
-        return block(self.ny - 2, mx)
 
     def nearest_node(self, x, y):
         """Grid index (i, j) of the interior node nearest (x, y)."""

@@ -280,6 +280,32 @@ class TestMain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--bogus", "1"], "--bogus: unknown flag"),
+        (["--probe_coarse", "0,0"], "--probe_coarse: unknown flag"),
+        (["--eps", "1e-4", "--N"], "--N: expected a value"),
+    ], ids=["unknown-flag", "underscore-flag", "missing-value"])
+    def test_bad_flag_exits_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["-o", str(out)] + argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--probe-layer-xy", "-0.01,-0.99"],
+                                      ["--probe-layer-xy=-0.01,-0.99"]],
+                             ids=["space", "equals"])
+    def test_negative_pair_value(self, argv, tmp_path):
+        assert main(["--mode", "green", "--eps", "1e-4", "--N", "8",
+                     "-o", str(tmp_path)] + argv) == 0
+        assert "# probe_layer_xy = -0.01,-0.99" in \
+            header(tmp_path / "green.csv")
+
+    def test_help(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: shishkinfem ")
+        assert "[--probe-layer-xy VALUE]" in out
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -113,48 +113,52 @@ class TestDoubleMesh:
 
 
 class TestSolveProblemOrdering:
+    # the class and its first test keep the names they had when the
+    # preconditioner was a nested-dissection ILU; the property is the
+    # same: one preconditioner setup per solve, on the interior grid
     @pytest.fixture
     def recorded(self, monkeypatch):
-        spilu_calls, methods = [], []
-        spilu, solve = linsolve.spla.spilu, errorlab.solve
+        setups, methods = [], []
+        multigrid, solve = errorlab.multigrid, errorlab.solve
 
-        def recording_spilu(*args, **kwargs):
-            spilu_calls.append(kwargs.get("permc_spec"))
-            return spilu(*args, **kwargs)
+        def recording_multigrid(A, shape):
+            mg = multigrid(A, shape)
+            setups.append((shape, mg))
+            return mg
 
-        def recording_solve(*args, **kwargs):
-            u, report = solve(*args, **kwargs)
+        def recording_solve(A, b, **kwargs):
+            assert kwargs["mg"] is setups[-1][1]
+            u, report = solve(A, b, **kwargs)
             methods.append(report.method)
             return u, report
 
-        monkeypatch.setattr(linsolve.spla, "spilu", recording_spilu)
+        monkeypatch.setattr(errorlab, "multigrid", recording_multigrid)
         monkeypatch.setattr(errorlab, "solve", recording_solve)
-        return spilu_calls, methods
+        return setups, methods
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("N", [16, 32, 64])
     def test_one_nested_dissection_ilu(self, recorded, eps, N):
-        spilu_calls, methods = recorded
+        setups, methods = recorded
         solve_problem(example_5_1(eps), N)
-        assert spilu_calls == ["NATURAL"]
-        assert methods == ["gmres+ilu"]
+        (shape, mg), = setups
+        assert shape == (N - 1, 2 * N - 1)
+        assert mg is not None
+        assert methods == ["gmres+mg"]
 
-    def test_failed_ordered_ilu_falls_back_to_colamd(self, recorded,
-                                                      monkeypatch):
-        spilu_calls, methods = recorded
-        spilu = linsolve.spla.spilu
+    def test_failed_setup_falls_back_to_splu(self, recorded, monkeypatch):
+        setups, methods = recorded
+        u_mg = solve_problem(example_5_1(1e-6), 32)
 
-        def natural_fails(*args, **kwargs):
-            if kwargs.get("permc_spec") == "NATURAL":
-                spilu_calls.append("NATURAL")
-                raise RuntimeError("Factor is exactly singular")
-            return spilu(*args, **kwargs)
+        def no_memory(*args, **kwargs):
+            raise MemoryError
 
-        monkeypatch.setattr(linsolve.spla, "spilu", natural_fails)
-        u = solve_problem(example_5_1(1e-6), 16)
-        assert spilu_calls == ["NATURAL", None]
-        assert methods == ["gmres+ilu"]
-        assert np.all(np.isfinite(u.values))
+        monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
+        u = solve_problem(example_5_1(1e-6), 32)
+        assert [mg is None for _, mg in setups] == [False, True]
+        assert methods == ["gmres+mg", "splu"]
+        np.testing.assert_allclose(u.values, u_mg.values, rtol=0.0,
+                                   atol=1e-12)
 
 
 class TestErrorTable:

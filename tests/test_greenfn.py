@@ -7,8 +7,8 @@ from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
 from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
-from shishkinfem import linsolve
-from shishkinfem.linsolve import solve
+from shishkinfem import greenfn, linsolve
+from shishkinfem.linsolve import multigrid, solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
 
@@ -170,31 +170,60 @@ class TestSweep:
 
 
 class TestFactorReuse:
-    def test_one_ilu_per_matrix(self, monkeypatch):
-        # one spilu per matrix, of A itself in nested-dissection order:
-        # the transpose solves use it without forming A^T
-        calls = []
-        spilu = linsolve.spla.spilu
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        setups, methods = [], []
+        multigrid, solve_transpose = greenfn.multigrid, greenfn.solve_transpose
 
-        def recording_spilu(M, **kwargs):
-            calls.append((M, kwargs))
-            return spilu(M, **kwargs)
+        def recording_multigrid(A, shape):
+            mg = multigrid(A, shape)
+            setups.append((A, shape, mg))
+            return mg
 
-        monkeypatch.setattr(linsolve.spla, "spilu", recording_spilu)
-        reports = green_norm_sweep(example_5_1, [8, 16], [1e-4, 1e-6])
+        def recording_solve_transpose(A, e, **kwargs):
+            assert A is setups[-1][0] and kwargs["mg"] is setups[-1][2]
+            g, report = solve_transpose(A, e, **kwargs)
+            methods.append(report.method)
+            return g, report
+
+        monkeypatch.setattr(greenfn, "multigrid", recording_multigrid)
+        monkeypatch.setattr(greenfn, "solve_transpose",
+                            recording_solve_transpose)
+        return setups, methods
+
+    def test_one_ilu_per_matrix(self, recorded):
+        # one multigrid of A itself, not of A^T, per matrix serves all
+        # four sources (the name dates from the ILU it replaced)
+        setups, methods = recorded
+        reports = green_norm_sweep(example_5_1, [16, 32], [1e-4, 1e-6])
         assert len(reports) == 16
-        assert len(calls) == 4
-        runs = [(eps, N) for eps in (1e-4, 1e-6) for N in (8, 16)]
-        for (eps, N), (M, kwargs) in zip(runs, calls):
+        assert len(setups) == 4
+        runs = [(eps, N) for eps in (1e-4, 1e-6) for N in (16, 32)]
+        for (eps, N), (A_seen, shape, mg) in zip(runs, setups):
             spec = example_5_1(eps)
             mesh = build_mesh(N, *transition_params(eps, spec.alpha,
                                                     spec.beta))
             A, _ = assemble(mesh, spec, 3)
-            order = mesh.dissection_order()
-            assert kwargs["permc_spec"] == "NATURAL"
-            assert kwargs["diag_pivot_thresh"] == 0.0
-            assert abs(M - A[order][:, order]).max() == 0.0
-            assert abs(M - A.T[order][:, order]).max() > 0.0
+            assert shape == (mesh.ny - 2, mesh.nx - 2)
+            assert abs(A_seen - A).max() == 0.0
+            assert abs(mg.levels[0].A - A).max() == 0.0
+            assert abs(mg.levels[0].A - A.T).max() > 0.0
+        assert methods == ["gmres+mg"] * 16
+
+    def test_failed_setup_runs_once_per_matrix(self, recorded, monkeypatch):
+        setups, methods = recorded
+        calls = []
+
+        def no_memory(*args, **kwargs):
+            calls.append(args)
+            raise MemoryError
+
+        monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
+        reports = green_norm_sweep(example_5_1, [32, 64], [1e-6])
+        assert len(reports) == 8
+        assert [mg for _, _, mg in setups] == [None, None]
+        assert len(calls) == 2
+        assert methods == ["splu"] * 8
 
     def test_norms_match_separate_solves_bitwise(self):
         eps, N = 1e-6, 16
@@ -207,6 +236,7 @@ class TestFactorReuse:
         probes = default_probes(*lam)
         for r in reports:
             node = mesh.nearest_node(*probes[Region(r.region)])
-            g = green_function(A, mesh, node)
+            g = green_function(A, mesh, node,
+                               mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
             assert r.l2_norm == fe_l2_norm(g, M)
             assert r.energy_norm == fe_energy_norm(g, M, eps)

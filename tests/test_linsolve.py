@@ -1,4 +1,5 @@
 import logging
+import types
 
 import numpy as np
 import pytest
@@ -8,15 +9,37 @@ from shishkinfem import linsolve
 
 from shishkinfem.meshgen import build_mesh, transition_params
 from shishkinfem.problem import example_5_1, mms_problem
-from shishkinfem.assembly import assemble
-from shishkinfem.linsolve import (solve, solve_transpose, ilu_factor,
+from shishkinfem.assembly import FeField, assemble
+from shishkinfem.errorlab import bilinear_interp
+from shishkinfem.linsolve import (solve, solve_transpose, multigrid,
                                   SolveError)
 
 from oracles import dense_solve
 
+# GMRES with the identity as its "multigrid", for matrices with no grid
+IDENTITY_MG = types.SimpleNamespace(solve=lambda r, trans="N": r, levels=[])
 
-def broken_spilu(*args, **kwargs):
-    raise RuntimeError("Factor is exactly singular")
+
+def system(eps, N, lam=None):
+    """(mesh, A, F, interior grid shape) of example 5.1, or of the mms
+    problem when eps is 1 (on the uniform mesh lam = (1/2, 1/4))."""
+    spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
+    lam = lam or transition_params(eps, 2.0, 1.0)
+    mesh = build_mesh(N, *lam)
+    A, F = assemble(mesh, spec, 3)
+    return mesh, A, F, (mesh.ny - 2, mesh.nx - 2)
+
+
+def failing_dgttrf(error):
+    """A stand-in for LAPACK dgttrf that raises `error`, or reports a
+    singular line block when error is None; `calls` counts its calls."""
+    def dgttrf(dl, d, du):
+        dgttrf.calls += 1
+        if error is not None:
+            raise error
+        return dl, d, du, du[:-1], np.zeros(len(d), dtype=np.int32), 3
+    dgttrf.calls = 0
+    return dgttrf
 
 
 class TestSolve:
@@ -60,44 +83,62 @@ class TestSolve:
             solve(A, np.array([1.0, 2.0]))
         assert info.value.best_residual > 1e-10
 
-    def test_singular_splu_raises_solve_error(self, monkeypatch):
-        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
+    def test_singular_splu_raises_solve_error(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(SolveError, match="splu"):
+        with pytest.raises(SolveError, match="tried splu,"):
             solve(A, np.array([1.0, 2.0]))
 
     def test_singular_tries_gmres_then_splu_only(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(SolveError) as info:
-            solve(A, np.array([1.0, 2.0]))
-        assert "tried gmres+ilu and splu," in str(info.value)
+            solve(A, np.array([1.0, 2.0]), mg=IDENTITY_MG)
+        assert "tried gmres+mg and splu," in str(info.value)
+
+    def test_splu_out_of_memory_raises_solve_error(self, monkeypatch):
+        # GMRES stops with residual 1 (x = 0); splu then runs out of
+        # memory: SolveError, carrying the GMRES residual as its best
+        _, A, F, shape = system(1e-6, 32)
+
+        def zero_gmres(A, b, **kwargs):
+            return np.zeros_like(b), 0
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        mg = multigrid(A, shape)
+        monkeypatch.setattr(linsolve.spla, "gmres", zero_gmres)
+        monkeypatch.setattr(linsolve.spla, "splu", no_memory)
+        with pytest.raises(SolveError, match="best residual 1.000e") as info:
+            solve(A, F, mg=mg)
+        assert info.value.best_residual == 1.0
 
 
 class TestFallbackLogging:
-    def test_spilu_failure_logged(self, monkeypatch, caplog):
-        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
-        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    @pytest.mark.parametrize("error", [MemoryError(), None],
+                             ids=["out-of-memory", "singular-line"])
+    def test_multigrid_setup_failure_logged(self, error, monkeypatch, caplog):
+        _, A, F, shape = system(1e-6, 32)
+        monkeypatch.setattr(linsolve.lapack, "dgttrf", failing_dgttrf(error))
         with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
-            x, report = solve(A, np.array([3.0, 5.0]))
+            mg = multigrid(A, shape)
+            x, report = solve(A, F, mg=mg)
+        assert mg is None
         assert report.method == "splu"
-        np.testing.assert_allclose(x, [0.8, 1.4], atol=1e-10)
-        messages = [r.getMessage() for r in caplog.records
-                    if r.levelno == logging.WARNING]
+        np.testing.assert_allclose(x, solve(A, F)[0], rtol=0.0, atol=0.0)
+        messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1
-        assert "spilu failed" in messages[0]
-        assert "exactly singular" in messages[0]
+        assert messages[0].startswith("multigrid setup failed")
+        assert ("MemoryError" if error else "singular x-line") in messages[0]
 
     def test_gmres_miss_logged(self, monkeypatch, caplog):
-        spec = mms_problem(1.0)
-        mesh = build_mesh(8, 0.5, 0.25)
-        A, F = assemble(mesh, spec, 3)
+        _, A, F, shape = system(1e-6, 32)
 
         def missing_gmres(A, b, **kwargs):
             return np.zeros_like(b), 7
 
         monkeypatch.setattr(linsolve.spla, "gmres", missing_gmres)
         with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
-            _, report = solve(A, F)
+            _, report = solve(A, F, mg=multigrid(A, shape))
         assert report.method == "splu"
         assert any("gmres stopped" in r.getMessage() for r in caplog.records)
 
@@ -106,73 +147,124 @@ class TestFallbackLogging:
             solve(sp.eye(5, format="csr"), np.arange(5.0))
         assert caplog.records == []
 
+    def test_accepted_solve_logged_at_debug(self, caplog):
+        _, A, F, shape = system(1e-6, 32)
+        mg = multigrid(A, shape)
+        with caplog.at_level(logging.DEBUG, logger="shishkinfem.linsolve"):
+            _, report = solve(A, F, mg=mg)
+            _, direct = solve(A, F)
+        first, second = [r.getMessage() for r in caplog.records]
+        assert first == (f"gmres+mg: n 1953, levels 2, {report.iterations} "
+                         f"iterations, residual "
+                         f"{report.relative_residual:.3e}")
+        assert second.startswith("splu: n 1953, levels 0, 1 iterations")
+        assert direct.method == "splu"
+
 
 class TestPrebuiltIlu:
+    # named for the ILU a caller could build once and pass in; the
+    # multigrid took its place and these tests keep their names
     def test_same_bits_as_factoring_inside(self):
-        spec = example_5_1(1e-4)
-        mesh = build_mesh(8, *transition_params(1e-4, 2.0, 1.0))
-        A, F = assemble(mesh, spec, 3)
-        x1, r1 = solve(A, F)
-        x2, r2 = solve(A, F, ilu=ilu_factor(A))
-        assert r1 == r2
-        assert np.array_equal(x1, x2)
+        # one multigrid serves both directions and many right-hand sides
+        _, A, F, shape = system(1e-4, 32)
+        shared = multigrid(A, shape)
         e = np.zeros(A.shape[0])
         e[3] = 1.0
-        g1, s1 = solve_transpose(A, e)
-        g2, s2 = solve_transpose(A, e, ilu=ilu_factor(A))
-        assert s1 == s2
-        assert np.array_equal(g1, g2)
+        for b, run in ((F, solve), (e, solve_transpose), (F, solve)):
+            x1, r1 = run(A, b, mg=shared)
+            x2, r2 = run(A, b, mg=multigrid(A, shape))
+            assert r1 == r2 and r1.method == "gmres+mg"
+            assert np.array_equal(x1, x2)
 
     def test_failed_factor_falls_back(self, monkeypatch):
-        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
-        ilu = ilu_factor(A)
-        assert ilu is None
-        g, report = solve_transpose(A, np.array([1.0, 0.0]), ilu=ilu)
+        _, A, _, shape = system(1e-4, 32)
+        monkeypatch.setattr(linsolve.lapack, "dgttrf",
+                            failing_dgttrf(MemoryError()))
+        mg = multigrid(A, shape)
+        assert mg is None
+        e = np.zeros(A.shape[0])
+        e[0] = 1.0
+        g, report = solve_transpose(A, e, mg=mg)
         assert report.method == "splu"
+        assert report.relative_residual <= 1e-10
+
+    def test_coarsest_splu_failure_gives_no_multigrid(self, monkeypatch):
+        _, A, _, shape = system(1e-4, 16)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(linsolve.spla, "splu", singular)
+        assert multigrid(A, shape) is None
+
+    def test_grid_must_match(self):
+        _, A, _, (my, mx) = system(1e-4, 16)
+        with pytest.raises(ValueError, match="interior grid"):
+            multigrid(A, (my + 1, mx))
 
 
-class TestOrderedIlu:
-    @pytest.fixture
-    def system(self):
-        spec = example_5_1(1e-6)
-        mesh = build_mesh(8, *transition_params(1e-6, 2.0, 1.0))
-        A, F = assemble(mesh, spec, 3)
-        return mesh, A, F
+class TestMultigrid:
+    def test_coarsening_stops_at_even_counts_or_small_levels(self):
+        _, A, _, shape = system(1e-6, 64)
+        assert [level.shape for level in multigrid(A, shape).levels] == \
+            [(63, 127), (31, 63), (15, 31)]
+        _, A, _, shape = system(1e-6, 16)
+        assert len(multigrid(A, shape).levels) == 1   # n = 465: splu only
+        # an even count stops coarsening whatever the size
+        A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(1200, 1200))
+        assert len(multigrid(A, (4, 300)).levels) == 1
 
-    def test_solve_permutes_in_and_out(self, system):
-        # at this size the incomplete factor is nearly complete, so its
-        # solve is nearly A^-1 only if both permutations are right
-        mesh, A, F = system
-        ilu = ilu_factor(A, mesh.dissection_order())
-        x = ilu.solve(F)
-        assert np.linalg.norm(F - A @ x) <= 1e-6 * np.linalg.norm(F)
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6])
+    def test_coarse_operators_are_galerkin(self, eps):
+        _, A, _, shape = system(eps, 64)
+        levels = multigrid(A, shape).levels
+        assert abs(levels[0].A - A).max() == 0.0
+        for fine, coarse in zip(levels[:-1], levels[1:]):
+            galerkin = fine.P.T @ fine.A @ fine.P
+            assert abs(coarse.A - galerkin).max() == 0.0
+            assert coarse.A.shape == (np.prod(coarse.shape),) * 2
 
-    def test_transpose_solve_permutes_in_and_out(self, system):
-        # the same factor, with its triangular solves transposed, nearly
-        # inverts A^T (1.2e-6 here) only if both permutations are right;
-        # a missing or inverted permutation, or no transpose, gives > 0.9
-        mesh, A, F = system
-        ilu = ilu_factor(A, mesh.dissection_order())
-        g = ilu.solve(F, "T")
-        assert np.linalg.norm(F - A.T @ g) <= 1e-5 * np.linalg.norm(F)
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-9])
+    def test_interpolation_is_bilinear_on_nested_meshes(self, eps):
+        # P takes a field of the N/2 mesh to the fine N mesh as its
+        # piecewise-bilinear extension does, at every fine node; only
+        # the rounding of node coordinates in cells of width ~1e-9
+        # moves the local coordinates off 1/2 (3.3e-13 at eps = 1e-6)
+        lam = transition_params(eps, 2.0, 1.0)
+        fine, A, _, shape = system(eps, 32)
+        coarse = build_mesh(16, *lam)
+        v = np.random.default_rng(5).standard_normal(coarse.n_interior)
+        P = multigrid(A, shape).levels[0].P
+        X, Y = np.meshgrid(fine.x_axis.nodes[1:-1], fine.y_axis.nodes[1:-1])
+        expect = bilinear_interp(FeField.from_interior(coarse, v),
+                                 np.column_stack([X.ravel(), Y.ravel()]))
+        np.testing.assert_allclose(P @ v, expect, rtol=0.0, atol=1e-11)
 
-    def test_factors_given_order_without_pivoting(self, system, monkeypatch):
-        mesh, A, F = system
-        seen = []
-        spilu = linsolve.spla.spilu
+    @pytest.mark.parametrize("eps", [1e-3, 1e-8])
+    def test_transposed_cycle_is_the_cycle_of_the_transpose(self, eps):
+        _, A, _, shape = system(eps, 64)
+        r = np.random.default_rng(2).standard_normal(A.shape[0])
+        got = multigrid(A, shape).solve(r, "T")
+        want = multigrid(A.T.tocsr(), shape).solve(r)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # and it is not the forward cycle
+        forward = multigrid(A, shape).solve(r)
+        assert np.linalg.norm(forward - want) > 1e-3 * np.linalg.norm(want)
 
-        def recording_spilu(M, **kwargs):
-            seen.append((M, kwargs))
-            return spilu(M, **kwargs)
-
-        monkeypatch.setattr(linsolve.spla, "spilu", recording_spilu)
-        order = mesh.dissection_order()
-        ilu_factor(A, order)
-        (M, kwargs), = seen
-        assert kwargs == {"drop_tol": 1e-5, "fill_factor": 20,
-                          "permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
-        assert abs(M - A[order][:, order]).max() == 0.0
+    @pytest.mark.parametrize("N", [16, 32, 64, 128])
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3, 1e-5, 1e-9])
+    def test_gmres_iterations_bounded(self, eps, N):
+        lam = (0.5, 0.25) if eps == 1.0 else None
+        mesh, A, F, shape = system(eps, N, lam)
+        mg = multigrid(A, shape)
+        e = np.zeros(shape)
+        e[shape[0] // 2, shape[1] // 3] = 1.0
+        for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
+            x, report = run(A, b, mg=mg)
+            assert report.method == "gmres+mg"
+            assert report.iterations <= 25
+            res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
+            assert res <= 1e-10
 
 
 class TestSolveTranspose:
@@ -204,12 +296,11 @@ class TestSolveTranspose:
 class TestSparseVsDense:
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("eps", [1e-2, 1e-6])
-    def test_agreement(self, N, eps, monkeypatch):
+    def test_agreement(self, N, eps):
         spec = example_5_1(eps)
         mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
         A, F = assemble(mesh, spec, 3)
         assert A.shape[0] <= 2000
-        monkeypatch.setattr(linsolve.spla, "spilu", broken_spilu)
         x_sparse, report = solve(A, F)
         assert report.method == "splu"
         x_dense = dense_solve(A, F)

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from shishkinfem.meshgen import (Region, transition_params, build_x_axis,
                                  build_y_axis, build_mesh, classify_points,
-                                 region_masks, DISSECTION_LEAF)
+                                 region_masks)
 
 from oracles import classify
 
@@ -178,40 +178,6 @@ class TestRegionMasks:
     def test_outside_domain(self):
         with pytest.raises(ValueError):
             region_masks(np.array([0.0, 1.5]), 0.0, 0.1, 0.2)
-
-
-def split_order(grid):
-    """Oracle: nested dissection by direct recursion on index blocks."""
-    rows, cols = grid.shape
-    if rows * cols <= DISSECTION_LEAF:
-        return [grid.ravel()]
-    if cols >= rows:
-        m = cols // 2
-        return split_order(grid[:, :m]) + split_order(grid[:, m + 1:]) \
-            + [grid[:, m]]
-    m = rows // 2
-    return split_order(grid[:m]) + split_order(grid[m + 1:]) + [grid[m]]
-
-
-class TestDissectionOrder:
-    @pytest.mark.parametrize("N", [4, 8, 16, 64])
-    def test_is_a_permutation(self, N):
-        mesh = build_mesh(N, *transition_params(1e-6, 2.0, 1.0))
-        order = mesh.dissection_order()
-        assert order.shape == (mesh.n_interior,)
-        np.testing.assert_array_equal(np.sort(order),
-                                      np.arange(mesh.n_interior))
-        grid = np.arange(mesh.n_interior).reshape(mesh.ny - 2, mesh.nx - 2)
-        np.testing.assert_array_equal(order,
-                                      np.concatenate(split_order(grid)))
-
-    def test_first_separator_is_numbered_last(self):
-        # 31 x 15 interior nodes: the longer side is x, so the middle
-        # column i = 15 splits the grid and comes last
-        mesh = build_mesh(16, *transition_params(1e-6, 2.0, 1.0))
-        mx, my = mesh.nx - 2, mesh.ny - 2
-        order = mesh.dissection_order()
-        np.testing.assert_array_equal(order[-my:], np.arange(my) * mx + 15)
 
 
 class TestNearestNode:
