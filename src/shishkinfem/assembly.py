@@ -125,20 +125,35 @@ def assemble(mesh, spec, quad_order=3):
     Y = np.broadcast_to(yq[:, :, None, None], shape)
     b1 = _coefficient("b1", spec.b1, X, Y)
     c = _coefficient("c", spec.c, X, Y)
-    f = _coefficient("f", spec.f, X, Y)
 
-    # x direction first, then y; jac = (h/2)(k/2), d/dx = (2/h) d/dxi
-    ax = ((c.reshape(-1, q) @ mass).reshape(nj, q, ni, 4) * (0.5 * h)[:, None]
-          + (b1.reshape(-1, q) @ conv).reshape(nj, q, ni, 4))
-    local = (mass.T @ ax.reshape(nj, q, ni * 4)) * (0.5 * k)[:, None, None]
+    # x direction first, then y; jac = (h/2)(k/2), d/dx = (2/h) d/dxi.
+    # Each array is freed after its last use and products are formed in
+    # place, so few arrays of the quadrature grid's size live at once.
+    ax = (c.reshape(-1, q) @ mass).reshape(nj, q, ni, 4)
+    del c
+    ax *= (0.5 * h)[:, None]
+    ax += (b1.reshape(-1, q) @ conv).reshape(nj, q, ni, 4)
+    del b1
+    local = mass.T @ ax.reshape(nj, q, ni * 4)
+    del ax
+    local *= (0.5 * k)[:, None, None]
     local = local.reshape(nj, 4, ni, 4)
-    local += spec.eps * np.multiply.outer(
-        np.multiply.outer(0.5 * k, mass_1d), np.multiply.outer(2.0 / h, stiff_1d))
-    local += spec.eps * np.multiply.outer(
-        np.multiply.outer(2.0 / k, stiff_1d), np.multiply.outer(0.5 * h, mass_1d))
+    for ky, kx in ((np.multiply.outer(0.5 * k, mass_1d),
+                    np.multiply.outer(2.0 / h, stiff_1d)),
+                   (np.multiply.outer(2.0 / k, stiff_1d),
+                    np.multiply.outer(0.5 * h, mass_1d))):
+        diffusion = np.multiply.outer(ky, kx)
+        diffusion *= spec.eps
+        local += diffusion
+        del diffusion
     local = local.reshape(nj, 2, 2, ni, 2, 2)     # (j, ty, sy, i, tx, sx)
-    fx = (f.reshape(-1, q) @ load).reshape(nj, q, ni, 2) * (0.5 * h)[:, None]
-    fl = (load.T @ fx.reshape(nj, q, ni * 2)) * (0.5 * k)[:, None, None]
+    f = _coefficient("f", spec.f, X, Y)
+    fx = (f.reshape(-1, q) @ load).reshape(nj, q, ni, 2)
+    del f
+    fx *= (0.5 * h)[:, None]
+    fl = load.T @ fx.reshape(nj, q, ni * 2)
+    del fx
+    fl *= (0.5 * k)[:, None, None]
     fl = fl.reshape(nj, 2, ni, 2)                 # (j, ty, i, tx)
 
     stencil = np.zeros((3, 3, mesh.ny, mesh.nx))
@@ -151,6 +166,7 @@ def assemble(mesh, spec, quad_order=3):
                 for sx in (0, 1):
                     stencil[(sy - ty + 1, sx - tx + 1) + rows] += \
                         local[:, ty, sy, :, tx, sx]
+    del local, fl
     return _csr_from_stencil(mesh, stencil), F[1:-1, 1:-1].ravel()
 
 

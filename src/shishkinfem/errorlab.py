@@ -3,7 +3,10 @@
 Without an exact solution, errors are estimated by the double-mesh
 principle: solve with parameters N and 2N (same transition parameters,
 so the meshes are nested) and take region-wise maxima of the nodal
-differences at the N-mesh nodes.
+differences at the N-mesh nodes.  The systems of one eps are assembled
+once each, from the smallest N up: the multigrid of each matrix uses
+the matrix of the nested N/2 mesh as its coarse level, and each solve
+at 2N starts from the solution at N.
 """
 
 import math
@@ -15,7 +18,7 @@ import numpy as np
 from .meshgen import (Region, transition_params, build_mesh, region_masks,
                       classify_points)  # noqa: F401
 from .assembly import FeField, assemble
-from .linsolve import solve, multigrid, DEFAULT_TOL
+from .linsolve import solve, multigrid, coarsens, DEFAULT_TOL
 
 __all__ = [
     "ErrorTable",
@@ -113,18 +116,62 @@ def _region_max(err, masks):
             for region, mask in masks.items()}
 
 
+def _on_half_mesh(N, mesh):
+    """Whether the multigrid of mesh's matrix takes the matrix of the
+    mesh with N/2 as its coarse level: the interior grid coarsens and
+    N % 8 == 0, so that the N/2 mesh is a Shishkin mesh nested in it."""
+    return N % 8 == 0 and coarsens((mesh.ny - 2, mesh.nx - 2))
+
+
+def _nested_systems(spec, N_list, quad_order, lam):
+    """Assembled systems of N_list, ascending, on meshes with transition
+    parameters lam: yields (N, mesh, A, F, mg), mg = the multigrid of A.
+
+    Where `_on_half_mesh` holds, the coarse level of mg is the multigrid
+    of the N/2 mesh's matrix, assembled once for the walk whether or not
+    N/2 is in N_list; otherwise `multigrid` forms Galerkin coarse
+    levels.  A level whose setup failed is no coarse level: the one
+    above it forms its own.
+    """
+    built = {}      # N -> multigrid of the level at N, until N * 2 takes it
+    for N in sorted(set(N_list)):
+        levels = [(N, build_mesh(N, *lam))]        # N, N/2, ...: to build
+        while levels[-1][0] // 2 not in built and _on_half_mesh(*levels[-1]):
+            n = levels[-1][0] // 2
+            levels.append((n, build_mesh(n, *lam)))
+        for n, mesh in reversed(levels):
+            coarse = built.pop(n // 2) if _on_half_mesh(n, mesh) else None
+            A, F = assemble(mesh, spec, quad_order)
+            built[n] = multigrid(A, (mesh.ny - 2, mesh.nx - 2), coarse)
+        yield N, mesh, A, F, built[N]
+
+
+def _solutions(spec, N_list, quad_order, tol, lam=None):
+    """(N, FeField) for each N of N_list, ascending, from one walk of
+    `_nested_systems`; lam None takes the spec's transition parameters.
+    A solve whose coarse level was the previous solve's starts GMRES
+    from that solution, interpolated."""
+    if lam is None:
+        lam = transition_params(spec.eps, spec.alpha, spec.beta)
+    prev_mg = prev_u = None
+    for N, mesh, A, F, mg in _nested_systems(spec, N_list, quad_order, lam):
+        seeded = mg is not None and prev_mg is not None \
+            and mg.coarse is prev_mg
+        u, _ = solve(A, F, tol=tol, mg=mg,
+                     x0=mg.P @ prev_u if seeded else None)
+        prev_mg, prev_u = mg, u
+        yield N, FeField.from_interior(mesh, u)
+
+
 def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL, lam=None):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
-    GMRES is preconditioned with the multigrid of A on the mesh's
-    interior grid; if its setup fails, `solve` goes straight to splu.
+    GMRES is preconditioned with the multigrid of A, whose coarse levels
+    are the nested meshes N/2, N/4, ... where they are Shishkin meshes;
+    if its setup fails, `solve` goes straight to splu.
     """
-    if lam is None:
-        lam = transition_params(spec.eps, spec.alpha, spec.beta)
-    mesh = build_mesh(N, *lam)
-    A, F = assemble(mesh, spec, quad_order)
-    u, _ = solve(A, F, tol=tol, mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
-    return FeField.from_interior(mesh, u)
+    (_, u), = _solutions(spec, [N], quad_order, tol, lam)
+    return u
 
 
 def _check_nested(coarse_axis, fine_axis):
@@ -146,9 +193,7 @@ def _compare_nested(u_N, u_2N):
 
 def double_mesh_error(spec, N, quad_order=3, tol=DEFAULT_TOL):
     """Double-mesh error estimate per region for one (spec, N)."""
-    lam = transition_params(spec.eps, spec.alpha, spec.beta)
-    u_N = solve_problem(spec, N, quad_order, tol, lam=lam)
-    u_2N = solve_problem(spec, 2 * N, quad_order, tol, lam=lam)
+    (_, u_N), (_, u_2N) = _solutions(spec, [N, 2 * N], quad_order, tol)
     return _compare_nested(u_N, u_2N)
 
 
@@ -169,13 +214,11 @@ def error_table(spec_family, eps_list, N_list, quad_order=3,
     """
     table = ErrorTable()
     N_list = sorted(N_list)
-    solve_Ns = sorted(set(N_list) | {2 * n for n in N_list})
+    solve_Ns = set(N_list) | {2 * n for n in N_list}
     for eps in eps_list:
         spec = spec_family(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
-        fields = {}
-        for n in solve_Ns:
-            fields[n] = solve_problem(spec, n, quad_order, tol, lam=lam)
+        fields = dict(_solutions(spec, solve_Ns, quad_order, tol, lam))
         errors = {}
         for n in N_list:
             errors[n] = _compare_nested(fields[n], fields[2 * n])
@@ -238,8 +281,7 @@ def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL, lam=None):
         raise ValueError("spec has no exact solution")
     N_list = sorted(N_list)
     errors = {}
-    for N in N_list:
-        uh = solve_problem(spec, N, quad_order, tol, lam=lam)
+    for N, uh in _solutions(spec, N_list, quad_order, tol, lam):
         exact = spec.exact(*np.meshgrid(uh.mesh.x_axis.nodes,
                                         uh.mesh.y_axis.nodes))
         errors[N] = float(np.abs(uh.values - exact).max())

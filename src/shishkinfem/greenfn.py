@@ -3,20 +3,22 @@
 The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
 B_h(v, g) = v(x_m, y_n).  Norm sweeps over (eps, N) probe the scaling
-of ||g|| and ||g||_{1,eps} with the source region.  A sweep sets up
-the multigrid of A once per matrix, as forward solves do, and reuses
-it for all its sources.
+of ||g|| and ||g||_{1,eps} with the source region.  A sweep assembles
+the matrices of one eps and their multigrids as forward solves do, once
+per matrix, and reuses each multigrid for all its sources.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meshgen import Region, transition_params, build_mesh
-from .assembly import FeField, assemble, assemble_mass
-# perfbench/tracer.py wraps assemble_stiffness under this module's name.
-from .assembly import assemble_stiffness  # noqa: F401
-from .linsolve import solve_transpose, multigrid, DEFAULT_TOL
+from .meshgen import Region, transition_params
+from .assembly import FeField, assemble_mass
+# perfbench/tracer.py wraps these under this module's name.
+from .meshgen import build_mesh  # noqa: F401
+from .assembly import assemble, assemble_stiffness  # noqa: F401
+from .linsolve import solve_transpose, DEFAULT_TOL
+from .errorlab import _nested_systems
 
 __all__ = [
     "GreenReport",
@@ -103,28 +105,31 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
     spec_family maps eps -> ProblemSpec.  For each run the source is the
     interior node nearest the region's probe point.  probes maps some or
     all regions to a point; the other regions keep each eps's
-    `default_probes`.  Each matrix gets one multigrid, which serves the
-    solves with A^T of all four sources; if its setup fails, all four
-    go to splu without trying again.  Returns a list of GreenReport in
-    deterministic (eps, N, region) order.
+    `default_probes`.  The matrices of one eps are assembled once each,
+    with the multigrids of `errorlab`'s nested walk (N ascending); each
+    multigrid serves the solves with A^T of all four sources, and if its
+    setup fails, all four go to splu without trying again.  Returns a
+    list of GreenReport in (eps, N, region) order, N as in N_list.
     """
     reports = []
     for eps in eps_list:
         spec = spec_family(eps)
-        lam_x, lam_y = transition_params(eps, spec.alpha, spec.beta)
-        probe_map = {**default_probes(lam_x, lam_y), **(probes or {})}
-        for N in N_list:
-            mesh = build_mesh(N, lam_x, lam_y)
-            A, _ = assemble(mesh, spec, quad_order)
-            mg = multigrid(A, (mesh.ny - 2, mesh.nx - 2))
+        lam = transition_params(eps, spec.alpha, spec.beta)
+        probe_map = {**default_probes(*lam), **(probes or {})}
+        rows = {}
+        for N, mesh, A, _, mg in _nested_systems(spec, N_list, quad_order,
+                                                 lam):
             M = assemble_mass(mesh)
+            rows[N] = []
             for region, (px, py) in probe_map.items():
                 i, j = mesh.nearest_node(px, py)
                 g = green_function(A, mesh, (i, j), tol=tol, mg=mg)
-                reports.append(GreenReport(
+                rows[N].append(GreenReport(
                     eps=eps, N=N, region=region.value,
                     source_x=float(mesh.x_axis.nodes[i]),
                     source_y=float(mesh.y_axis.nodes[j]),
                     l2_norm=fe_l2_norm(g, M),
                     energy_norm=fe_energy_norm(g, M, eps)))
+        for N in N_list:
+            reports.extend(rows[N])
     return reports

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-__all__ = ["SolveReport", "SolveError", "Multigrid", "multigrid", "solve",
-           "solve_transpose"]
+__all__ = ["SolveReport", "SolveError", "Multigrid", "coarsens", "multigrid",
+           "solve", "solve_transpose"]
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +47,15 @@ def _relative_residual(A, x, b):
     return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
 
 
+def coarsens(shape):
+    """Whether the multigrid of an (my, mx) interior grid has a coarser
+    level, on the (my // 2, mx // 2) grid: both counts are odd and the
+    level has more than COARSE_LIMIT unknowns."""
+    my, mx = shape
+    return my % 2 == 1 and mx % 2 == 1 and min(shape) >= 3 \
+        and my * mx > COARSE_LIMIT
+
+
 def _interpolation(m):
     """Linear interpolation from m to 2m + 1 interior nodes of an axis:
     coarse node k is fine node 2k + 1, and each fine node between takes
@@ -62,20 +71,19 @@ class Multigrid:
     """V(1,1) cycle of A on its (my, mx) interior grid; see `multigrid`.
 
     The coarsest level holds the splu factors `lu` of A; the others the
-    interpolation P from `coarse`, the Multigrid of P^T A P, and a zebra
-    x-line smoother.  Grid rows (x-lines) of one colour, even or odd,
-    couple only to rows of the other colour (`up`: even to odd, `down`:
-    odd to even), so the lines of a colour form one tridiagonal system,
-    zero at line ends; `lines` holds both factored.
+    interpolation P from `coarse`, the Multigrid of the next coarser
+    level, and a zebra x-line smoother.  Grid rows (x-lines) of one
+    colour, even or odd, couple only to rows of the other colour (`up`:
+    even to odd, `down`: odd to even), so the lines of a colour form one
+    tridiagonal system, zero at line ends; `lines` holds both factored.
     """
 
-    def __init__(self, A, shape):
+    def __init__(self, A, shape, coarse=None):
         self.A, self.shape, self.P, self.coarse = A, shape, None, None
-        my, mx = shape
-        if not my % 2 or not mx % 2 or min(shape) < 3 \
-                or my * mx <= COARSE_LIMIT:
+        if not coarsens(shape):
             self.lu = spla.splu(A.tocsc())
             return
+        my, mx = shape
         rows = np.arange(my * mx).reshape(shape)
         even, odd = rows[0::2].ravel(), rows[1::2].ravel()
         west, east = np.zeros((2, my * mx))
@@ -93,8 +101,8 @@ class Multigrid:
         self.P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),
                          format="csr")
         self.P_even, self.P_odd = self.P[even], self.P[odd]
-        self.coarse = Multigrid((self.P.T @ A @ self.P).tocsr(),
-                                (my // 2, mx // 2))
+        self.coarse = coarse if coarse is not None else Multigrid(
+            (self.P.T @ A @ self.P).tocsr(), (my // 2, mx // 2))
 
     @property
     def levels(self):
@@ -129,33 +137,39 @@ class Multigrid:
         return U.ravel()
 
 
-def multigrid(A, shape):
+def multigrid(A, shape, coarse=None):
     """Multigrid V(1,1) preconditioner of A on the (my, mx) interior grid.
 
     A couples each interior node (unknowns raveled with x fastest) to
-    at most its eight grid neighbours.  Each coarser level has the
-    Galerkin operator P^T A P, P = P_y (x) P_x, each 1D P linear
-    interpolation from m to 2m + 1 nodes, while both counts are odd and
-    a level has more than COARSE_LIMIT unknowns.  One zebra x-line
-    Gauss-Seidel sweep, even rows then odd rows, smooths before and
-    after the coarse-grid correction.  Returns a Multigrid, or None with
-    a WARNING when setup fails or runs out of memory.  (Gaspar, Clavero
-    & Lisbona, J. Comput. Appl. Math. 138, 2002.)
+    at most its eight grid neighbours.  Levels are coarsened while
+    `coarsens` holds, through P = P_y (x) P_x, each 1D P linear
+    interpolation from m to 2m + 1 nodes.  coarse is the Multigrid of
+    the next coarser level, such as the matrix of the nested mesh with
+    half the intervals; None forms it from the Galerkin operator
+    P^T A P, and so on down.  One zebra x-line Gauss-Seidel sweep, even
+    rows then odd rows, smooths before and after the coarse-grid
+    correction.  Returns a Multigrid, or None with a WARNING when setup
+    fails or runs out of memory.  (Gaspar, Clavero & Lisbona, J. Comput.
+    Appl. Math. 138, 2002.)
     """
     A = sp.csr_matrix(A)
     if A.shape != (np.prod(shape),) * 2:
         raise ValueError(f"A does not match an interior grid {shape}")
+    if coarse is not None and (not coarsens(shape) or coarse.shape
+                               != (shape[0] // 2, shape[1] // 2)):
+        raise ValueError(f"a coarse level on {coarse.shape} is not the "
+                         f"coarsening of the interior grid {shape}")
     try:
-        return Multigrid(A, shape)
+        return Multigrid(A, shape, coarse)
     except (MemoryError, np.linalg.LinAlgError, RuntimeError) as exc:
         log.warning("multigrid setup failed (%r); no preconditioner", exc)
         return None
 
 
-def _gmres(op, b, tol, precondition):
+def _gmres(op, b, x0, tol, precondition):
     M = spla.LinearOperator(op.shape, precondition)
     norms = []      # one preconditioned residual norm per iteration
-    x, info = spla.gmres(op, b, rtol=0.1 * tol, atol=0.0, restart=50,
+    x, info = spla.gmres(op, b, x0=x0, rtol=0.1 * tol, atol=0.0, restart=50,
                          maxiter=MAX_RESTARTS, M=M,
                          callback=norms.append, callback_type="pr_norm")
     if info != 0:
@@ -165,23 +179,24 @@ def _gmres(op, b, tol, precondition):
     return x, len(norms)
 
 
-def solve(A, b, tol=DEFAULT_TOL, mg=None):
-    """Solve A x = b to relative residual <= tol.
+def solve(A, b, tol=DEFAULT_TOL, mg=None, x0=None):
+    """Solve A x = b to relative residual ||b - A x|| / ||b|| <= tol.
 
     mg: a `multigrid(A, shape)` to precondition GMRES with, before the
-    splu fallback; None goes straight to splu.  Raises SolveError when
-    no path reaches tol.  Deterministic: zero initial guess.  Returns
-    (x, SolveReport), whose method names the path that succeeded.
+    splu fallback; None goes straight to splu.  x0: the initial guess
+    of GMRES, zero when None; splu ignores it.  Raises SolveError when
+    no path reaches tol.  Deterministic.  Returns (x, SolveReport),
+    whose method names the path that succeeded.
     """
-    return _solve(A, b, tol, mg, "N")
+    return _solve(A, b, tol, mg, x0, "N")
 
 
-def solve_transpose(A, e, tol=DEFAULT_TOL, mg=None):
+def solve_transpose(A, e, tol=DEFAULT_TOL, mg=None, x0=None):
     """Solve A^T g = e; same contract as solve.
 
     mg: a `multigrid(A, shape)`, the same one forward solves use.
     """
-    return _solve(A, e, tol, mg, "T")
+    return _solve(A, e, tol, mg, x0, "T")
 
 
 def _accept(x, report, mg):
@@ -191,12 +206,14 @@ def _accept(x, report, mg):
     return x, report
 
 
-def _solve(A, b, tol, mg, trans):
+def _solve(A, b, tol, mg, x0, trans):
     """The body of `solve` (trans "N") and `solve_transpose` (trans "T")."""
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
         raise ValueError("A must be square and match b")
+    if x0 is not None and np.shape(x0) != b.shape:
+        raise ValueError(f"x0 has shape {np.shape(x0)}, not {b.shape}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if np.linalg.norm(b) == 0.0:
@@ -204,7 +221,7 @@ def _solve(A, b, tol, mg, trans):
     op = A.T if trans == "T" else A
     best = np.inf
     if mg is not None:
-        x, iters = _gmres(op, b, tol, lambda r: mg.solve(r, trans))
+        x, iters = _gmres(op, b, x0, tol, lambda r: mg.solve(r, trans))
         if x is not None:
             best = _relative_residual(op, x, b)
             if best <= tol:

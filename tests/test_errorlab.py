@@ -7,7 +7,7 @@ from shishkinfem import errorlab, linsolve
 from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
                                  classify_points, transition_params)
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
-from shishkinfem.assembly import FeField
+from shishkinfem.assembly import FeField, assemble
 from shishkinfem.errorlab import (bilinear_interp, double_mesh_error,
                                   convergence_rate, error_table,
                                   interp_error_study, mms_convergence,
@@ -92,6 +92,16 @@ class TestDoubleMesh:
         for v in errs.values():
             assert v > 0.0
 
+    def test_same_bits_as_the_error_table(self, monkeypatch):
+        # one walk over N and 2N, as in a row of the table
+        calls = counted_assemble(monkeypatch)
+        spec = example_5_1(1e-6)
+        errs = double_mesh_error(spec, 16)
+        assert calls == [16, 32]
+        table = error_table(example_5_1, [1e-6], [16])
+        for region in Region:
+            assert errs[region] == table.error(1e-6, 16, region)
+
     def test_nested_check_rejects_mismatched_lambda(self):
         u1 = solve_problem(example_5_1(1e-4), 8)
         u2 = solve_problem(example_5_1(1e-6), 16)
@@ -115,19 +125,19 @@ class TestDoubleMesh:
 class TestSolveProblemOrdering:
     # the class and its first test keep the names they had when the
     # preconditioner was a nested-dissection ILU; the property is the
-    # same: one preconditioner setup per solve, on the interior grid
+    # same: one preconditioner setup per level, on its interior grid
     @pytest.fixture
     def recorded(self, monkeypatch):
         setups, methods = [], []
         multigrid, solve = errorlab.multigrid, errorlab.solve
 
-        def recording_multigrid(A, shape):
-            mg = multigrid(A, shape)
-            setups.append((shape, mg))
+        def recording_multigrid(A, shape, coarse=None):
+            mg = multigrid(A, shape, coarse)
+            setups.append((shape, coarse, mg))
             return mg
 
         def recording_solve(A, b, **kwargs):
-            assert kwargs["mg"] is setups[-1][1]
+            assert kwargs["mg"] is setups[-1][2]
             u, report = solve(A, b, **kwargs)
             methods.append(report.method)
             return u, report
@@ -139,11 +149,17 @@ class TestSolveProblemOrdering:
     @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("N", [16, 32, 64])
     def test_one_nested_dissection_ilu(self, recorded, eps, N):
+        # N = 16 is the coarsest level (465 unknowns); above it, each
+        # level's coarse level is the multigrid set up just before it
         setups, methods = recorded
         solve_problem(example_5_1(eps), N)
-        (shape, mg), = setups
-        assert shape == (N - 1, 2 * N - 1)
-        assert mg is not None
+        levels = [n for n in (16, 32, 64) if n <= N]
+        assert [shape for shape, _, _ in setups] == \
+            [(n - 1, 2 * n - 1) for n in levels]
+        assert setups[0][1] is None
+        for (_, _, below), (_, coarse, _) in zip(setups, setups[1:]):
+            assert coarse is below is not None
+        assert setups[-1][2] is not None
         assert methods == ["gmres+mg"]
 
     def test_failed_setup_falls_back_to_splu(self, recorded, monkeypatch):
@@ -155,10 +171,87 @@ class TestSolveProblemOrdering:
 
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
         u = solve_problem(example_5_1(1e-6), 32)
-        assert [mg is None for _, mg in setups] == [False, True]
+        # the coarsest level (N = 16) needs no line smoother
+        assert [mg is None for _, _, mg in setups] == \
+            [False, False, False, True]
         assert methods == ["gmres+mg", "splu"]
         np.testing.assert_allclose(u.values, u_mg.values, rtol=0.0,
                                    atol=1e-12)
+
+
+def counted_assemble(monkeypatch):
+    """Record the N of every `assemble` call errorlab makes."""
+    calls, assemble = [], errorlab.assemble
+
+    def counting(mesh, spec, quad_order=3):
+        calls.append(mesh.ny - 1)
+        return assemble(mesh, spec, quad_order)
+
+    monkeypatch.setattr(errorlab, "assemble", counting)
+    return calls
+
+
+class TestNestedSystems:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-9])
+    def test_levels_are_the_assembled_nested_meshes(self, eps):
+        spec = example_5_1(eps)
+        lam = transition_params(eps, spec.alpha, spec.beta)
+        (_, _, A, _, mg), = errorlab._nested_systems(spec, [64], 3, lam)
+        assert np.shares_memory(mg.levels[0].A.data, A.data)
+        for level, n in zip(mg.levels, (64, 32, 16)):
+            A_n, _ = assemble(build_mesh(n, *lam), spec, 3)
+            assert level.shape == (n - 1, 2 * n - 1)
+            assert (level.A != A_n).nnz == 0
+        assert len(mg.levels) == 3
+
+    def test_each_level_assembled_once_per_eps_row(self, monkeypatch):
+        calls = counted_assemble(monkeypatch)
+        monkeypatch.setattr(errorlab, "solve",
+                            lambda A, b, **kwargs: (np.zeros_like(b), None))
+        error_table(example_5_1, [1e-5, 1e-6, 1e-7, 1e-8, 1e-9],
+                    [16, 32, 64, 128])
+        assert calls == [16, 32, 64, 128, 256] * 5
+        calls.clear()
+        solve_problem(example_5_1(1e-6), 64)
+        assert calls == [16, 32, 64]
+
+    @pytest.mark.parametrize("N", [28, 100])
+    def test_half_mesh_not_shishkin_takes_galerkin_levels(self, N,
+                                                          monkeypatch):
+        # N % 8 == 4: the N/2 mesh would have an odd count of intervals
+        # in a y-layer strip, so the coarse levels are P^T A P
+        calls = counted_assemble(monkeypatch)
+        spec = example_5_1(1e-6)
+        lam = transition_params(spec.eps, spec.alpha, spec.beta)
+        (_, mesh, A, F, mg), = errorlab._nested_systems(spec, [N], 3, lam)
+        assert calls == [N]
+        fine, coarse = mg.levels[:2]
+        assert abs(coarse.A - fine.P.T @ fine.A @ fine.P).max() == 0.0
+        u, report = linsolve.solve(A, F, mg=mg)
+        assert report.method == "gmres+mg"
+        assert np.linalg.norm(F - A @ u) <= 1e-10 * np.linalg.norm(F)
+
+    def test_2N_solve_starts_from_the_N_solution(self, monkeypatch):
+        seen, solve = [], errorlab.solve
+
+        def recording_solve(A, b, **kwargs):
+            u, report = solve(A, b, **kwargs)
+            seen.append((kwargs["mg"], kwargs["x0"], b, u, report))
+            return u, report
+
+        monkeypatch.setattr(errorlab, "solve", recording_solve)
+        error_table(example_5_1, [1e-7], [16, 32])
+        (mg16, x16, _, u16, _), (mg32, x32, b32, u32, r32), \
+            (mg64, x64, b64, _, r64) = seen
+        assert x16 is None
+        assert mg32.coarse is mg16 and mg64.coarse is mg32
+        assert np.array_equal(x32, mg32.P @ u16)
+        assert np.array_equal(x64, mg64.P @ u32)
+        # (7 against 7 at N = 32, fewer further up the row)
+        _, cold = solve(mg32.A, b32, mg=mg32)
+        assert r32.iterations <= cold.iterations
+        _, cold = solve(mg64.A, b64, mg=mg64)
+        assert r64.iterations < cold.iterations
 
 
 class TestErrorTable:

@@ -7,7 +7,7 @@ from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
 from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
-from shishkinfem import greenfn, linsolve
+from shishkinfem import errorlab, greenfn, linsolve
 from shishkinfem.linsolve import multigrid, solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
@@ -173,33 +173,37 @@ class TestFactorReuse:
     @pytest.fixture
     def recorded(self, monkeypatch):
         setups, methods = [], []
-        multigrid, solve_transpose = greenfn.multigrid, greenfn.solve_transpose
+        multigrid = errorlab.multigrid
+        solve_transpose = greenfn.solve_transpose
 
-        def recording_multigrid(A, shape):
-            mg = multigrid(A, shape)
-            setups.append((A, shape, mg))
+        def recording_multigrid(A, shape, coarse=None):
+            mg = multigrid(A, shape, coarse)
+            setups.append((A, shape, coarse, mg))
             return mg
 
         def recording_solve_transpose(A, e, **kwargs):
-            assert A is setups[-1][0] and kwargs["mg"] is setups[-1][2]
+            assert A is setups[-1][0] and kwargs["mg"] is setups[-1][3]
             g, report = solve_transpose(A, e, **kwargs)
             methods.append(report.method)
             return g, report
 
-        monkeypatch.setattr(greenfn, "multigrid", recording_multigrid)
+        monkeypatch.setattr(errorlab, "multigrid", recording_multigrid)
         monkeypatch.setattr(greenfn, "solve_transpose",
                             recording_solve_transpose)
         return setups, methods
 
     def test_one_ilu_per_matrix(self, recorded):
         # one multigrid of A itself, not of A^T, per matrix serves all
-        # four sources (the name dates from the ILU it replaced)
+        # four sources (the name dates from the ILU it replaced); the
+        # N = 32 multigrid sits on the N = 16 one of the same eps
         setups, methods = recorded
-        reports = green_norm_sweep(example_5_1, [16, 32], [1e-4, 1e-6])
+        reports = green_norm_sweep(example_5_1, [32, 16], [1e-4, 1e-6])
         assert len(reports) == 16
+        assert [(r.eps, r.N) for r in reports[::4]] == \
+            [(1e-4, 32), (1e-4, 16), (1e-6, 32), (1e-6, 16)]
         assert len(setups) == 4
         runs = [(eps, N) for eps in (1e-4, 1e-6) for N in (16, 32)]
-        for (eps, N), (A_seen, shape, mg) in zip(runs, setups):
+        for (eps, N), (A_seen, shape, _, mg) in zip(runs, setups):
             spec = example_5_1(eps)
             mesh = build_mesh(N, *transition_params(eps, spec.alpha,
                                                     spec.beta))
@@ -208,6 +212,8 @@ class TestFactorReuse:
             assert abs(A_seen - A).max() == 0.0
             assert abs(mg.levels[0].A - A).max() == 0.0
             assert abs(mg.levels[0].A - A.T).max() > 0.0
+        assert [coarse for _, _, coarse, _ in setups] == \
+            [None, setups[0][3], None, setups[2][3]]
         assert methods == ["gmres+mg"] * 16
 
     def test_failed_setup_runs_once_per_matrix(self, recorded, monkeypatch):
@@ -221,7 +227,8 @@ class TestFactorReuse:
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
         reports = green_norm_sweep(example_5_1, [32, 64], [1e-6])
         assert len(reports) == 8
-        assert [mg for _, _, mg in setups] == [None, None]
+        # N = 16, the coarse level of N = 32, is the coarsest: no smoother
+        assert [mg is None for _, _, _, mg in setups] == [False, True, True]
         assert len(calls) == 2
         assert methods == ["splu"] * 8
 

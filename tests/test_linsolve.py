@@ -8,9 +8,9 @@ import scipy.sparse as sp
 from shishkinfem import linsolve
 
 from shishkinfem.meshgen import build_mesh, transition_params
-from shishkinfem.problem import example_5_1, mms_problem
+from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import FeField, assemble
-from shishkinfem.errorlab import bilinear_interp
+from shishkinfem.errorlab import bilinear_interp, _nested_systems
 from shishkinfem.linsolve import (solve, solve_transpose, multigrid,
                                   SolveError)
 
@@ -28,6 +28,15 @@ def system(eps, N, lam=None):
     mesh = build_mesh(N, *lam)
     A, F = assemble(mesh, spec, 3)
     return mesh, A, F, (mesh.ny - 2, mesh.nx - 2)
+
+
+def nested_multigrid(eps, N, lam=None):
+    """The multigrid of `system(eps, N, lam)`'s matrix whose coarse
+    levels are the matrices of the nested meshes, as errorlab sets it up."""
+    spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
+    lam = lam or transition_params(eps, 2.0, 1.0)
+    (_, _, _, _, mg), = _nested_systems(spec, [N], 3, lam)
+    return mg
 
 
 def failing_dgttrf(error):
@@ -251,20 +260,98 @@ class TestMultigrid:
         forward = multigrid(A, shape).solve(r)
         assert np.linalg.norm(forward - want) > 1e-3 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-9])
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_galerkin_of_the_fine_matrix_is_the_coarse_matrix(self, eps, N):
+        # b1 = -x and c = 1 make every integrand a polynomial the 3-point
+        # Gauss rule integrates exactly, and the N mesh's Q1 space is a
+        # subspace of the 2N mesh's, so P^T A_2N P = A_N up to rounding
+        spec = ProblemSpec(eps=eps, b1=lambda x, y: -x,
+                           c=lambda x, y: np.ones_like(x),
+                           f=lambda x, y: np.ones_like(x),
+                           alpha=2.0, beta=1.0)
+        lam = transition_params(eps, 2.0, 1.0)
+        fine = build_mesh(2 * N, *lam)
+        A_2N, _ = assemble(fine, spec, 3)
+        A_N, _ = assemble(build_mesh(N, *lam), spec, 3)
+        P = multigrid(A_2N, (fine.ny - 2, fine.nx - 2)).P
+        gap = abs(P.T @ A_2N @ P - A_N).max()
+        assert gap <= 1e-13 * abs(A_N).max()
+        # a coarse mesh of another eps is caught
+        A_other, _ = assemble(build_mesh(N, *transition_params(
+            10 * eps, 2.0, 1.0)), spec, 3)
+        assert abs(P.T @ A_2N @ P - A_other).max() > 1e-6 * abs(A_N).max()
+
+    def test_coarse_level_must_be_the_coarsened_grid(self):
+        _, A, _, shape = system(1e-6, 64)
+        _, A32, _, shape32 = system(1e-6, 32)
+        _, A16, _, shape16 = system(1e-6, 16)
+        with pytest.raises(ValueError, match="not the coarsening"):
+            multigrid(A, shape, coarse=multigrid(A16, shape16))
+        # a grid that does not coarsen takes no coarse level
+        with pytest.raises(ValueError, match="not the coarsening"):
+            multigrid(A16, shape16, coarse=multigrid(A16, shape16))
+        coarse = multigrid(A32, shape32)
+        mg = multigrid(A, shape, coarse=coarse)
+        assert mg.coarse is coarse and mg.levels[1:] == coarse.levels
+
     @pytest.mark.parametrize("N", [16, 32, 64, 128])
     @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3, 1e-5, 1e-9])
     def test_gmres_iterations_bounded(self, eps, N):
         lam = (0.5, 0.25) if eps == 1.0 else None
-        mesh, A, F, shape = system(eps, N, lam)
+        _, A, F, shape = system(eps, N, lam)
+        assert_iterations_bounded(A, F, shape, multigrid(A, shape))
+
+    @pytest.mark.parametrize("N", [16, 32, 64, 128])
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3, 1e-5, 1e-9])
+    def test_gmres_iterations_bounded_on_nested_levels(self, eps, N):
+        lam = (0.5, 0.25) if eps == 1.0 else None
+        _, A, F, shape = system(eps, N, lam)
+        assert_iterations_bounded(A, F, shape, nested_multigrid(eps, N, lam))
+
+
+def assert_iterations_bounded(A, F, shape, mg):
+    """GMRES with mg reaches 1e-10 within 25 iterations for F and for a
+    point source of A^T."""
+    e = np.zeros(shape)
+    e[shape[0] // 2, shape[1] // 3] = 1.0
+    for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
+        x, report = run(A, b, mg=mg)
+        assert report.method == "gmres+mg"
+        assert report.iterations <= 25
+        res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
+        assert res <= 1e-10
+
+
+class TestInitialGuess:
+    def test_exact_guess_takes_at_most_one_iteration(self):
+        _, A, F, shape = system(1e-6, 64)
         mg = multigrid(A, shape)
-        e = np.zeros(shape)
-        e[shape[0] // 2, shape[1] // 3] = 1.0
-        for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
-            x, report = run(A, b, mg=mg)
-            assert report.method == "gmres+mg"
-            assert report.iterations <= 25
-            res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
-            assert res <= 1e-10
+        x, cold = solve(A, F, mg=mg)
+        again, warm = solve(A, F, mg=mg, x0=x)
+        assert cold.iterations > 1
+        assert warm.iterations <= 1 and warm.method == "gmres+mg"
+        assert np.linalg.norm(F - A @ again) <= 1e-10 * np.linalg.norm(F)
+        e = np.zeros(A.shape[0])
+        e[7] = 1.0
+        g, _ = solve_transpose(A, e, mg=mg)
+        _, warm = solve_transpose(A, e, mg=mg, x0=g)
+        assert warm.iterations <= 1
+
+    @pytest.mark.parametrize("run", [solve, solve_transpose])
+    def test_wrong_length_rejected(self, run):
+        _, A, F, shape = system(1e-6, 16)
+        with pytest.raises(ValueError, match="x0"):
+            run(A, F, mg=multigrid(A, shape), x0=np.zeros(len(F) - 1))
+        with pytest.raises(ValueError, match="x0"):
+            run(A, F, x0=np.zeros((len(F), 1)))
+
+    def test_splu_ignores_guess(self):
+        _, A, F, _ = system(1e-6, 16)
+        x, report = solve(A, F)
+        guessed, guessed_report = solve(A, F, x0=np.full(len(F), 1e3))
+        assert report == guessed_report and report.method == "splu"
+        assert np.array_equal(x, guessed)
 
 
 class TestSolveTranspose:
