@@ -5,8 +5,8 @@ principle: solve with parameters N and 2N (same transition parameters,
 so the meshes are nested) and take region-wise maxima of the nodal
 differences at the N-mesh nodes.  The systems of one eps are assembled
 once each, from the smallest N up: the multigrid of each matrix uses
-the matrix of the nested N/2 mesh as its coarse level, and each solve
-at 2N starts from the solution at N.
+the matrix of the nested N/2 mesh, where that one is solved too, as
+its coarse level, and each solve at 2N starts from the solution at N.
 """
 
 import math
@@ -23,6 +23,7 @@ from .linsolve import solve, multigrid, coarsens, DEFAULT_TOL
 __all__ = [
     "ErrorTable",
     "bilinear_interp",
+    "nested_systems",
     "solve_problem",
     "double_mesh_error",
     "convergence_rate",
@@ -116,45 +117,36 @@ def _region_max(err, masks):
             for region, mask in masks.items()}
 
 
-def _on_half_mesh(N, mesh):
-    """Whether the multigrid of mesh's matrix takes the matrix of the
-    mesh with N/2 as its coarse level: the interior grid coarsens and
-    N % 8 == 0, so that the N/2 mesh is a Shishkin mesh nested in it."""
-    return N % 8 == 0 and coarsens((mesh.ny - 2, mesh.nx - 2))
-
-
-def _nested_systems(spec, N_list, quad_order, lam):
+def nested_systems(spec, N_list, quad_order, lam):
     """Assembled systems of N_list, ascending, on meshes with transition
     parameters lam: yields (N, mesh, A, F, mg), mg = the multigrid of A.
 
-    Where `_on_half_mesh` holds, the coarse level of mg is the multigrid
-    of the N/2 mesh's matrix, assembled once for the walk whether or not
-    N/2 is in N_list; otherwise `multigrid` forms Galerkin coarse
-    levels.  A level whose setup failed is no coarse level: the one
-    above it forms its own.
+    Where N/2 came just before N (its mesh exists, so with the same lam
+    it is nested in N's) and N's interior grid `coarsens`, the coarse
+    level of mg is the multigrid of N/2; otherwise `multigrid` forms
+    Galerkin coarse levels.  So each N is assembled once, and no mesh
+    that N_list does not name.  A level whose setup failed is no coarse
+    level: the one above it forms its own.
     """
-    built = {}      # N -> multigrid of the level at N, until N * 2 takes it
+    prev_N = prev_mg = None
     for N in sorted(set(N_list)):
-        levels = [(N, build_mesh(N, *lam))]        # N, N/2, ...: to build
-        while levels[-1][0] // 2 not in built and _on_half_mesh(*levels[-1]):
-            n = levels[-1][0] // 2
-            levels.append((n, build_mesh(n, *lam)))
-        for n, mesh in reversed(levels):
-            coarse = built.pop(n // 2) if _on_half_mesh(n, mesh) else None
-            A, F = assemble(mesh, spec, quad_order)
-            built[n] = multigrid(A, (mesh.ny - 2, mesh.nx - 2), coarse)
-        yield N, mesh, A, F, built[N]
+        mesh = build_mesh(N, *lam)
+        shape = (mesh.ny - 2, mesh.nx - 2)
+        on_half = prev_N == N // 2 and coarsens(shape)
+        A, F = assemble(mesh, spec, quad_order)
+        prev_N, prev_mg = N, multigrid(A, shape, prev_mg if on_half else None)
+        yield N, mesh, A, F, prev_mg
 
 
 def _solutions(spec, N_list, quad_order, tol, lam=None):
     """(N, FeField) for each N of N_list, ascending, from one walk of
-    `_nested_systems`; lam None takes the spec's transition parameters.
+    `nested_systems`; lam None takes the spec's transition parameters.
     A solve whose coarse level was the previous solve's starts GMRES
     from that solution, interpolated."""
     if lam is None:
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
     prev_mg = prev_u = None
-    for N, mesh, A, F, mg in _nested_systems(spec, N_list, quad_order, lam):
+    for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order, lam):
         seeded = mg is not None and prev_mg is not None \
             and mg.coarse is prev_mg
         u, _ = solve(A, F, tol=tol, mg=mg,
@@ -167,8 +159,8 @@ def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL, lam=None):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
     GMRES is preconditioned with the multigrid of A, whose coarse levels
-    are the nested meshes N/2, N/4, ... where they are Shishkin meshes;
-    if its setup fails, `solve` goes straight to splu.
+    are Galerkin operators (no other N is assembled); if its setup
+    fails, `solve` goes straight to splu.
     """
     (_, u), = _solutions(spec, [N], quad_order, tol, lam)
     return u

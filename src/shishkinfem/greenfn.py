@@ -18,7 +18,7 @@ from .assembly import FeField, assemble_mass
 from .meshgen import build_mesh  # noqa: F401
 from .assembly import assemble, assemble_stiffness  # noqa: F401
 from .linsolve import solve_transpose, DEFAULT_TOL
-from .errorlab import _nested_systems
+from .errorlab import nested_systems
 
 __all__ = [
     "GreenReport",
@@ -106,7 +106,7 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
     interior node nearest the region's probe point.  probes maps some or
     all regions to a point; the other regions keep each eps's
     `default_probes`.  The matrices of one eps are assembled once each,
-    with the multigrids of `errorlab`'s nested walk (N ascending); each
+    with the multigrids of `errorlab.nested_systems` (N ascending); each
     multigrid serves the solves with A^T of all four sources, and if its
     setup fails, all four go to splu without trying again.  Returns a
     list of GreenReport in (eps, N, region) order, N as in N_list.
@@ -117,8 +117,8 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
         lam = transition_params(eps, spec.alpha, spec.beta)
         probe_map = {**default_probes(*lam), **(probes or {})}
         rows = {}
-        for N, mesh, A, _, mg in _nested_systems(spec, N_list, quad_order,
-                                                 lam):
+        for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
+                                                lam):
             M = assemble_mass(mesh)
             rows[N] = []
             for region, (px, py) in probe_map.items():

@@ -191,12 +191,12 @@ def solve(A, b, tol=DEFAULT_TOL, mg=None, x0=None):
     return _solve(A, b, tol, mg, x0, "N")
 
 
-def solve_transpose(A, e, tol=DEFAULT_TOL, mg=None, x0=None):
-    """Solve A^T g = e; same contract as solve.
+def solve_transpose(A, e, tol=DEFAULT_TOL, mg=None):
+    """Solve A^T g = e; same contract as solve, from a zero guess.
 
     mg: a `multigrid(A, shape)`, the same one forward solves use.
     """
-    return _solve(A, e, tol, mg, x0, "T")
+    return _solve(A, e, tol, mg, None, "T")
 
 
 def _accept(x, report, mg):

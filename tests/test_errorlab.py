@@ -125,7 +125,7 @@ class TestDoubleMesh:
 class TestSolveProblemOrdering:
     # the class and its first test keep the names they had when the
     # preconditioner was a nested-dissection ILU; the property is the
-    # same: one preconditioner setup per level, on its interior grid
+    # same: one preconditioner setup per solve, on the interior grid
     @pytest.fixture
     def recorded(self, monkeypatch):
         setups, methods = [], []
@@ -149,17 +149,13 @@ class TestSolveProblemOrdering:
     @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("N", [16, 32, 64])
     def test_one_nested_dissection_ilu(self, recorded, eps, N):
-        # N = 16 is the coarsest level (465 unknowns); above it, each
-        # level's coarse level is the multigrid set up just before it
+        # a lone N has no assembled N/2 level: the coarse levels are
+        # Galerkin operators, formed inside this one setup
         setups, methods = recorded
         solve_problem(example_5_1(eps), N)
-        levels = [n for n in (16, 32, 64) if n <= N]
-        assert [shape for shape, _, _ in setups] == \
-            [(n - 1, 2 * n - 1) for n in levels]
-        assert setups[0][1] is None
-        for (_, _, below), (_, coarse, _) in zip(setups, setups[1:]):
-            assert coarse is below is not None
-        assert setups[-1][2] is not None
+        (shape, coarse, mg), = setups
+        assert shape == (N - 1, 2 * N - 1)
+        assert coarse is None and mg is not None
         assert methods == ["gmres+mg"]
 
     def test_failed_setup_falls_back_to_splu(self, recorded, monkeypatch):
@@ -171,9 +167,7 @@ class TestSolveProblemOrdering:
 
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
         u = solve_problem(example_5_1(1e-6), 32)
-        # the coarsest level (N = 16) needs no line smoother
-        assert [mg is None for _, _, mg in setups] == \
-            [False, False, False, True]
+        assert [mg is None for _, _, mg in setups] == [False, True]
         assert methods == ["gmres+mg", "splu"]
         np.testing.assert_allclose(u.values, u_mg.values, rtol=0.0,
                                    atol=1e-12)
@@ -196,7 +190,8 @@ class TestNestedSystems:
     def test_levels_are_the_assembled_nested_meshes(self, eps):
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
-        (_, _, A, _, mg), = errorlab._nested_systems(spec, [64], 3, lam)
+        *_, (_, _, A, _, mg) = errorlab.nested_systems(spec, [16, 32, 64],
+                                                       3, lam)
         assert np.shares_memory(mg.levels[0].A.data, A.data)
         for level, n in zip(mg.levels, (64, 32, 16)):
             A_n, _ = assemble(build_mesh(n, *lam), spec, 3)
@@ -213,18 +208,20 @@ class TestNestedSystems:
         assert calls == [16, 32, 64, 128, 256] * 5
         calls.clear()
         solve_problem(example_5_1(1e-6), 64)
-        assert calls == [16, 32, 64]
+        assert calls == [64]
 
-    @pytest.mark.parametrize("N", [28, 100])
-    def test_half_mesh_not_shishkin_takes_galerkin_levels(self, N,
-                                                          monkeypatch):
-        # N % 8 == 4: the N/2 mesh would have an odd count of intervals
-        # in a y-layer strip, so the coarse levels are P^T A P
+    @pytest.mark.parametrize("N_list", [[28], [100], [16, 64]])
+    def test_no_solved_half_mesh_takes_galerkin_levels(self, N_list,
+                                                       monkeypatch):
+        # N % 8 == 4 has no N/2 Shishkin mesh (an odd count of intervals
+        # in a y-layer strip); N = 64 after 16 has its N/2 mesh unsolved.
+        # Either way the coarse levels are P^T A P
         calls = counted_assemble(monkeypatch)
         spec = example_5_1(1e-6)
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
-        (_, mesh, A, F, mg), = errorlab._nested_systems(spec, [N], 3, lam)
-        assert calls == [N]
+        *_, (_, mesh, A, F, mg) = errorlab.nested_systems(spec, N_list, 3,
+                                                          lam)
+        assert calls == N_list
         fine, coarse = mg.levels[:2]
         assert abs(coarse.A - fine.P.T @ fine.A @ fine.P).max() == 0.0
         u, report = linsolve.solve(A, F, mg=mg)

@@ -227,8 +227,7 @@ class TestFactorReuse:
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
         reports = green_norm_sweep(example_5_1, [32, 64], [1e-6])
         assert len(reports) == 8
-        # N = 16, the coarse level of N = 32, is the coarsest: no smoother
-        assert [mg is None for _, _, _, mg in setups] == [False, True, True]
+        assert [mg for _, _, _, mg in setups] == [None, None]
         assert len(calls) == 2
         assert methods == ["splu"] * 8
 

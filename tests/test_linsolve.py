@@ -10,7 +10,7 @@ from shishkinfem import linsolve
 from shishkinfem.meshgen import build_mesh, transition_params
 from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import FeField, assemble
-from shishkinfem.errorlab import bilinear_interp, _nested_systems
+from shishkinfem.errorlab import bilinear_interp, nested_systems
 from shishkinfem.linsolve import (solve, solve_transpose, multigrid,
                                   SolveError)
 
@@ -32,10 +32,12 @@ def system(eps, N, lam=None):
 
 def nested_multigrid(eps, N, lam=None):
     """The multigrid of `system(eps, N, lam)`'s matrix whose coarse
-    levels are the matrices of the nested meshes, as errorlab sets it up."""
+    levels are the matrices of the nested meshes, as errorlab sets it up
+    for a row that solves 16, 32, ..., N."""
     spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
     lam = lam or transition_params(eps, 2.0, 1.0)
-    (_, _, _, _, mg), = _nested_systems(spec, [N], 3, lam)
+    row = [n for n in (16, 32, 64, 128) if n <= N]
+    *_, (_, _, _, _, mg) = nested_systems(spec, row, 3, lam)
     return mg
 
 
@@ -332,19 +334,13 @@ class TestInitialGuess:
         assert cold.iterations > 1
         assert warm.iterations <= 1 and warm.method == "gmres+mg"
         assert np.linalg.norm(F - A @ again) <= 1e-10 * np.linalg.norm(F)
-        e = np.zeros(A.shape[0])
-        e[7] = 1.0
-        g, _ = solve_transpose(A, e, mg=mg)
-        _, warm = solve_transpose(A, e, mg=mg, x0=g)
-        assert warm.iterations <= 1
 
-    @pytest.mark.parametrize("run", [solve, solve_transpose])
-    def test_wrong_length_rejected(self, run):
+    def test_wrong_length_rejected(self):
         _, A, F, shape = system(1e-6, 16)
         with pytest.raises(ValueError, match="x0"):
-            run(A, F, mg=multigrid(A, shape), x0=np.zeros(len(F) - 1))
+            solve(A, F, mg=multigrid(A, shape), x0=np.zeros(len(F) - 1))
         with pytest.raises(ValueError, match="x0"):
-            run(A, F, x0=np.zeros((len(F), 1)))
+            solve(A, F, x0=np.zeros((len(F), 1)))
 
     def test_splu_ignores_guess(self):
         _, A, F, _ = system(1e-6, 16)
