@@ -19,7 +19,7 @@ from .problem import (example_5_1, mms_problem, layer_template, TemplateKind,
 from .linsolve import SolveError
 from .greenfn import green_norm_sweep, default_probes  # noqa: F401
 from .errorlab import (error_table, interp_error_study, mms_convergence,
-                       solve_problem, REGION_ORDER)
+                       solve_problem)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -181,26 +181,30 @@ def _write(path, cfg, lines):
         raise
 
 
+def _table(header, table):
+    """CSV rows of a {(eps, N, Region): value or tuple of values} table."""
+    rows = [header]
+    for (eps, N, region), values in table.items():
+        values = values if isinstance(values, tuple) else (values,)
+        rows.append(",".join([repr(eps), str(N), region.value,
+                              *map(repr, values)]))
+    return rows
+
+
 def _run_errors(cfg, want_rates):
-    table = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list,
-                        quad_order=cfg.quad_order, tol=cfg.tol)
+    errors, rates = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list,
+                                quad_order=cfg.quad_order, tol=cfg.tol)
     if want_rates:
-        rows = ["eps,N,region,rate"]
-        rows += [f"{e!r},{n},{r},{v!r}" for e, n, r, v in table.rates]
-        return "rates.csv", rows
-    rows = ["eps,N,region,error"]
-    rows += [f"{e!r},{n},{r},{v!r}" for e, n, r, v in table.errors]
-    return "errors.csv", rows
+        return "rates.csv", _table("eps,N,region,rate", rates)
+    return "errors.csv", _table("eps,N,region,error", errors)
 
 
 def _run_green(cfg):
     reports = green_norm_sweep(_spec_family(cfg), cfg.N_list, cfg.eps_list,
                                probes=cfg.probes, quad_order=cfg.quad_order,
                                tol=cfg.tol)
-    rows = ["eps,N,region,source_x,source_y,l2_norm,energy_norm"]
-    rows += [f"{r.eps!r},{r.N},{r.region},{r.source_x!r},{r.source_y!r},"
-             f"{r.l2_norm!r},{r.energy_norm!r}" for r in reports]
-    return "green.csv", rows
+    return "green.csv", _table(
+        "eps,N,region,source_x,source_y,l2_norm,energy_norm", reports)
 
 
 def _run_field(cfg):
@@ -219,12 +223,9 @@ def _run_field(cfg):
 def _run_interp(cfg):
     eps = cfg.eps_list[0]
     template = layer_template(cfg.template, eps, cfg.alpha, cfg.beta)
-    res = interp_error_study(template, eps, cfg.alpha, cfg.beta, cfg.N_list)
-    rows = ["eps,N,region,error"]
-    for n in sorted(res):
-        for region in REGION_ORDER:
-            rows.append(f"{eps!r},{n},{region.value},{res[n][region]!r}")
-    return "interp.csv", rows
+    errors = interp_error_study(template, eps, cfg.alpha, cfg.beta,
+                                cfg.N_list)
+    return "interp.csv", _table("eps,N,region,error", errors)
 
 
 def _run_mms(cfg):

@@ -7,10 +7,12 @@ differences at the N-mesh nodes.  The systems of one eps are assembled
 once each, from the smallest N up: the multigrid of each matrix uses
 the matrix of the nested N/2 mesh, where that one is solved too, as
 its coarse level, and each solve at 2N starts from the solution at N.
+
+Every study returns its values as a table: a dict keyed (eps, N,
+Region), in (eps, N, Region) order, which is the CSV row order.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .assembly import FeField, assemble
 from .linsolve import solve, multigrid, coarsens, DEFAULT_TOL
 
 __all__ = [
-    "ErrorTable",
     "bilinear_interp",
     "nested_systems",
     "solve_problem",
@@ -32,41 +33,12 @@ __all__ = [
     "mms_convergence",
 ]
 
-REGION_ORDER = (Region.COARSE, Region.LAYER_X, Region.LAYER_Y, Region.LAYER_XY)
-
 NESTING_TOL = 1e-12
 
 # Samples per cell and axis in the interpolation study, edges included.
 SAMPLES_PER_CELL = 5
 # Errors at or below this are rounding; mms_convergence forms no rate.
 ZERO_TOL = 1e-13
-
-
-@dataclass
-class ErrorTable:
-    """Region-wise double-mesh errors and derived rates.
-
-    errors: rows (eps, N, region_name, error)
-    rates:  rows (eps, N, region_name, rate); rate at N pairs the errors
-            at N and 2N, so it exists only when both are present.
-    """
-
-    errors: list = field(default_factory=list)
-    rates: list = field(default_factory=list)
-
-    def error(self, eps, N, region):
-        name = region.value if isinstance(region, Region) else region
-        for e, n, r, v in self.errors:
-            if e == eps and n == N and r == name:
-                return v
-        raise KeyError((eps, N, name))
-
-    def rate(self, eps, N, region):
-        name = region.value if isinstance(region, Region) else region
-        for e, n, r, v in self.rates:
-            if e == eps and n == N and r == name:
-                return v
-        raise KeyError((eps, N, name))
 
 
 def bilinear_interp(field_, points):
@@ -155,14 +127,14 @@ def _solutions(spec, N_list, quad_order, tol, lam=None):
         yield N, FeField.from_interior(mesh, u)
 
 
-def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL, lam=None):
+def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
     GMRES is preconditioned with the multigrid of A, whose coarse levels
     are Galerkin operators (no other N is assembled); if its setup
     fails, `solve` goes straight to splu.
     """
-    (_, u), = _solutions(spec, [N], quad_order, tol, lam)
+    (_, u), = _solutions(spec, [N], quad_order, tol)
     return u
 
 
@@ -200,31 +172,24 @@ def error_table(spec_family, eps_list, N_list, quad_order=3,
                 tol=DEFAULT_TOL):
     """Double-mesh errors and rates over an (eps, N) grid.
 
-    spec_family maps eps -> ProblemSpec.  Solutions are shared between
-    the error at N (needs N, 2N) and the rate at N (needs errors at N
-    and 2N), so each (eps, N) is solved once.
+    spec_family maps eps -> ProblemSpec.  Returns the tables (errors,
+    rates).  The rate at N pairs the errors at N and 2N, so it exists
+    only where N_list holds both and both errors are positive.  Each
+    (eps, N) is solved once, for the error at N and the one at N/2.
     """
-    table = ErrorTable()
-    N_list = sorted(N_list)
+    errors = {}
+    N_list = sorted(set(N_list))
     solve_Ns = set(N_list) | {2 * n for n in N_list}
-    for eps in eps_list:
-        spec = spec_family(eps)
-        lam = transition_params(eps, spec.alpha, spec.beta)
-        fields = dict(_solutions(spec, solve_Ns, quad_order, tol, lam))
-        errors = {}
+    for eps in dict.fromkeys(eps_list):
+        fields = dict(_solutions(spec_family(eps), solve_Ns, quad_order, tol))
         for n in N_list:
-            errors[n] = _compare_nested(fields[n], fields[2 * n])
-            for region in REGION_ORDER:
-                table.errors.append((eps, n, region.value, errors[n][region]))
-        for n in N_list:
-            if 2 * n not in errors:
-                continue
-            for region in REGION_ORDER:
-                e1, e2 = errors[n][region], errors[2 * n][region]
-                if e1 > 0.0 and e2 > 0.0:
-                    table.rates.append((eps, n, region.value,
-                                        convergence_rate(e1, e2)))
-    return table
+            for region, e in _compare_nested(fields[n],
+                                             fields[2 * n]).items():
+                errors[eps, n, region] = e
+    rates = {(eps, n, region): convergence_rate(e, errors[eps, 2 * n, region])
+             for (eps, n, region), e in errors.items()
+             if e > 0.0 and errors.get((eps, 2 * n, region), 0.0) > 0.0}
+    return errors, rates
 
 
 def interp_error_study(template, eps, alpha, beta, N_list):
@@ -234,18 +199,18 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     nodes, and measure max |template - interpolant| over an s x s
     uniform sub-sample of every cell (s = SAMPLES_PER_CELL).  The
     samples of one offset form a tensor grid, so cells, local
-    coordinates and regions are found per axis.  Returns
-    {N: {Region: error}}.
+    coordinates and regions are found per axis.  Returns the table of
+    errors.
     """
     lam_x, lam_y = transition_params(eps, alpha, beta)
     offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
     results = {}
-    for N in sorted(N_list):
+    for N in sorted(set(N_list)):
         mesh = build_mesh(N, lam_x, lam_y)
         xs = mesh.x_axis.nodes
         ys = mesh.y_axis.nodes
         nodal = template(*np.meshgrid(xs, ys))
-        maxima = {region: 0.0 for region in REGION_ORDER}
+        maxima = dict.fromkeys(Region, 0.0)
         for u in offsets:
             px = xs[:-1] + u * np.diff(xs)
             i, s = _locate(xs, px)
@@ -258,7 +223,7 @@ def interp_error_study(template, eps, alpha, beta, N_list):
                 masks = region_masks(px[None, :], py[:, None], lam_x, lam_y)
                 for region, e in _region_max(err, masks).items():
                     maxima[region] = max(maxima[region], e)
-        results[N] = maxima
+        results.update({(eps, N, region): e for region, e in maxima.items()})
     return results
 
 
@@ -266,21 +231,17 @@ def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL, lam=None):
     """Max nodal error against the exact solution, with observed rates.
 
     Returns (errors, rates): errors maps N -> max |u_h - u|; rates maps
-    N -> log2 ratio against the next N, or None when an error is at or
-    below ZERO_TOL (rate undefined).
+    N -> log2(e_N / e_2N) where N_list holds N and 2N, or None when
+    either error is at or below ZERO_TOL (rate undefined).
     """
     if spec.exact is None:
         raise ValueError("spec has no exact solution")
-    N_list = sorted(N_list)
     errors = {}
     for N, uh in _solutions(spec, N_list, quad_order, tol, lam):
         exact = spec.exact(*np.meshgrid(uh.mesh.x_axis.nodes,
                                         uh.mesh.y_axis.nodes))
         errors[N] = float(np.abs(uh.values - exact).max())
-    rates = {}
-    for a, b in zip(N_list[:-1], N_list[1:]):
-        if errors[a] <= ZERO_TOL or errors[b] <= ZERO_TOL:
-            rates[a] = None
-        else:
-            rates[a] = math.log2(errors[a] / errors[b])
+    rates = {n: (math.log2(e / errors[2 * n])
+                 if min(e, errors[2 * n]) > ZERO_TOL else None)
+             for n, e in errors.items() if 2 * n in errors}
     return errors, rates

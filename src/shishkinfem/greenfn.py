@@ -8,7 +8,7 @@ the matrices of one eps and their multigrids as forward solves do, once
 per matrix, and reuses each multigrid for all its sources.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +30,9 @@ __all__ = [
 ]
 
 
-@dataclass
-class GreenReport:
-    eps: float
-    N: int
-    region: str
+class GreenReport(NamedTuple):
+    """The source node and the norms of one Green's function."""
+
     source_x: float
     source_y: float
     l2_norm: float
@@ -108,11 +106,11 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
     `default_probes`.  The matrices of one eps are assembled once each,
     with the multigrids of `errorlab.nested_systems` (N ascending); each
     multigrid serves the solves with A^T of all four sources, and if its
-    setup fails, all four go to splu without trying again.  Returns a
-    list of GreenReport in (eps, N, region) order, N as in N_list.
+    setup fails, all four go to splu without trying again.  Returns the
+    table {(eps, N, Region): GreenReport}, N in N_list order.
     """
-    reports = []
-    for eps in eps_list:
+    reports = {}
+    for eps in dict.fromkeys(eps_list):
         spec = spec_family(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         probe_map = {**default_probes(*lam), **(probes or {})}
@@ -120,16 +118,13 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
         for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
                                                 lam):
             M = assemble_mass(mesh)
-            rows[N] = []
             for region, (px, py) in probe_map.items():
                 i, j = mesh.nearest_node(px, py)
                 g = green_function(A, mesh, (i, j), tol=tol, mg=mg)
-                rows[N].append(GreenReport(
-                    eps=eps, N=N, region=region.value,
-                    source_x=float(mesh.x_axis.nodes[i]),
-                    source_y=float(mesh.y_axis.nodes[j]),
-                    l2_norm=fe_l2_norm(g, M),
-                    energy_norm=fe_energy_norm(g, M, eps)))
+                rows[N, region] = GreenReport(
+                    float(mesh.x_axis.nodes[i]), float(mesh.y_axis.nodes[j]),
+                    fe_l2_norm(g, M), fe_energy_norm(g, M, eps))
         for N in N_list:
-            reports.extend(rows[N])
+            for region in probe_map:
+                reports[eps, N, region] = rows[N, region]
     return reports

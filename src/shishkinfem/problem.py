@@ -39,7 +39,6 @@ class ProblemSpec:
     alpha: float
     beta: float
     exact: Optional[Callable] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -74,7 +73,7 @@ def example_5_1(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return ProblemSpec(eps=eps, b1=_b1_ex, c=_c_ex, f=_f_ex,
-                       alpha=alpha, beta=beta, name="example51")
+                       alpha=alpha, beta=beta)
 
 
 def mms_problem(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
@@ -97,8 +96,7 @@ def mms_problem(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
         return 2.0 * eps * np.pi ** 2 * u + _b1_ex(x, y) * ux + _c_ex(x, y) * u
 
     return ProblemSpec(eps=eps, b1=_b1_ex, c=_c_ex, f=f,
-                       alpha=alpha, beta=beta,
-                       exact=exact, name="mms")
+                       alpha=alpha, beta=beta, exact=exact)
 
 
 class TemplateKind(Enum):

@@ -89,8 +89,8 @@ REF_RATES_LAYER_Y_16 = {1e-5: 0.3322, 1e-6: 0.2614, 1e-7: 0.2160,
 def benchmark_table():
     """Double-mesh error/rate table over the full benchmark grid."""
     start = time.perf_counter()
-    table = error_table(example_5_1, EPS_LIST, list(ERROR_NS) + [256])
-    return table, time.perf_counter() - start
+    tables = error_table(example_5_1, EPS_LIST, list(ERROR_NS) + [256])
+    return tables, time.perf_counter() - start
 
 
 def test_criterion_1_mms_verification():
@@ -107,7 +107,7 @@ def test_criterion_1_mms_verification():
 
 
 def test_criterion_2_error_table_reproduction(benchmark_table):
-    table, elapsed = benchmark_table
+    (errors, _), elapsed = benchmark_table
     worst = 0.0
     bad = 0
     total = 0
@@ -116,7 +116,7 @@ def test_criterion_2_error_table_reproduction(benchmark_table):
         for eps in EPS_LIST:
             for N in ERROR_NS:
                 total += 1
-                ratio = table.error(eps, N, region) / ref[eps][N]
+                ratio = errors[eps, N, region] / ref[eps][N]
                 worst = max(worst, max(ratio, 1.0 / ratio))
                 if not 0.5 <= ratio <= 2.0:
                     bad += 1
@@ -127,7 +127,7 @@ def test_criterion_2_error_table_reproduction(benchmark_table):
 
 
 def test_criterion_3_rate_table_reproduction(benchmark_table):
-    table, _ = benchmark_table
+    (_, rates), _ = benchmark_table
     match_bad = 0
     positive = True
     last_row_ok = True
@@ -135,7 +135,7 @@ def test_criterion_3_rate_table_reproduction(benchmark_table):
                         (Region.LAYER_X, REF_RATES_LAYER_X)):
         for eps in EPS_LIST:
             for N in ERROR_NS:
-                r = table.rate(eps, N, region)
+                r = rates[eps, N, region]
                 if N >= 32 and abs(r - ref[eps][N]) > 0.2:
                     match_bad += 1
                 if r <= 0.0:
@@ -159,40 +159,39 @@ def test_criterion_4_layer_y_rate_pattern(benchmark_table):
     0.459 (eps = 1e-5) and 0.806 (eps = 1e-9) there
     (test_reference_evidence.py::test_layer_y_true_rate_at_16).
     """
-    table, _ = benchmark_table
-    rates = {eps: table.rate(eps, 16, Region.LAYER_Y) for eps in EPS_LIST}
+    (_, rates), _ = benchmark_table
+    y16 = {eps: rates[eps, 16, Region.LAYER_Y] for eps in EPS_LIST}
     ok = True
-    for eps, r in rates.items():
-        lowest = all(r < table.rate(eps, 16, region) for region in
+    for eps, r in y16.items():
+        lowest = all(r < rates[eps, 16, region] for region in
                      (Region.COARSE, Region.LAYER_X, Region.LAYER_XY))
-        rising = r < table.rate(eps, 32, Region.LAYER_Y)
+        rising = r < rates[eps, 32, Region.LAYER_Y]
         ok &= lowest and rising and abs(r - REF_RATES_LAYER_Y_16[eps]) <= 0.2
     detail = "N=16 rates " + ", ".join(f"{e:g}: {r:.3f}"
-                                       for e, r in rates.items())
+                                       for e, r in y16.items())
     assert record(4, "layer-y-rate-pattern", ok, detail)
 
 
 def test_criterion_5_green_norm_scalings():
     start = time.perf_counter()
     N_grid = (16, 32, 64)
-    reports = green_norm_sweep(example_5_1, N_grid, EPS_LIST)
+    by = green_norm_sweep(example_5_1, N_grid, EPS_LIST)
     elapsed = time.perf_counter() - start
-    by = {(r.eps, r.N, r.region): r for r in reports}
 
     coarse_ok = True
     for eps in EPS_LIST:
         for N in N_grid[:-1]:
-            ratio = (by[eps, 2 * N, "coarse"].energy_norm
-                     / by[eps, N, "coarse"].energy_norm)
+            ratio = (by[eps, 2 * N, Region.COARSE].energy_norm
+                     / by[eps, N, Region.COARSE].energy_norm)
             coarse_ok &= ratio <= 2.4
     for N in N_grid:
-        vals = [by[eps, N, "coarse"].energy_norm for eps in EPS_LIST]
+        vals = [by[eps, N, Region.COARSE].energy_norm for eps in EPS_LIST]
         coarse_ok &= max(vals) / min(vals) <= 3.0
 
     layer_x_ok = True
     for eps in EPS_LIST:
         def q(N):
-            return (by[eps, N, "layer_x"].energy_norm
+            return (by[eps, N, Region.LAYER_X].energy_norm
                     / math.sqrt(N * math.log(1.0 / eps)))
         C = q(N_grid[0])
         for N in N_grid[1:]:
@@ -200,7 +199,7 @@ def test_criterion_5_green_norm_scalings():
 
     layer_y_ok = True
     for N in N_grid:
-        vals = [by[eps, N, "layer_y"].l2_norm for eps in EPS_LIST]
+        vals = [by[eps, N, Region.LAYER_Y].l2_norm for eps in EPS_LIST]
         layer_y_ok &= all(a < b for a, b in zip(vals, vals[1:]))
 
     ok = coarse_ok and layer_x_ok and layer_y_ok and elapsed < 300.0
@@ -252,14 +251,14 @@ def test_criterion_8_interpolation_bound():
     eps = 1e-6
     tpl = layer_template("interior_x", eps, 2.0, 1.0)
     res = interp_error_study(tpl, eps, 2.0, 1.0, [16, 32, 64, 128])
-    C = res[16][Region.LAYER_X] * 16 ** 2 / math.log(16) ** 2
+    C = res[eps, 16, Region.LAYER_X] * 16 ** 2 / math.log(16) ** 2
     bound_ok = all(
-        res[N][Region.LAYER_X] <= 1.3 * C * math.log(N) ** 2 / N ** 2
+        res[eps, N, Region.LAYER_X] <= 1.3 * C * math.log(N) ** 2 / N ** 2
         for N in (32, 64, 128))
     const = LayerTemplate(kind=TemplateKind.SMOOTH,
                           func=lambda x, y: np.ones_like(np.asarray(x)))
     const_res = interp_error_study(const, eps, 2.0, 1.0, [16])
-    const_ok = all(v == 0.0 for v in const_res[16].values())
+    const_ok = all(v == 0.0 for v in const_res.values())
     ok = bound_ok and const_ok
     assert record(8, "interpolation-bound", ok,
                   f"layer-x bound={bound_ok}, constant exact={const_ok}")

@@ -157,6 +157,26 @@ class TestRunModes:
         assert float(n8[2]) == pytest.approx(2.0, abs=0.3)
         assert body[2].split(",")[2] == ""  # no rate at the last N
 
+    def test_mms_rate_needs_2N(self, tmp_path):
+        assert main(["--mode", "mms", "--N", "8,16,64",
+                     "-o", str(tmp_path)]) == 0
+        body = [l.split(",") for l in read_lines(tmp_path / "mms.csv")
+                if not l.startswith("#")][1:]
+        assert [row[0] for row in body] == ["8", "16", "64"]
+        assert float(body[0][2]) == pytest.approx(2.0, abs=0.15)
+        assert body[1][2] == body[2][2] == ""  # 32 and 128 not solved
+
+    @pytest.mark.parametrize("mode", ["errors", "rates", "green", "interp"])
+    def test_duplicated_inputs_write_one_row_per_key(self, tmp_path, mode):
+        assert main(["--mode", mode, "--eps", "1e-4,1e-4", "--N", "8,16,8",
+                     "-o", str(tmp_path)]) == 0
+        body = [l for l in read_lines(tmp_path / f"{mode}.csv")
+                if not l.startswith("#")][1:]
+        keys = [tuple(row.split(",")[:3]) for row in body]
+        regions = [region.value for region in Region]
+        Ns = ["8"] if mode == "rates" else ["8", "16"]
+        assert keys == [("0.0001", N, r) for N in Ns for r in regions]
+
     def test_header_records_template(self, tmp_path):
         headers = []
         for template in ("corner_xy", "smooth"):

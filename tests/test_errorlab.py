@@ -12,7 +12,7 @@ from shishkinfem.errorlab import (bilinear_interp, double_mesh_error,
                                   convergence_rate, error_table,
                                   interp_error_study, mms_convergence,
                                   solve_problem, _compare_nested,
-                                  REGION_ORDER, SAMPLES_PER_CELL)
+                                  SAMPLES_PER_CELL)
 
 from oracles import node_coords
 
@@ -98,9 +98,9 @@ class TestDoubleMesh:
         spec = example_5_1(1e-6)
         errs = double_mesh_error(spec, 16)
         assert calls == [16, 32]
-        table = error_table(example_5_1, [1e-6], [16])
+        errors, _ = error_table(example_5_1, [1e-6], [16])
         for region in Region:
-            assert errs[region] == table.error(1e-6, 16, region)
+            assert errs[region] == errors[1e-6, 16, region]
 
     def test_nested_check_rejects_mismatched_lambda(self):
         u1 = solve_problem(example_5_1(1e-4), 8)
@@ -253,21 +253,26 @@ class TestNestedSystems:
 
 class TestErrorTable:
     def test_grid_complete(self):
-        tab = error_table(example_5_1, [1e-4, 1e-5], [8, 16])
-        assert len(tab.errors) == 2 * 2 * 4
-        for eps in (1e-4, 1e-5):
-            for N in (8, 16):
-                for region in Region:
-                    assert tab.error(eps, N, region) >= 0.0
+        errors, _ = error_table(example_5_1, [1e-4, 1e-5], [8, 16])
+        # keyed (eps, N, Region) in row order: eps, then N, then Region
+        assert list(errors) == [(eps, N, region) for eps in (1e-4, 1e-5)
+                                for N in (8, 16) for region in Region]
+        for e in errors.values():
+            assert type(e) is float and e >= 0.0
 
     def test_rates_derive_from_errors(self):
-        tab = error_table(example_5_1, [1e-4], [8, 16])
-        e8 = tab.error(1e-4, 8, Region.COARSE)
-        e16 = tab.error(1e-4, 16, Region.COARSE)
-        assert tab.rate(1e-4, 8, Region.COARSE) == pytest.approx(
+        errors, rates = error_table(example_5_1, [1e-4], [8, 16])
+        e8 = errors[1e-4, 8, Region.COARSE]
+        e16 = errors[1e-4, 16, Region.COARSE]
+        assert rates[1e-4, 8, Region.COARSE] == pytest.approx(
             math.log2(e8 / e16))
-        with pytest.raises(KeyError):
-            tab.rate(1e-4, 16, Region.COARSE)
+        assert (1e-4, 16, Region.COARSE) not in rates
+
+    def test_duplicated_inputs_give_one_entry_per_key(self):
+        errors, rates = error_table(example_5_1, [1e-4, 1e-4], [16, 8, 16])
+        assert list(errors) == [(1e-4, N, region) for N in (8, 16)
+                                for region in Region]
+        assert list(rates) == [(1e-4, 8, region) for region in Region]
 
 
 def pointwise_interp_study(template, eps, alpha, beta, N_list):
@@ -282,7 +287,7 @@ def pointwise_interp_study(template, eps, alpha, beta, N_list):
         fld = FeField(mesh=mesh, values=template(*np.meshgrid(xs, ys)))
         X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
         H, K = np.meshgrid(np.diff(xs), np.diff(ys))
-        maxima = {region: 0.0 for region in REGION_ORDER}
+        maxima = {region: 0.0 for region in Region}
         for u in offsets:
             for v in offsets:
                 px = (X0 + u * H).ravel()
@@ -290,12 +295,13 @@ def pointwise_interp_study(template, eps, alpha, beta, N_list):
                 err = np.abs(template(px, py)
                              - bilinear_interp(fld, np.column_stack([px, py])))
                 tags = classify_points(px, py, lam_x, lam_y)
-                for region in REGION_ORDER:
+                for region in Region:
                     mask = tags == region
                     if mask.any():
                         maxima[region] = max(maxima[region],
                                              float(err[mask].max()))
-        results[N] = maxima
+        for region in Region:
+            results[eps, N, region] = maxima[region]
     return results
 
 
@@ -305,30 +311,34 @@ class TestInterpStudy:
     @pytest.mark.parametrize("eps", [1e-6, 3.7e-9, 0.2])
     def test_equals_pointwise_study(self, kind, eps):
         tpl = layer_template(kind, eps, 2.0, 1.0)
-        assert (interp_error_study(tpl, eps, 2.0, 1.0, [8, 16])
-                == pointwise_interp_study(tpl, eps, 2.0, 1.0, [8, 16]))
+        # equal values in the same row order
+        assert (list(interp_error_study(tpl, eps, 2.0, 1.0, [16, 8]).items())
+                == list(pointwise_interp_study(tpl, eps, 2.0, 1.0,
+                                               [8, 16]).items()))
 
     def test_constant_template_exact(self):
         from shishkinfem.problem import LayerTemplate, TemplateKind
         const = LayerTemplate(kind=TemplateKind.SMOOTH,
                               func=lambda x, y: np.ones_like(np.asarray(x)))
         res = interp_error_study(const, 1e-6, 2.0, 1.0, [8])
-        for v in res[8].values():
+        assert len(res) == 4
+        for v in res.values():
             assert v == 0.0
 
     def test_smooth_second_order_coarse(self):
         tpl = layer_template("smooth", 1e-6, 2.0, 1.0)
         res = interp_error_study(tpl, 1e-6, 2.0, 1.0, [32, 64])
-        rate = math.log2(res[32][Region.COARSE] / res[64][Region.COARSE])
+        rate = math.log2(res[1e-6, 32, Region.COARSE]
+                         / res[1e-6, 64, Region.COARSE])
         assert rate >= 1.8
 
     def test_interior_x_shishkin_bound(self):
         tpl = layer_template("interior_x", 1e-6, 2.0, 1.0)
         res = interp_error_study(tpl, 1e-6, 2.0, 1.0, [16, 32, 64, 128])
-        C = res[16][Region.LAYER_X] * 16 ** 2 / math.log(16) ** 2
+        C = res[1e-6, 16, Region.LAYER_X] * 16 ** 2 / math.log(16) ** 2
         for N in (32, 64, 128):
             bound = 1.3 * C * math.log(N) ** 2 / N ** 2
-            assert res[N][Region.LAYER_X] <= bound
+            assert res[1e-6, N, Region.LAYER_X] <= bound
 
 
 class TestMmsConvergence:
@@ -348,6 +358,14 @@ class TestMmsConvergence:
                            f=zero, alpha=2.0, beta=1.0, exact=zero)
         errors, rates = mms_convergence(spec, [8, 16], lam=(0.5, 0.25))
         assert rates[8] is None
+
+    def test_rate_pairs_N_with_2N(self):
+        # with 32 missing, no rate pairs 16 with 64 (that reads ~4)
+        errors, rates = mms_convergence(mms_problem(1.0), [8, 16, 64],
+                                        lam=(0.5, 0.25))
+        assert list(errors) == [8, 16, 64]
+        assert list(rates) == [8]
+        assert rates[8] == pytest.approx(2.0, abs=0.15)
 
     def test_requires_exact(self):
         with pytest.raises(ValueError):

@@ -146,27 +146,27 @@ class TestNorms:
 class TestSweep:
     def test_report_cardinality_and_regions(self):
         reports = green_norm_sweep(example_5_1, [8, 16], [1e-4, 1e-6])
-        assert len(reports) == 2 * 2 * 4
-        regions = {r.region for r in reports}
-        assert regions == {r.value for r in Region}
+        assert list(reports) == [(eps, N, region) for eps in (1e-4, 1e-6)
+                                 for N in (8, 16) for region in Region]
+        for r in reports.values():
+            assert all(type(v) is float for v in r)
 
     def test_sources_land_in_their_region(self):
         reports = green_norm_sweep(example_5_1, [16], [1e-6])
         lam = transition_params(1e-6, 2.0, 1.0)
-        for r in reports:
-            assert classify(r.source_x, r.source_y, *lam).value == r.region
+        for (_, _, region), r in reports.items():
+            assert classify(r.source_x, r.source_y, *lam) is region
 
     def test_norm_invariants(self):
         reports = green_norm_sweep(example_5_1, [8], [1e-5])
-        for r in reports:
+        for r in reports.values():
             assert r.energy_norm >= r.l2_norm > 0.0
 
     def test_probe_override(self):
         probes = default_probes(0.1, 0.2)
         probes[Region.COARSE] = (-0.5, 0.1)
         reports = green_norm_sweep(example_5_1, [8], [1e-4], probes=probes)
-        coarse = [r for r in reports if r.region == "coarse"][0]
-        assert coarse.source_x < 0.0
+        assert reports[1e-4, 8, Region.COARSE].source_x < 0.0
 
 
 class TestFactorReuse:
@@ -199,7 +199,7 @@ class TestFactorReuse:
         setups, methods = recorded
         reports = green_norm_sweep(example_5_1, [32, 16], [1e-4, 1e-6])
         assert len(reports) == 16
-        assert [(r.eps, r.N) for r in reports[::4]] == \
+        assert [key[:2] for key in list(reports)[::4]] == \
             [(1e-4, 32), (1e-4, 16), (1e-6, 32), (1e-6, 16)]
         assert len(setups) == 4
         runs = [(eps, N) for eps in (1e-4, 1e-6) for N in (16, 32)]
@@ -240,8 +240,8 @@ class TestFactorReuse:
         A, _ = assemble(mesh, spec, 3)
         M = assemble_mass(mesh)
         probes = default_probes(*lam)
-        for r in reports:
-            node = mesh.nearest_node(*probes[Region(r.region)])
+        for (_, _, region), r in reports.items():
+            node = mesh.nearest_node(*probes[region])
             g = green_function(A, mesh, node,
                                mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
             assert r.l2_norm == fe_l2_norm(g, M)

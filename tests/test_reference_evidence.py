@@ -108,7 +108,7 @@ def layer_problem(eps):
                 + base.b1(x, y) * dP * Y + base.c(x, y) * P * Y)
 
     return ProblemSpec(eps=eps, b1=base.b1, c=base.c, f=f, alpha=alpha,
-                       beta=beta, exact=exact, name="layer-mms")
+                       beta=beta, exact=exact)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
@@ -144,17 +144,18 @@ def test_layer_problem_boundary_values():
 
 @pytest.fixture(scope="module")
 def layer_study():
-    """Per eps: true nodal errors {N: {region: e}} and the error_table."""
+    """Per eps: true nodal errors {N: {region: e}} and the double-mesh
+    errors of error_table."""
     out = {}
     for eps in LAYER_EPS:
         spec = layer_problem(eps)
-        table = error_table(lambda _: spec, [eps], LAYER_NS)
+        errors, _ = error_table(lambda _: spec, [eps], LAYER_NS)
         true = {}
         for N in LAYER_NS:
             uh = solve_problem(spec, N)
             X, Y = np.meshgrid(uh.mesh.x_axis.nodes, uh.mesh.y_axis.nodes)
             true[N] = region_max(uh.mesh, uh.values - spec.exact(X, Y))
-        out[eps] = (true, table)
+        out[eps] = (true, errors)
     return out
 
 
@@ -189,10 +190,10 @@ def test_layer_double_mesh_effectivity(layer_study):
     # also what the triangle inequality allows for a first-order method
     # (Shishkin meshes give almost first order): the estimate lies between
     # e_N - e_2N >= e_N / 2 and e_N + e_2N <= 2 e_N.  Measured: 0.75-1.25.
-    for eps, (true, table) in layer_study.items():
+    for eps, (true, errors) in layer_study.items():
         for N in LAYER_NS:
             for region in REGIONS:
-                eff = table.error(eps, N, region) / true[N][region]
+                eff = errors[eps, N, region] / true[N][region]
                 assert 0.5 <= eff <= 2.0, (eps, N, region, eff)
 
 
@@ -263,7 +264,7 @@ def cross_check():
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         for N in CROSS_NS:
-            out[eps, N] = (solve_problem(spec, N, lam=lam),
+            out[eps, N] = (solve_problem(spec, N),
                            *fd_upwind(spec, build_mesh(N, *lam)))
     return out
 
