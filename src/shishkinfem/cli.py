@@ -55,6 +55,9 @@ class RunConfig:
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown problem {self.problem!r}")
+        if self.mode == "field" and max(len(self.eps_list),
+                                        len(self.N_list)) > 1:
+            raise ConfigError("eps/N: field mode takes one eps and one N")
         for n in self.N_list:
             if n % 4 != 0 or n < 4:
                 raise ConfigError(f"N: {n} is not a multiple of 4 (>= 4)")
@@ -214,17 +217,19 @@ def _run_field(cfg):
     uh = solve_problem(spec, N, quad_order=cfg.quad_order, tol=cfg.tol)
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
-    for y, row in zip(mesh.y_axis.nodes, uh.values):
-        for x, u in zip(mesh.x_axis.nodes, row):
-            lines.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
+    xs = [repr(x) + " " for x in mesh.x_axis.nodes.tolist()]
+    for y, row in zip(mesh.y_axis.nodes.tolist(), uh.values.tolist()):
+        y = repr(y) + " "
+        lines += [x + y + repr(u) for x, u in zip(xs, row)]
     return "field.txt", lines
 
 
 def _run_interp(cfg):
-    eps = cfg.eps_list[0]
-    template = layer_template(cfg.template, eps, cfg.alpha, cfg.beta)
-    errors = interp_error_study(template, eps, cfg.alpha, cfg.beta,
-                                cfg.N_list)
+    errors = {}
+    for eps in dict.fromkeys(cfg.eps_list):
+        template = layer_template(cfg.template, eps, cfg.alpha, cfg.beta)
+        errors.update(interp_error_study(template, eps, cfg.alpha, cfg.beta,
+                                         cfg.N_list))
     return "interp.csv", _table("eps,N,region,error", errors)
 
 

@@ -113,8 +113,8 @@ def nested_systems(spec, N_list, quad_order, lam):
 def _solutions(spec, N_list, quad_order, tol, lam=None):
     """(N, FeField) for each N of N_list, ascending, from one walk of
     `nested_systems`; lam None takes the spec's transition parameters.
-    A solve whose coarse level was the previous solve's starts GMRES
-    from that solution, interpolated."""
+    A solve whose coarse level was the previous solve's starts its
+    V-cycles from that solution, interpolated."""
     if lam is None:
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
     prev_mg = prev_u = None
@@ -130,8 +130,8 @@ def _solutions(spec, N_list, quad_order, tol, lam=None):
 def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
-    GMRES is preconditioned with the multigrid of A, whose coarse levels
-    are Galerkin operators (no other N is assembled); if its setup
+    The V-cycles of the multigrid of A, whose coarse levels are Galerkin
+    operators (no other N is assembled), solve the system; if its setup
     fails, `solve` goes straight to splu.
     """
     (_, u), = _solutions(spec, [N], quad_order, tol)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from shishkinfem import cli
-from shishkinfem.meshgen import Region
+from shishkinfem.assembly import FeField
+from shishkinfem.meshgen import Region, build_mesh
 from shishkinfem.cli import (RunConfig, ConfigError, parse_config, run, main,
                              OUTDIR_ENV, DEFAULT_EPS, DEFAULT_N)
 
@@ -136,6 +137,50 @@ class TestRunModes:
             x, y, u = map(float, line.split())
             if abs(abs(x) - 1.0) < 1e-14 or abs(abs(y) - 1.0) < 1e-14:
                 assert u == 0.0
+
+    def test_field_lines_match_the_per_node_loop(self, tmp_path,
+                                                 monkeypatch):
+        # the .tolist() writer against the per-node f-string loop it
+        # replaced, for one field whose values span many magnitudes
+        mesh = build_mesh(8, *cli.transition_params(1e-6, 2.0, 1.0))
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((mesh.ny, mesh.nx)) \
+            * 10.0 ** rng.integers(-300, 300, (mesh.ny, mesh.nx))
+        uh = FeField(mesh, values)
+        monkeypatch.setattr(cli, "solve_problem", lambda *a, **k: uh)
+        cfg = RunConfig(mode="field", eps_list=(1e-6,), N_list=(8,),
+                        output_dir=str(tmp_path))
+        assert run(cfg) == 0
+        old = [f"{mesh.nx} {mesh.ny}"]
+        for y, row in zip(mesh.y_axis.nodes, uh.values):
+            for x, u in zip(mesh.x_axis.nodes, row):
+                old.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
+        want = "".join(line + "\n" for line in cli._metadata_lines(cfg) + old)
+        assert (tmp_path / "field.txt").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("lists", [["--eps", "1e-4,1e-5", "--N", "8"],
+                                       ["--eps", "1e-4", "--N", "8,16"]],
+                             ids=["two-eps", "two-N"])
+    def test_field_rejects_lists(self, lists, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--mode", "field", "-o", str(out)] + lists) == 1
+        assert capsys.readouterr().err == \
+            "config error: eps/N: field mode takes one eps and one N\n"
+        assert not out.exists()
+
+    def test_interp_uses_every_eps(self, tmp_path):
+        # the rows of each eps, in the order given, equal a run of that
+        # eps alone
+        def rows(eps, out):
+            assert main(["--mode", "interp", "--eps", eps, "--N", "8,16",
+                         "--template", "corner_xy", "-o", str(out)]) == 0
+            return [l for l in read_lines(out / "interp.csv")
+                    if not l.startswith("#")][1:]
+
+        both = rows("1e-6,1e-4", tmp_path / "both")
+        assert len(both) == 2 * 2 * 4
+        assert both == rows("1e-6", tmp_path / "a") + rows("1e-4",
+                                                         tmp_path / "b")
 
     def test_interp_csv(self, tmp_path):
         cfg = parse_config(f"mode = interp\neps = 1e-6\nN = 8,16\n"

@@ -214,7 +214,7 @@ class TestFactorReuse:
             assert abs(mg.levels[0].A - A.T).max() > 0.0
         assert [coarse for _, _, coarse, _ in setups] == \
             [None, setups[0][3], None, setups[2][3]]
-        assert methods == ["gmres+mg"] * 16
+        assert methods == ["mg"] * 16
 
     def test_failed_setup_runs_once_per_matrix(self, recorded, monkeypatch):
         setups, methods = recorded

@@ -16,8 +16,18 @@ from shishkinfem.linsolve import (solve, solve_transpose, multigrid,
 
 from oracles import dense_solve
 
-# GMRES with the identity as its "multigrid", for matrices with no grid
+# the identity as a "multigrid", for matrices with no grid
 IDENTITY_MG = types.SimpleNamespace(solve=lambda r, trans="N": r, levels=[])
+
+
+def stalled_multigrid(value):
+    """A stand-in multigrid whose cycle returns `value` everywhere (0 or
+    NaN), so no cycle reaches tol; `calls` counts its cycles."""
+    def solve(r, trans="N"):
+        mg.calls += 1
+        return np.full_like(r, value)
+    mg = types.SimpleNamespace(solve=solve, levels=[], calls=0)
+    return mg
 
 
 def system(eps, N, lam=None):
@@ -99,28 +109,24 @@ class TestSolve:
         with pytest.raises(SolveError, match="tried splu,"):
             solve(A, np.array([1.0, 2.0]))
 
+    # the name dates from the GMRES the V-cycle iteration replaced
     def test_singular_tries_gmres_then_splu_only(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(SolveError) as info:
             solve(A, np.array([1.0, 2.0]), mg=IDENTITY_MG)
-        assert "tried gmres+mg and splu," in str(info.value)
+        assert "tried mg and splu," in str(info.value)
 
     def test_splu_out_of_memory_raises_solve_error(self, monkeypatch):
-        # GMRES stops with residual 1 (x = 0); splu then runs out of
-        # memory: SolveError, carrying the GMRES residual as its best
-        _, A, F, shape = system(1e-6, 32)
-
-        def zero_gmres(A, b, **kwargs):
-            return np.zeros_like(b), 0
+        # the cycles leave x = 0 (residual 1); splu then runs out of
+        # memory: SolveError, carrying the cycles' residual as its best
+        _, A, F, _ = system(1e-6, 32)
 
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        mg = multigrid(A, shape)
-        monkeypatch.setattr(linsolve.spla, "gmres", zero_gmres)
         monkeypatch.setattr(linsolve.spla, "splu", no_memory)
         with pytest.raises(SolveError, match="best residual 1.000e") as info:
-            solve(A, F, mg=mg)
+            solve(A, F, mg=stalled_multigrid(0.0))
         assert info.value.best_residual == 1.0
 
 
@@ -141,17 +147,30 @@ class TestFallbackLogging:
         assert messages[0].startswith("multigrid setup failed")
         assert ("MemoryError" if error else "singular x-line") in messages[0]
 
-    def test_gmres_miss_logged(self, monkeypatch, caplog):
-        _, A, F, shape = system(1e-6, 32)
-
-        def missing_gmres(A, b, **kwargs):
-            return np.zeros_like(b), 7
-
-        monkeypatch.setattr(linsolve.spla, "gmres", missing_gmres)
+    # the name dates from the GMRES the V-cycle iteration replaced
+    def test_gmres_miss_logged(self, caplog):
+        _, A, F, _ = system(1e-6, 32)
         with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
-            _, report = solve(A, F, mg=multigrid(A, shape))
+            _, report = solve(A, F, mg=stalled_multigrid(0.0))
         assert report.method == "splu"
-        assert any("gmres stopped" in r.getMessage() for r in caplog.records)
+        assert any("multigrid stopped" in r.getMessage()
+                   for r in caplog.records)
+
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_stalled_cycles_hand_over_to_splu(self, value, caplog):
+        # no stall heuristic: exactly MAX_CYCLES cycles, one WARNING, and
+        # a NaN residual is never accepted
+        _, A, F, _ = system(1e-6, 32)
+        mg = stalled_multigrid(value)
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            x, report = solve(A, F, mg=mg)
+        assert mg.calls == linsolve.MAX_CYCLES
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [f"multigrid stopped after {linsolve.MAX_CYCLES} "
+                            f"cycles, residual "
+                            f"{1.0 if value == 0.0 else np.nan:.3e}"]
+        assert report.method == "splu"
+        np.testing.assert_array_equal(x, solve(A, F)[0])
 
     def test_converged_solve_is_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
@@ -165,7 +184,7 @@ class TestFallbackLogging:
             _, report = solve(A, F, mg=mg)
             _, direct = solve(A, F)
         first, second = [r.getMessage() for r in caplog.records]
-        assert first == (f"gmres+mg: n 1953, levels 2, {report.iterations} "
+        assert first == (f"mg: n 1953, levels 2, {report.iterations} "
                          f"iterations, residual "
                          f"{report.relative_residual:.3e}")
         assert second.startswith("splu: n 1953, levels 0, 1 iterations")
@@ -184,7 +203,7 @@ class TestPrebuiltIlu:
         for b, run in ((F, solve), (e, solve_transpose), (F, solve)):
             x1, r1 = run(A, b, mg=shared)
             x2, r2 = run(A, b, mg=multigrid(A, shape))
-            assert r1 == r2 and r1.method == "gmres+mg"
+            assert r1 == r2 and r1.method == "mg"
             assert np.array_equal(x1, x2)
 
     def test_failed_factor_falls_back(self, monkeypatch):
@@ -297,6 +316,8 @@ class TestMultigrid:
         mg = multigrid(A, shape, coarse=coarse)
         assert mg.coarse is coarse and mg.levels[1:] == coarse.levels
 
+    # the names date from the GMRES the V-cycle iteration replaced; they
+    # bound its cycles
     @pytest.mark.parametrize("N", [16, 32, 64, 128])
     @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3, 1e-5, 1e-9])
     def test_gmres_iterations_bounded(self, eps, N):
@@ -313,13 +334,13 @@ class TestMultigrid:
 
 
 def assert_iterations_bounded(A, F, shape, mg):
-    """GMRES with mg reaches 1e-10 within 25 iterations for F and for a
+    """The V-cycles of mg reach 1e-10 within 25 cycles for F and for a
     point source of A^T."""
     e = np.zeros(shape)
     e[shape[0] // 2, shape[1] // 3] = 1.0
     for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
         x, report = run(A, b, mg=mg)
-        assert report.method == "gmres+mg"
+        assert report.method == "mg"
         assert report.iterations <= 25
         res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
         assert res <= 1e-10
@@ -332,7 +353,7 @@ class TestInitialGuess:
         x, cold = solve(A, F, mg=mg)
         again, warm = solve(A, F, mg=mg, x0=x)
         assert cold.iterations > 1
-        assert warm.iterations <= 1 and warm.method == "gmres+mg"
+        assert warm.iterations <= 1 and warm.method == "mg"
         assert np.linalg.norm(F - A @ again) <= 1e-10 * np.linalg.norm(F)
 
     def test_wrong_length_rejected(self):
