@@ -4,9 +4,11 @@ Runs are configured by command-line flags or a key=value config file
 and emit CSV (or a plain-text grid for field dumps) with a commented
 metadata header, so every output is rerunnable from its header alone.
 
-Exit codes: 0 success, 1 configuration error, 2 run/solver/output failure.
+Exit codes: 0 success, 1 configuration error, 2 run/solver/output
+failure or out of memory.
 """
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -31,6 +33,9 @@ DEFAULT_N = (16, 32, 64, 128, 256)
 
 OUTDIR_ENV = "SHISHKINFEM_OUTDIR"
 
+# Transition parameters of an mms run at eps = 1, which has no Shishkin mesh.
+MMS_LAMBDA = (0.5, 0.25)
+
 
 class ConfigError(ValueError):
     pass
@@ -45,7 +50,6 @@ class RunConfig:
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
     quad_order: int = 3
-    tol: float = 1e-10
     template: str = "interior_x"
     probes: dict = field(default_factory=dict)
     output_dir: str = "."
@@ -58,21 +62,26 @@ class RunConfig:
         if self.mode == "field" and max(len(self.eps_list),
                                         len(self.N_list)) > 1:
             raise ConfigError("eps/N: field mode takes one eps and one N")
+        if self.mode == "mms" and self.problem != "mms":
+            raise ConfigError("problem: mms mode takes problem mms")
+        if self.mode == "mms" and len(self.eps_list) > 1:
+            raise ConfigError("eps: mms mode takes one eps")
         for n in self.N_list:
             if n % 4 != 0 or n < 4:
                 raise ConfigError(f"N: {n} is not a multiple of 4 (>= 4)")
+        closed = self.mode == "mms"     # only mms solves at eps = 1
         for e in self.eps_list:
-            if self.mode == "mms":
-                if not 0.0 < e <= 1.0:
-                    raise ConfigError(f"eps: {e} outside (0, 1]")
-            elif not 0.0 < e < 1.0:
-                raise ConfigError(f"eps: {e} outside (0, 1)")
+            if not (0.0 < e < 1.0 or closed and e == 1.0):
+                interval = "(0, 1]" if closed else "(0, 1)"
+                raise ConfigError(f"eps: {e} outside {interval}")
         if self.quad_order not in (1, 2, 3, 4):
             raise ConfigError(f"quad_order: must be 1..4, got {self.quad_order}")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol: must be positive, got {self.tol}")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ConfigError("alpha/beta: must be positive")
+        if not all(0.0 < v < math.inf for v in (self.alpha, self.beta)):
+            raise ConfigError("alpha/beta: must be finite and positive")
+        for region, point in self.probes.items():
+            if not all(-1.0 <= v <= 1.0 for v in point):
+                raise ConfigError(f"probe_{region.value}: {point} outside "
+                                  "[-1,1]^2")
         if self.template not in {kind.value for kind in TemplateKind}:
             raise ConfigError(f"template: unknown template {self.template!r}")
         return self
@@ -86,7 +95,6 @@ _KEYS = {
     "alpha": float,
     "beta": float,
     "quad_order": int,
-    "tol": float,
     "template": str,
     "output": str,
 }
@@ -136,9 +144,8 @@ def parse_config(text):
 
 
 def _spec_family(cfg):
-    if cfg.problem == "mms":
-        return lambda eps: mms_problem(eps, cfg.alpha, cfg.beta)
-    return lambda eps: example_5_1(eps, cfg.alpha, cfg.beta)
+    make = mms_problem if cfg.problem == "mms" else example_5_1
+    return lambda eps: make(eps, cfg.alpha, cfg.beta)
 
 
 def _metadata_lines(cfg):
@@ -151,14 +158,14 @@ def _metadata_lines(cfg):
         f"# alpha = {cfg.alpha!r}",
         f"# beta = {cfg.beta!r}",
         f"# quad_order = {cfg.quad_order}",
-        f"# tol = {cfg.tol!r}",
     ]
+    if cfg.mode == "mms" and cfg.eps_list[0] == 1.0:
+        lines.append("# lambda = {!r},{!r}".format(*MMS_LAMBDA))
     if cfg.mode == "interp":
         lines.append(f"# template = {cfg.template}")
     for key, region in _PROBE_REGION.items():
         if cfg.mode == "green" and region in cfg.probes:
-            x, y = cfg.probes[region]
-            lines.append(f"# {key} = {x!r},{y!r}")
+            lines.append("# {} = {!r},{!r}".format(key, *cfg.probes[region]))
     lines.append("# x_intervals = 2N (mirrored half-axis refinement)")
     return lines
 
@@ -196,7 +203,7 @@ def _table(header, table):
 
 def _run_errors(cfg, want_rates):
     errors, rates = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list,
-                                quad_order=cfg.quad_order, tol=cfg.tol)
+                                quad_order=cfg.quad_order)
     if want_rates:
         return "rates.csv", _table("eps,N,region,rate", rates)
     return "errors.csv", _table("eps,N,region,error", errors)
@@ -204,17 +211,14 @@ def _run_errors(cfg, want_rates):
 
 def _run_green(cfg):
     reports = green_norm_sweep(_spec_family(cfg), cfg.N_list, cfg.eps_list,
-                               probes=cfg.probes, quad_order=cfg.quad_order,
-                               tol=cfg.tol)
+                               probes=cfg.probes, quad_order=cfg.quad_order)
     return "green.csv", _table(
         "eps,N,region,source_x,source_y,l2_norm,energy_norm", reports)
 
 
 def _run_field(cfg):
-    eps = cfg.eps_list[0]
-    N = cfg.N_list[0]
-    spec = _spec_family(cfg)(eps)
-    uh = solve_problem(spec, N, quad_order=cfg.quad_order, tol=cfg.tol)
+    spec = _spec_family(cfg)(cfg.eps_list[0])
+    uh = solve_problem(spec, cfg.N_list[0], quad_order=cfg.quad_order)
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
     xs = [repr(x) + " " for x in mesh.x_axis.nodes.tolist()]
@@ -234,11 +238,9 @@ def _run_interp(cfg):
 
 
 def _run_mms(cfg):
-    eps = cfg.eps_list[0] if cfg.problem == "mms" else 1.0
-    spec = mms_problem(eps, cfg.alpha, cfg.beta)
-    lam = (0.5, 0.25) if eps >= 1.0 else None
-    errors, rates = mms_convergence(spec, cfg.N_list, quad_order=cfg.quad_order,
-                                    tol=cfg.tol, lam=lam)
+    spec = _spec_family(cfg)(cfg.eps_list[0])
+    lam = MMS_LAMBDA if cfg.eps_list[0] == 1.0 else None
+    errors, rates = mms_convergence(spec, cfg.N_list, cfg.quad_order, lam)
     rows = ["N,error,rate"]
     for n in sorted(errors):
         rate = rates.get(n)
@@ -263,8 +265,9 @@ def run(cfg):
             name, lines = _run_mms(cfg)
         path = os.path.join(out_dir, name)
         _write(path, cfg, lines)
-    except (SolveError, ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SolveError, ValueError, ArithmeticError, OSError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(path)
     return 0

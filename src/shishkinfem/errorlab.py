@@ -20,7 +20,7 @@ import numpy as np
 from .meshgen import (Region, transition_params, build_mesh, region_masks,
                       classify_points)  # noqa: F401
 from .assembly import FeField, assemble
-from .linsolve import solve, multigrid, coarsens, DEFAULT_TOL
+from .linsolve import solve, multigrid, coarsens
 
 __all__ = [
     "bilinear_interp",
@@ -110,7 +110,7 @@ def nested_systems(spec, N_list, quad_order, lam):
         yield N, mesh, A, F, prev_mg
 
 
-def _solutions(spec, N_list, quad_order, tol, lam=None):
+def _solutions(spec, N_list, quad_order, lam=None):
     """(N, FeField) for each N of N_list, ascending, from one walk of
     `nested_systems`; lam None takes the spec's transition parameters.
     A solve whose coarse level was the previous solve's starts its
@@ -121,20 +121,19 @@ def _solutions(spec, N_list, quad_order, tol, lam=None):
     for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order, lam):
         seeded = mg is not None and prev_mg is not None \
             and mg.coarse is prev_mg
-        u, _ = solve(A, F, tol=tol, mg=mg,
-                     x0=mg.P @ prev_u if seeded else None)
+        u, _ = solve(A, F, mg=mg, x0=mg.P @ prev_u if seeded else None)
         prev_mg, prev_u = mg, u
         yield N, FeField.from_interior(mesh, u)
 
 
-def solve_problem(spec, N, quad_order=3, tol=DEFAULT_TOL):
+def solve_problem(spec, N, quad_order=3):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
     The V-cycles of the multigrid of A, whose coarse levels are Galerkin
     operators (no other N is assembled), solve the system; if its setup
     fails, `solve` goes straight to splu.
     """
-    (_, u), = _solutions(spec, [N], quad_order, tol)
+    (_, u), = _solutions(spec, [N], quad_order)
     return u
 
 
@@ -155,9 +154,9 @@ def _compare_nested(u_N, u_2N):
     return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]), masks)
 
 
-def double_mesh_error(spec, N, quad_order=3, tol=DEFAULT_TOL):
+def double_mesh_error(spec, N, quad_order=3):
     """Double-mesh error estimate per region for one (spec, N)."""
-    (_, u_N), (_, u_2N) = _solutions(spec, [N, 2 * N], quad_order, tol)
+    (_, u_N), (_, u_2N) = _solutions(spec, [N, 2 * N], quad_order)
     return _compare_nested(u_N, u_2N)
 
 
@@ -168,20 +167,19 @@ def convergence_rate(e_N, e_2N):
     return math.log2(e_N / e_2N)
 
 
-def error_table(spec_family, eps_list, N_list, quad_order=3,
-                tol=DEFAULT_TOL):
+def error_table(spec_family, eps_list, N_list, quad_order=3):
     """Double-mesh errors and rates over an (eps, N) grid.
 
     spec_family maps eps -> ProblemSpec.  Returns the tables (errors,
     rates).  The rate at N pairs the errors at N and 2N, so it exists
     only where N_list holds both and both errors are positive.  Each
-    (eps, N) is solved once, for the error at N and the one at N/2.
+    (eps, N) is solved once, to `linsolve.TOL`, for the errors at N, N/2.
     """
     errors = {}
     N_list = sorted(set(N_list))
     solve_Ns = set(N_list) | {2 * n for n in N_list}
     for eps in dict.fromkeys(eps_list):
-        fields = dict(_solutions(spec_family(eps), solve_Ns, quad_order, tol))
+        fields = dict(_solutions(spec_family(eps), solve_Ns, quad_order))
         for n in N_list:
             for region, e in _compare_nested(fields[n],
                                              fields[2 * n]).items():
@@ -227,7 +225,7 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     return results
 
 
-def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL, lam=None):
+def mms_convergence(spec, N_list, quad_order=3, lam=None):
     """Max nodal error against the exact solution, with observed rates.
 
     Returns (errors, rates): errors maps N -> max |u_h - u|; rates maps
@@ -237,7 +235,7 @@ def mms_convergence(spec, N_list, quad_order=3, tol=DEFAULT_TOL, lam=None):
     if spec.exact is None:
         raise ValueError("spec has no exact solution")
     errors = {}
-    for N, uh in _solutions(spec, N_list, quad_order, tol, lam):
+    for N, uh in _solutions(spec, N_list, quad_order, lam):
         exact = spec.exact(*np.meshgrid(uh.mesh.x_axis.nodes,
                                         uh.mesh.y_axis.nodes))
         errors[N] = float(np.abs(uh.values - exact).max())

@@ -17,7 +17,7 @@ from .assembly import FeField, assemble_mass
 # perfbench/tracer.py wraps these under this module's name.
 from .meshgen import build_mesh  # noqa: F401
 from .assembly import assemble, assemble_stiffness  # noqa: F401
-from .linsolve import solve_transpose, DEFAULT_TOL
+from .linsolve import solve_transpose
 from .errorlab import nested_systems
 
 __all__ = [
@@ -39,19 +39,19 @@ class GreenReport(NamedTuple):
     energy_norm: float
 
 
-def green_function(A, mesh, source, tol=DEFAULT_TOL, mg=None):
+def green_function(A, mesh, source, mg=None):
     """Discrete Green's function for a source at a given interior node.
 
     source is the grid index (i, j) of an interior node; mg, as in
-    `solve_transpose`, is the multigrid of A or None.  Returns an
-    FeField with zero boundary values.
+    `solve_transpose`, is the multigrid of A or None.  Returns the
+    FeField, zero on the boundary, of the solve to `linsolve.TOL`.
     """
     i, j = source
     if not (0 < i < mesh.nx - 1 and 0 < j < mesh.ny - 1):
         raise ValueError(f"source node {source} is not an interior node")
     e = np.zeros((mesh.ny - 2, mesh.nx - 2))
     e[j - 1, i - 1] = 1.0
-    g, _ = solve_transpose(A, e.ravel(), tol=tol, mg=mg)
+    g, _ = solve_transpose(A, e.ravel(), mg=mg)
     return FeField.from_interior(mesh, g)
 
 
@@ -96,8 +96,7 @@ def default_probes(lambda_x, lambda_y):
     }
 
 
-def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
-                     quad_order=3, tol=DEFAULT_TOL):
+def green_norm_sweep(spec_family, N_list, eps_list, probes=None, quad_order=3):
     """Green's-function norms per (eps, N, region).
 
     spec_family maps eps -> ProblemSpec.  For each run the source is the
@@ -105,9 +104,10 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
     all regions to a point; the other regions keep each eps's
     `default_probes`.  The matrices of one eps are assembled once each,
     with the multigrids of `errorlab.nested_systems` (N ascending); each
-    multigrid serves the solves with A^T of all four sources, and if its
-    setup fails, all four go to splu without trying again.  Returns the
-    table {(eps, N, Region): GreenReport}, N in N_list order.
+    multigrid serves the solves with A^T, to `linsolve.TOL`, of all four
+    sources, and if its setup fails, all four go to splu without trying
+    again.  Returns the table {(eps, N, Region): GreenReport}, N in
+    N_list order.
     """
     reports = {}
     for eps in dict.fromkeys(eps_list):
@@ -120,7 +120,7 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None,
             M = assemble_mass(mesh)
             for region, (px, py) in probe_map.items():
                 i, j = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, (i, j), tol=tol, mg=mg)
+                g = green_function(A, mesh, (i, j), mg=mg)
                 rows[N, region] = GreenReport(
                     float(mesh.x_axis.nodes[i]), float(mesh.y_axis.nodes[j]),
                     fe_l2_norm(g, M), fe_energy_norm(g, M, eps))

@@ -4,9 +4,9 @@
 at most MAX_CYCLES `multigrid` V-cycles, each applied to the true
 residual, then a complete sparse LU, then `SolveError`; without a
 multigrid they go straight to the sparse LU.  Every accepted solution
-has its residual recomputed from scratch and is logged at DEBUG; each
-fallback is logged at WARNING.  One multigrid of A serves both
-directions and many right-hand sides.
+has its relative residual, recomputed from scratch, at most TOL and is
+logged at DEBUG; each fallback is logged at WARNING.  One multigrid of
+A serves both directions and many right-hand sides.
 """
 
 import logging
@@ -22,7 +22,7 @@ __all__ = ["SolveReport", "SolveError", "Multigrid", "coarsens", "multigrid",
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10
 # V-cycles a solve runs before it hands over to splu.
 MAX_CYCLES = 50
 # A level with at most this many unknowns is the coarsest one.
@@ -37,7 +37,7 @@ class SolveReport:
 
 
 class SolveError(RuntimeError):
-    """Raised when no solution path reaches the requested tolerance."""
+    """Raised when no solution path reaches TOL."""
 
     def __init__(self, message, best_residual):
         super().__init__(message)
@@ -163,26 +163,26 @@ def multigrid(A, shape, coarse=None):
         return None
 
 
-def solve(A, b, tol=DEFAULT_TOL, mg=None, x0=None):
-    """Solve A x = b to relative residual ||b - A x|| / ||b|| <= tol.
+def solve(A, b, mg=None, x0=None):
+    """Solve A x = b to relative residual ||b - A x|| / ||b|| <= TOL.
 
     mg: a `multigrid(A, shape)` whose V-cycle, applied to the residual,
-    corrects x until ||b - A x|| / ||b|| <= 0.1 tol, for at most
+    corrects x until ||b - A x|| / ||b|| <= 0.1 TOL, for at most
     MAX_CYCLES cycles before the splu fallback; None goes straight to
     splu.  x0: the first iterate of the cycles, zero when None; splu
-    ignores it.  Raises SolveError when no path reaches tol.
+    ignores it.  Raises SolveError when no path reaches TOL.
     Deterministic.  Returns (x, SolveReport), whose method names the
     path that succeeded and whose iterations counts its cycles.
     """
-    return _solve(A, b, tol, mg, x0, "N")
+    return _solve(A, b, mg, x0, "N")
 
 
-def solve_transpose(A, e, tol=DEFAULT_TOL, mg=None):
+def solve_transpose(A, e, mg=None):
     """Solve A^T g = e; same contract as solve, from a zero guess.
 
     mg: a `multigrid(A, shape)`, the same one forward solves use.
     """
-    return _solve(A, e, tol, mg, None, "T")
+    return _solve(A, e, mg, None, "T")
 
 
 def _accept(x, report, mg):
@@ -192,7 +192,7 @@ def _accept(x, report, mg):
     return x, report
 
 
-def _solve(A, b, tol, mg, x0, trans):
+def _solve(A, b, mg, x0, trans):
     """The body of `solve` (trans "N") and `solve_transpose` (trans "T")."""
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -200,8 +200,6 @@ def _solve(A, b, tol, mg, x0, trans):
         raise ValueError("A must be square and match b")
     if x0 is not None and np.shape(x0) != b.shape:
         raise ValueError(f"x0 has shape {np.shape(x0)}, not {b.shape}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return _accept(np.zeros_like(b), SolveReport(0, 0.0, "trivial"), mg)
@@ -215,7 +213,7 @@ def _solve(A, b, tol, mg, x0, trans):
             r = b - op @ x
             res = np.linalg.norm(r) / norm_b
             best = min(best, res)       # min and <= both pass over NaN
-            if res <= 0.1 * tol:
+            if res <= 0.1 * TOL:
                 return _accept(x, SolveReport(cycles, res, "mg"), mg)
         log.warning("multigrid stopped after %d cycles, residual %.3e",
                     MAX_CYCLES, res)
@@ -226,10 +224,10 @@ def _solve(A, b, tol, mg, x0, trans):
     else:
         res = np.linalg.norm(b - op @ x) / norm_b
         best = min(best, res)
-        if res <= tol:
+        if res <= TOL:
             return _accept(x, SolveReport(1, res, "splu"), mg)
-        log.warning("splu residual %.3e above tol %g", res, tol)
+        log.warning("splu residual %.3e above TOL %g", res, TOL)
     raise SolveError(
-        f"no solver reached tol={tol} (tried "
+        f"no solver reached TOL={TOL} (tried "
         f"{'mg and ' if mg else ''}splu, "
         f"best residual {best:.3e})", best_residual=best)

@@ -5,6 +5,7 @@ else, so it would pass every other test.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -24,6 +25,21 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_tol_parameter(name):
+    # every solve is accepted at linsolve.TOL; nothing takes its own
+    module = importlib.import_module(name)
+    functions = [f for _, f in inspect.getmembers(module, inspect.isfunction)]
+    for _, cls in inspect.getmembers(module, inspect.isclass):
+        functions += [f for _, f in inspect.getmembers(cls,
+                                                       inspect.isfunction)]
+    functions = [f for f in functions
+                 if f.__module__.startswith("shishkinfem")]
+    assert len(functions) > 1
+    assert [f.__qualname__ for f in functions
+            if "tol" in inspect.signature(f).parameters] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

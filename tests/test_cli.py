@@ -77,7 +77,7 @@ class TestParseConfig:
             parse_config("mode = bogus")
 
     def test_mms_allows_eps_one(self):
-        cfg = parse_config("mode = mms\neps = 1.0\nN = 8")
+        cfg = parse_config("mode = mms\nproblem = mms\neps = 1.0\nN = 8")
         assert cfg.eps_list == (1.0,)
         with pytest.raises(ConfigError):
             parse_config("mode = errors\neps = 1.0")
@@ -203,13 +203,37 @@ class TestRunModes:
         assert body[2].split(",")[2] == ""  # no rate at the last N
 
     def test_mms_rate_needs_2N(self, tmp_path):
-        assert main(["--mode", "mms", "--N", "8,16,64",
-                     "-o", str(tmp_path)]) == 0
+        assert main(["--mode", "mms", "--problem", "mms", "--eps", "1",
+                     "--N", "8,16,64", "-o", str(tmp_path)]) == 0
         body = [l.split(",") for l in read_lines(tmp_path / "mms.csv")
                 if not l.startswith("#")][1:]
         assert [row[0] for row in body] == ["8", "16", "64"]
         assert float(body[0][2]) == pytest.approx(2.0, abs=0.15)
         assert body[1][2] == body[2][2] == ""  # 32 and 128 not solved
+
+    def test_mms_header_records_lambda(self, tmp_path):
+        # eps = 1 has no Shishkin mesh; the header names the fixed one
+        for eps in ("1", "1e-4"):
+            out = tmp_path / eps
+            assert main(["--mode", "mms", "--problem", "mms", "--eps", eps,
+                         "--N", "8", "-o", str(out)]) == 0
+            lines = header(out / "mms.csv")
+            assert ("# lambda = 0.5,0.25" in lines) == (eps == "1")
+            assert "# problem = mms" in lines
+            assert not any(l.startswith("# tol") for l in lines)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "problem: mms mode takes problem mms"),
+        (["--problem", "mms"], "eps: mms mode takes one eps"),
+        (["--problem", "mms", "--eps", "1e-4,1"],
+         "eps: mms mode takes one eps"),
+    ], ids=["example51", "default-eps", "two-eps"])
+    def test_mms_rejects_what_it_cannot_solve(self, argv, message, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        assert main(["--mode", "mms", "--N", "8", "-o", str(out)] + argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["errors", "rates", "green", "interp"])
     def test_duplicated_inputs_write_one_row_per_key(self, tmp_path, mode):
@@ -330,7 +354,12 @@ class TestMain:
     @pytest.mark.parametrize("argv", [["--mode", "bogus"],
                                       ["--alpha", "x"],
                                       ["--template", "bogus"],
-                                      ["--config", "template = bogus"]])
+                                      ["--config", "template = bogus"],
+                                      ["--alpha", "nan"],
+                                      ["--alpha", "inf"],
+                                      ["--beta", "nan"],
+                                      ["--probe-coarse", "nan,0"],
+                                      ["--probe-coarse", "5,5"]])
     def test_bad_flag_value_exits_1(self, argv, tmp_path, capsys):
         # a bad value is a configuration error whether it comes from a
         # flag or a config file: exit 1, one line, no usage dump
@@ -349,7 +378,8 @@ class TestMain:
         (["--bogus", "1"], "--bogus: unknown flag"),
         (["--probe_coarse", "0,0"], "--probe_coarse: unknown flag"),
         (["--eps", "1e-4", "--N"], "--N: expected a value"),
-    ], ids=["unknown-flag", "underscore-flag", "missing-value"])
+        (["--tol", "1e-8"], "--tol: unknown flag"),
+    ], ids=["unknown-flag", "underscore-flag", "missing-value", "tol-flag"])
     def test_bad_flag_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["-o", str(out)] + argv) == 1
@@ -386,6 +416,23 @@ class TestMain:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 32.0 GiB for an array"),
+         "Unable to allocate 32.0 GiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2(self, exc, message, tmp_path, monkeypatch,
+                                   capsys):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_problem", exhausted)
+        code = main(["--mode", "field", "--eps", "1e-4", "--N", "8",
+                     "-o", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_coefficient_exits_2(self, tmp_path, monkeypatch,
                                             capsys):
