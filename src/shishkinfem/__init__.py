@@ -13,9 +13,8 @@ from .linsolve import (SolveReport, SolveError, multigrid, solve,
                        solve_transpose)
 from .greenfn import (GreenReport, green_function, fe_l2_norm,
                       fe_energy_norm, green_norm_sweep)
-from .errorlab import (bilinear_interp, double_mesh_error, convergence_rate,
-                       error_table, interp_error_study, mms_convergence,
-                       solve_problem)
+from .errorlab import (bilinear_interp, error_table, interp_error_study,
+                       mms_convergence, solve_problem)
 
 __all__ = [
     "Region", "MeshAxis", "TensorMesh", "transition_params",
@@ -26,7 +25,6 @@ __all__ = [
     "SolveReport", "SolveError", "multigrid", "solve", "solve_transpose",
     "GreenReport", "green_function", "fe_l2_norm", "fe_energy_norm",
     "green_norm_sweep",
-    "bilinear_interp", "double_mesh_error",
-    "convergence_rate", "error_table", "interp_error_study",
+    "bilinear_interp", "error_table", "interp_error_study",
     "mms_convergence", "solve_problem",
 ]

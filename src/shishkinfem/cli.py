@@ -31,8 +31,6 @@ PROBLEMS = ("example51", "mms")
 DEFAULT_EPS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 DEFAULT_N = (16, 32, 64, 128, 256)
 
-OUTDIR_ENV = "SHISHKINFEM_OUTDIR"
-
 # Transition parameters of an mms run at eps = 1, which has no Shishkin mesh.
 MMS_LAMBDA = (0.5, 0.25)
 
@@ -210,7 +208,7 @@ def _run_errors(cfg, want_rates):
 
 
 def _run_green(cfg):
-    reports = green_norm_sweep(_spec_family(cfg), cfg.N_list, cfg.eps_list,
+    reports = green_norm_sweep(_spec_family(cfg), cfg.eps_list, cfg.N_list,
                                probes=cfg.probes, quad_order=cfg.quad_order)
     return "green.csv", _table(
         "eps,N,region,source_x,source_y,l2_norm,energy_norm", reports)
@@ -242,17 +240,15 @@ def _run_mms(cfg):
     lam = MMS_LAMBDA if cfg.eps_list[0] == 1.0 else None
     errors, rates = mms_convergence(spec, cfg.N_list, cfg.quad_order, lam)
     rows = ["N,error,rate"]
-    for n in sorted(errors):
-        rate = rates.get(n)
-        rows.append(f"{n},{errors[n]!r},{'' if rate is None else repr(rate)}")
+    for n, e in errors.items():
+        rows.append(f"{n},{e!r},{repr(rates[n]) if n in rates else ''}")
     return "mms.csv", rows
 
 
 def run(cfg):
     """Execute a validated RunConfig; returns the process exit code."""
-    out_dir = os.environ.get(OUTDIR_ENV, cfg.output_dir)
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         if cfg.mode in ("errors", "rates"):
             name, lines = _run_errors(cfg, want_rates=(cfg.mode == "rates"))
         elif cfg.mode == "green":
@@ -263,7 +259,7 @@ def run(cfg):
             name, lines = _run_interp(cfg)
         else:
             name, lines = _run_mms(cfg)
-        path = os.path.join(out_dir, name)
+        path = os.path.join(cfg.output_dir, name)
         _write(path, cfg, lines)
     except (SolveError, ValueError, ArithmeticError, OSError,
             MemoryError) as exc:

@@ -26,18 +26,14 @@ __all__ = [
     "bilinear_interp",
     "nested_systems",
     "solve_problem",
-    "double_mesh_error",
-    "convergence_rate",
     "error_table",
     "interp_error_study",
     "mms_convergence",
 ]
 
-NESTING_TOL = 1e-12
-
 # Samples per cell and axis in the interpolation study, edges included.
 SAMPLES_PER_CELL = 5
-# Errors at or below this are rounding; mms_convergence forms no rate.
+# Errors at or below this are rounding; no rate is formed from them.
 ZERO_TOL = 1e-13
 
 
@@ -137,16 +133,9 @@ def solve_problem(spec, N, quad_order=3):
     return u
 
 
-def _check_nested(coarse_axis, fine_axis):
-    if not np.allclose(fine_axis.nodes[::2], coarse_axis.nodes,
-                       rtol=0.0, atol=NESTING_TOL):
-        raise ValueError("meshes are not nested; transition parameters differ")
-
-
 def _compare_nested(u_N, u_2N):
-    """Region-wise max |U_N - U_2N| at the N-mesh nodes."""
-    _check_nested(u_N.mesh.x_axis, u_2N.mesh.x_axis)
-    _check_nested(u_N.mesh.y_axis, u_2N.mesh.y_axis)
+    """Region-wise max |U_N - U_2N| at the N-mesh nodes; the meshes must
+    be nested (one lam), as those of one `_solutions` walk are."""
     mesh = u_N.mesh
     masks = region_masks(mesh.x_axis.nodes[None, :],
                          mesh.y_axis.nodes[:, None],
@@ -154,26 +143,23 @@ def _compare_nested(u_N, u_2N):
     return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]), masks)
 
 
-def double_mesh_error(spec, N, quad_order=3):
-    """Double-mesh error estimate per region for one (spec, N)."""
-    (_, u_N), (_, u_2N) = _solutions(spec, [N, 2 * N], quad_order)
-    return _compare_nested(u_N, u_2N)
-
-
-def convergence_rate(e_N, e_2N):
-    """log2(e_N / e_2N)."""
-    if e_N <= 0.0 or e_2N <= 0.0:
-        raise ValueError("double-mesh errors must be positive")
-    return math.log2(e_N / e_2N)
+def _rates(errors, twice):
+    """{key: log2(e_N / e_2N)} over the keys of errors whose 2N key,
+    twice(key), is in errors too, with both errors above ZERO_TOL."""
+    return {key: math.log2(e / errors[twice(key)])
+            for key, e in errors.items()
+            if min(e, errors.get(twice(key), 0.0)) > ZERO_TOL}
 
 
 def error_table(spec_family, eps_list, N_list, quad_order=3):
     """Double-mesh errors and rates over an (eps, N) grid.
 
     spec_family maps eps -> ProblemSpec.  Returns the tables (errors,
-    rates).  The rate at N pairs the errors at N and 2N, so it exists
-    only where N_list holds both and both errors are positive.  Each
-    (eps, N) is solved once, to `linsolve.TOL`, for the errors at N, N/2.
+    rates), N ascending.  The rate at N is log2(e_N / e_2N), so it
+    exists only where N_list holds N and 2N and both errors are above
+    ZERO_TOL.  Each (eps, N) is solved once, to `linsolve.TOL`, for the
+    errors at N and N/2; one cell, error_table(lambda eps: spec,
+    [spec.eps], [N]), solves N and 2N in one walk.
     """
     errors = {}
     N_list = sorted(set(N_list))
@@ -184,10 +170,7 @@ def error_table(spec_family, eps_list, N_list, quad_order=3):
             for region, e in _compare_nested(fields[n],
                                              fields[2 * n]).items():
                 errors[eps, n, region] = e
-    rates = {(eps, n, region): convergence_rate(e, errors[eps, 2 * n, region])
-             for (eps, n, region), e in errors.items()
-             if e > 0.0 and errors.get((eps, 2 * n, region), 0.0) > 0.0}
-    return errors, rates
+    return errors, _rates(errors, lambda key: (key[0], 2 * key[1], key[2]))
 
 
 def interp_error_study(template, eps, alpha, beta, N_list):
@@ -228,9 +211,9 @@ def interp_error_study(template, eps, alpha, beta, N_list):
 def mms_convergence(spec, N_list, quad_order=3, lam=None):
     """Max nodal error against the exact solution, with observed rates.
 
-    Returns (errors, rates): errors maps N -> max |u_h - u|; rates maps
-    N -> log2(e_N / e_2N) where N_list holds N and 2N, or None when
-    either error is at or below ZERO_TOL (rate undefined).
+    Returns (errors, rates): errors maps N -> max |u_h - u|, N
+    ascending; rates maps N -> log2(e_N / e_2N) where N_list holds N and
+    2N and both errors are above ZERO_TOL; other N have no rate.
     """
     if spec.exact is None:
         raise ValueError("spec has no exact solution")
@@ -239,7 +222,4 @@ def mms_convergence(spec, N_list, quad_order=3, lam=None):
         exact = spec.exact(*np.meshgrid(uh.mesh.x_axis.nodes,
                                         uh.mesh.y_axis.nodes))
         errors[N] = float(np.abs(uh.values - exact).max())
-    rates = {n: (math.log2(e / errors[2 * n])
-                 if min(e, errors[2 * n]) > ZERO_TOL else None)
-             for n, e in errors.items() if 2 * n in errors}
-    return errors, rates
+    return errors, _rates(errors, lambda n: 2 * n)

@@ -96,7 +96,7 @@ def default_probes(lambda_x, lambda_y):
     }
 
 
-def green_norm_sweep(spec_family, N_list, eps_list, probes=None, quad_order=3):
+def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
     """Green's-function norms per (eps, N, region).
 
     spec_family maps eps -> ProblemSpec.  For each run the source is the
@@ -106,25 +106,21 @@ def green_norm_sweep(spec_family, N_list, eps_list, probes=None, quad_order=3):
     with the multigrids of `errorlab.nested_systems` (N ascending); each
     multigrid serves the solves with A^T, to `linsolve.TOL`, of all four
     sources, and if its setup fails, all four go to splu without trying
-    again.  Returns the table {(eps, N, Region): GreenReport}, N in
-    N_list order.
+    again.  Returns the table {(eps, N, Region): GreenReport}, N
+    ascending, as `errorlab.error_table` does.
     """
     reports = {}
     for eps in dict.fromkeys(eps_list):
         spec = spec_family(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         probe_map = {**default_probes(*lam), **(probes or {})}
-        rows = {}
         for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
                                                 lam):
             M = assemble_mass(mesh)
             for region, (px, py) in probe_map.items():
                 i, j = mesh.nearest_node(px, py)
                 g = green_function(A, mesh, (i, j), mg=mg)
-                rows[N, region] = GreenReport(
+                reports[eps, N, region] = GreenReport(
                     float(mesh.x_axis.nodes[i]), float(mesh.y_axis.nodes[j]),
                     fe_l2_norm(g, M), fe_energy_norm(g, M, eps))
-        for N in N_list:
-            for region in probe_map:
-                reports[eps, N, region] = rows[N, region]
     return reports

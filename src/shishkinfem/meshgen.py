@@ -80,8 +80,7 @@ def build_x_axis(N, lambda_x):
         np.linspace(0.0, lambda_x, N // 2 + 1),
         np.linspace(lambda_x, 1.0, N // 2 + 1)[1:],
     ])
-    nodes = np.concatenate([-half[::-1], half[1:]])
-    return MeshAxis(nodes=nodes, lam=lambda_x)
+    return _axis(np.concatenate([-half[::-1], half[1:]]), N, lambda_x, "x")
 
 
 def build_y_axis(N, lambda_y):
@@ -95,7 +94,17 @@ def build_y_axis(N, lambda_y):
         np.linspace(-1.0 + lambda_y, 1.0 - lambda_y, N // 2 + 1)[1:],
         np.linspace(1.0 - lambda_y, 1.0, N // 4 + 1)[1:],
     ])
-    return MeshAxis(nodes=nodes, lam=lambda_y)
+    return _axis(nodes, N, lambda_y, "y")
+
+
+def _axis(nodes, N, lam, name):
+    """The MeshAxis of nodes, which must be strictly increasing: a
+    transition parameter too small for float resolution at N collapses
+    nodes onto each other, and such a mesh has singular systems."""
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ValueError(f"mesh nodes coincide: lambda_{name} = {lam:.6g} "
+                         f"is below float resolution at N = {N}")
+    return MeshAxis(nodes=nodes, lam=lam)
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def test_criterion_4_layer_y_rate_pattern(benchmark_table):
 def test_criterion_5_green_norm_scalings():
     start = time.perf_counter()
     N_grid = (16, 32, 64)
-    by = green_norm_sweep(example_5_1, N_grid, EPS_LIST)
+    by = green_norm_sweep(example_5_1, EPS_LIST, N_grid)
     elapsed = time.perf_counter() - start
 
     coarse_ok = True

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,9 @@ from shishkinfem import cli
 from shishkinfem.assembly import FeField
 from shishkinfem.meshgen import Region, build_mesh
 from shishkinfem.cli import (RunConfig, ConfigError, parse_config, run, main,
-                             OUTDIR_ENV, DEFAULT_EPS, DEFAULT_N)
+                             DEFAULT_EPS, DEFAULT_N)
 
-
-@pytest.fixture(autouse=True)
-def clean_outdir_env(monkeypatch):
-    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_lines(path):
@@ -285,11 +286,13 @@ class TestRunModes:
         run(parse_config(text))
         assert (tmp_path / "errors.csv").read_bytes() == first
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "env"))
-        cfg = parse_config("mode = field\neps = 1e-4\nN = 8\noutput = /nope")
-        assert run(cfg) == 0
-        assert (tmp_path / "env" / "field.txt").exists()
+    def test_output_dir_is_the_only_one(self, tmp_path, monkeypatch):
+        # no environment variable moves the output away from -o
+        monkeypatch.setenv("SHISHKINFEM_OUTDIR", str(tmp_path / "env"))
+        assert main(["--mode", "field", "--eps", "1e-4", "--N", "8",
+                     "-o", str(tmp_path / "out")]) == 0
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert (tmp_path / "out" / "field.txt").exists()
 
     def test_run_failure_returns_2(self, tmp_path, capsys):
         cfg = RunConfig(mode="interp", eps_list=(1e-6,), N_list=(8,),
@@ -432,6 +435,21 @@ class TestMain:
                      "-o", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_degenerate_mesh_exits_with_one_line(self, tmp_path):
+        # at eps = 1e-300 the y-strip nodes collapse onto +-1; the run
+        # must say so on one stderr line, not warn about a singular
+        # matrix, and write no file
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(SRC), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "shishkinfem.cli", "--mode", "errors",
+             "--eps", "1e-300", "--N", "8", "-o", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert result.returncode in (1, 2)
+        assert result.stderr.count("\n") == 1
+        assert "lambda_y" in result.stderr and "N = 8" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_coefficient_exits_2(self, tmp_path, monkeypatch,

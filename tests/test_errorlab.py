@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,10 @@ from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
                                  classify_points, transition_params)
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
 from shishkinfem.assembly import FeField, assemble
-from shishkinfem.errorlab import (bilinear_interp, double_mesh_error,
-                                  convergence_rate, error_table,
+from shishkinfem.errorlab import (bilinear_interp, error_table,
                                   interp_error_study, mms_convergence,
-                                  solve_problem, _compare_nested,
-                                  SAMPLES_PER_CELL)
+                                  solve_problem, _compare_nested, _rates,
+                                  SAMPLES_PER_CELL, ZERO_TOL)
 
 from oracles import node_coords
 
@@ -49,22 +49,30 @@ class TestBilinearInterp:
             bilinear_interp(field, (1.5, 0.0))
 
 
+def rate(e_N, e_2N):
+    """The rate rule on one pair of errors, at N = 8; None if undefined."""
+    return _rates({8: e_N, 16: e_2N}, lambda n: 2 * n).get(8)
+
+
 class TestConvergenceRate:
     def test_exact_halving(self):
-        assert convergence_rate(0.04, 0.02) == pytest.approx(1.0)
+        assert rate(0.04, 0.02) == pytest.approx(1.0)
 
     def test_reference_cross_check(self):
         # a non-power-of-two ratio: log2(1.5e-2 / 8.0e-3) = 0.9069
-        assert convergence_rate(1.5e-2, 8.0e-3) == pytest.approx(
-            0.9069, abs=5e-4)
+        assert rate(1.5e-2, 8.0e-3) == pytest.approx(0.9069, abs=5e-4)
 
     def test_negative_rate(self):
-        assert convergence_rate(0.09021, 0.09552) == pytest.approx(
-            -0.0825, abs=5e-4)
+        assert rate(0.09021, 0.09552) == pytest.approx(-0.0825, abs=5e-4)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_rate(0.0, 0.1)
+    def test_rounding_level_error_gives_no_rate(self):
+        # nonpositive errors too: at or below ZERO_TOL is rounding
+        for pair in [(0.0, 0.1), (0.1, 0.0), (ZERO_TOL, 0.1),
+                     (0.1, ZERO_TOL), (ZERO_TOL / 2, ZERO_TOL / 4)]:
+            assert rate(*pair) is None
+
+    def test_rate_just_above_zero_tol(self):
+        assert rate(4 * ZERO_TOL, 2 * ZERO_TOL) == pytest.approx(1.0)
 
 
 class TestDoubleMesh:
@@ -87,26 +95,21 @@ class TestDoubleMesh:
 
     def test_errors_positive_and_regionwise(self):
         spec = example_5_1(1e-5)
-        errs = double_mesh_error(spec, 8)
-        assert set(errs) == set(Region)
-        for v in errs.values():
+        errors, _ = error_table(lambda eps: spec, [spec.eps], [8])
+        assert list(errors) == [(1e-5, 8, region) for region in Region]
+        for v in errors.values():
             assert v > 0.0
 
     def test_same_bits_as_the_error_table(self, monkeypatch):
-        # one walk over N and 2N, as in a row of the table
+        # one cell of the table is one walk over N and 2N
         calls = counted_assemble(monkeypatch)
         spec = example_5_1(1e-6)
-        errs = double_mesh_error(spec, 16)
+        errors, _ = error_table(lambda eps: spec, [spec.eps], [16])
         assert calls == [16, 32]
-        errors, _ = error_table(example_5_1, [1e-6], [16])
+        fields = dict(errorlab._solutions(spec, [16, 32], 3))
+        errs = _compare_nested(fields[16], fields[32])
         for region in Region:
             assert errs[region] == errors[1e-6, 16, region]
-
-    def test_nested_check_rejects_mismatched_lambda(self):
-        u1 = solve_problem(example_5_1(1e-4), 8)
-        u2 = solve_problem(example_5_1(1e-6), 16)
-        with pytest.raises(ValueError):
-            _compare_nested(u1, u2)
 
     def test_mirror_invariance_of_region_maxima(self):
         # classify is even in x, so mirroring the probe set leaves the
@@ -268,6 +271,16 @@ class TestErrorTable:
             math.log2(e8 / e16))
         assert (1e-4, 16, Region.COARSE) not in rates
 
+    def test_rounding_level_errors_give_no_rate(self):
+        # f scaled to 1e-15 scales u and its double-mesh errors with it:
+        # those are rounding, below ZERO_TOL, and form no rate
+        spec = example_5_1(1e-4)
+        tiny = dataclasses.replace(spec, f=lambda x, y: 1e-15 * spec.f(x, y))
+        errors, rates = error_table(lambda eps: tiny, [1e-4], [8, 16])
+        for e in errors.values():
+            assert 0.0 < e <= ZERO_TOL
+        assert rates == {}
+
     def test_duplicated_inputs_give_one_entry_per_key(self):
         errors, rates = error_table(example_5_1, [1e-4, 1e-4], [16, 8, 16])
         assert list(errors) == [(1e-4, N, region) for N in (8, 16)
@@ -357,7 +370,7 @@ class TestMmsConvergence:
         spec = ProblemSpec(eps=1.0, b1=zero, c=lambda x, y: 3 + 0 * x,
                            f=zero, alpha=2.0, beta=1.0, exact=zero)
         errors, rates = mms_convergence(spec, [8, 16], lam=(0.5, 0.25))
-        assert rates[8] is None
+        assert 8 not in rates
 
     def test_rate_pairs_N_with_2N(self):
         # with 32 missing, no rate pairs 16 with 64 (that reads ~4)

@@ -145,27 +145,27 @@ class TestNorms:
 
 class TestSweep:
     def test_report_cardinality_and_regions(self):
-        reports = green_norm_sweep(example_5_1, [8, 16], [1e-4, 1e-6])
+        reports = green_norm_sweep(example_5_1, [1e-4, 1e-6], [8, 16])
         assert list(reports) == [(eps, N, region) for eps in (1e-4, 1e-6)
                                  for N in (8, 16) for region in Region]
         for r in reports.values():
             assert all(type(v) is float for v in r)
 
     def test_sources_land_in_their_region(self):
-        reports = green_norm_sweep(example_5_1, [16], [1e-6])
+        reports = green_norm_sweep(example_5_1, [1e-6], [16])
         lam = transition_params(1e-6, 2.0, 1.0)
         for (_, _, region), r in reports.items():
             assert classify(r.source_x, r.source_y, *lam) is region
 
     def test_norm_invariants(self):
-        reports = green_norm_sweep(example_5_1, [8], [1e-5])
+        reports = green_norm_sweep(example_5_1, [1e-5], [8])
         for r in reports.values():
             assert r.energy_norm >= r.l2_norm > 0.0
 
     def test_probe_override(self):
         probes = default_probes(0.1, 0.2)
         probes[Region.COARSE] = (-0.5, 0.1)
-        reports = green_norm_sweep(example_5_1, [8], [1e-4], probes=probes)
+        reports = green_norm_sweep(example_5_1, [1e-4], [8], probes=probes)
         assert reports[1e-4, 8, Region.COARSE].source_x < 0.0
 
 
@@ -197,10 +197,10 @@ class TestFactorReuse:
         # four sources (the name dates from the ILU it replaced); the
         # N = 32 multigrid sits on the N = 16 one of the same eps
         setups, methods = recorded
-        reports = green_norm_sweep(example_5_1, [32, 16], [1e-4, 1e-6])
+        reports = green_norm_sweep(example_5_1, [1e-4, 1e-6], [32, 16])
         assert len(reports) == 16
         assert [key[:2] for key in list(reports)[::4]] == \
-            [(1e-4, 32), (1e-4, 16), (1e-6, 32), (1e-6, 16)]
+            [(1e-4, 16), (1e-4, 32), (1e-6, 16), (1e-6, 32)]
         assert len(setups) == 4
         runs = [(eps, N) for eps in (1e-4, 1e-6) for N in (16, 32)]
         for (eps, N), (A_seen, shape, _, mg) in zip(runs, setups):
@@ -225,7 +225,7 @@ class TestFactorReuse:
             raise MemoryError
 
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
-        reports = green_norm_sweep(example_5_1, [32, 64], [1e-6])
+        reports = green_norm_sweep(example_5_1, [1e-6], [32, 64])
         assert len(reports) == 8
         assert [mg for _, _, _, mg in setups] == [None, None]
         assert len(calls) == 2
@@ -233,7 +233,7 @@ class TestFactorReuse:
 
     def test_norms_match_separate_solves_bitwise(self):
         eps, N = 1e-6, 16
-        reports = green_norm_sweep(example_5_1, [N], [eps])
+        reports = green_norm_sweep(example_5_1, [eps], [N])
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         mesh = build_mesh(N, *lam)

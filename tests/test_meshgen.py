@@ -100,6 +100,26 @@ class TestWidths:
         np.testing.assert_allclose(hy[N // 4:3 * N // 4], 4 * (1 - ly) / N)
 
 
+class TestDegenerateMesh:
+    # lambda_y / (N/4) below float resolution at |y| = 1 collapses the
+    # strip nodes onto +-1; such a mesh is an error, not a singular matrix
+    @pytest.mark.parametrize("eps, N", [(1e-300, 8), (1e-40, 4), (1e-35, 64)])
+    def test_collapsed_y_strip_rejected(self, eps, N):
+        lx, ly = transition_params(eps, 2.0, 1.0)
+        with pytest.raises(ValueError,
+                           match=f"lambda_y = {ly:.6g} .* at N = {N}$"):
+            build_mesh(N, lx, ly)
+
+    def test_collapsed_x_layer_rejected(self):
+        with pytest.raises(ValueError, match="lambda_x = 4.94066e-324 "):
+            build_x_axis(8, 5e-324)
+
+    def test_smallest_eps_of_the_studies_is_fine(self):
+        lx, ly = transition_params(1e-9, 2.0, 1.0)
+        for N in (4, 512, 1024):
+            assert np.all(np.diff(build_mesh(N, lx, ly).y_axis.nodes) > 0.0)
+
+
 class TestNestedness:
     @pytest.mark.parametrize("eps", [1e-5, 1e-8])
     def test_2n_contains_n(self, eps):

@@ -14,5 +14,5 @@ def test_library_example_runs():
     ns = {}
     exec(compile(blocks[0], str(README), "exec"), ns)
     assert ns["report"].relative_residual <= 1e-10
-    assert ns["x_layer_error"] == ns["dm"][Region.LAYER_X]
+    assert ns["x_layer_error"] == ns["cell"][1e-6, 32, Region.LAYER_X]
     assert ns["x_layer_rate"] > 0.0
