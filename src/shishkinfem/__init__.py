@@ -4,8 +4,8 @@ and double-mesh convergence studies."""
 
 __version__ = "0.1.0"
 
-from .meshgen import (Region, MeshAxis, TensorMesh, transition_params,
-                      build_x_axis, build_y_axis, build_mesh)
+from .meshgen import (Region, TensorMesh, transition_params, build_x_axis,
+                      build_y_axis, build_mesh)
 from .problem import (ProblemSpec, LayerTemplate, TemplateKind,
                       example_5_1, mms_problem, layer_template)
 from .assembly import FeField, assemble, assemble_mass, assemble_stiffness
@@ -17,7 +17,7 @@ from .errorlab import (bilinear_interp, error_table, interp_error_study,
                        mms_convergence, solve_problem)
 
 __all__ = [
-    "Region", "MeshAxis", "TensorMesh", "transition_params",
+    "Region", "TensorMesh", "transition_params",
     "build_x_axis", "build_y_axis", "build_mesh",
     "ProblemSpec", "LayerTemplate", "TemplateKind",
     "example_5_1", "mms_problem", "layer_template",

@@ -52,8 +52,8 @@ def _gauss(order):
 
 
 def _axis_points(nodes, g):
-    """Gauss points of every interval of an axis, shape (n_intervals, q);
-    also returns the interval lengths."""
+    """Gauss points of every interval of an axis's nodes, shape
+    (len(nodes) - 1, q); also returns the interval lengths."""
     h = np.diff(nodes)
     return nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + g), h
 
@@ -106,8 +106,8 @@ def assemble(mesh, spec, quad_order=3):
     """
     g, w = _gauss(quad_order)
     q = len(g)
-    xq, h = _axis_points(mesh.x_axis.nodes, g)
-    yq, k = _axis_points(mesh.y_axis.nodes, g)
+    xq, h = _axis_points(mesh.x, g)
+    yq, k = _axis_points(mesh.y, g)
     nj, ni = len(k), len(h)
     # 1D tables at the Gauss points, local node t (test) and s (trial):
     # hat functions L_t = (1 +- g) / 2 with derivatives dL_s = +-1/2
@@ -186,8 +186,8 @@ def assemble_mass(mesh):
     Q1 on a tensor mesh gives M = M_y (x) M_x, with x varying fastest
     as in the interior numbering.
     """
-    mx, _ = _axis_matrices(mesh.x_axis.nodes)
-    my, _ = _axis_matrices(mesh.y_axis.nodes)
+    mx, _ = _axis_matrices(mesh.x)
+    my, _ = _axis_matrices(mesh.y)
     return sp.kron(my, mx, format="csr")
 
 
@@ -196,6 +196,6 @@ def assemble_stiffness(mesh):
 
     K = M_y (x) K_x + K_y (x) M_x on the tensor mesh.
     """
-    mx, kx = _axis_matrices(mesh.x_axis.nodes)
-    my, ky = _axis_matrices(mesh.y_axis.nodes)
+    mx, kx = _axis_matrices(mesh.x)
+    my, ky = _axis_matrices(mesh.y)
     return (sp.kron(my, kx) + sp.kron(ky, mx)).tocsr()

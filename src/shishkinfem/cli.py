@@ -171,10 +171,12 @@ def _metadata_lines(cfg):
 def _write(path, cfg, lines):
     """Write the file whole or not at all.
 
-    The lines go to a temporary file in the target directory, which
+    The target directory is made if missing, only now that there is
+    something to write.  The lines go to a temporary file in it, which
     then replaces path; on any error it is removed and an existing file
     at path is left as it was.
     """
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -219,8 +221,8 @@ def _run_field(cfg):
     uh = solve_problem(spec, cfg.N_list[0], quad_order=cfg.quad_order)
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
-    xs = [repr(x) + " " for x in mesh.x_axis.nodes.tolist()]
-    for y, row in zip(mesh.y_axis.nodes.tolist(), uh.values.tolist()):
+    xs = [repr(x) + " " for x in mesh.x.tolist()]
+    for y, row in zip(mesh.y.tolist(), uh.values.tolist()):
         y = repr(y) + " "
         lines += [x + y + repr(u) for x, u in zip(xs, row)]
     return "field.txt", lines
@@ -248,7 +250,6 @@ def _run_mms(cfg):
 def run(cfg):
     """Execute a validated RunConfig; returns the process exit code."""
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         if cfg.mode in ("errors", "rates"):
             name, lines = _run_errors(cfg, want_rates=(cfg.mode == "rates"))
         elif cfg.mode == "green":

@@ -44,9 +44,7 @@ def bilinear_interp(field_, points):
     domain.  Exact at nodes and for functions linear in x and in y.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    mesh = field_.mesh
-    xs = mesh.x_axis.nodes
-    ys = mesh.y_axis.nodes
+    xs, ys = field_.mesh.x, field_.mesh.y
     if (pts[:, 0].min() < xs[0] - 1e-14 or pts[:, 0].max() > xs[-1] + 1e-14
             or pts[:, 1].min() < ys[0] - 1e-14 or pts[:, 1].max() > ys[-1] + 1e-14):
         raise ValueError("point outside the mesh domain")
@@ -137,8 +135,7 @@ def _compare_nested(u_N, u_2N):
     """Region-wise max |U_N - U_2N| at the N-mesh nodes; the meshes must
     be nested (one lam), as those of one `_solutions` walk are."""
     mesh = u_N.mesh
-    masks = region_masks(mesh.x_axis.nodes[None, :],
-                         mesh.y_axis.nodes[:, None],
+    masks = region_masks(mesh.x[None, :], mesh.y[:, None],
                          mesh.lambda_x, mesh.lambda_y)
     return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]), masks)
 
@@ -188,8 +185,7 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     results = {}
     for N in sorted(set(N_list)):
         mesh = build_mesh(N, lam_x, lam_y)
-        xs = mesh.x_axis.nodes
-        ys = mesh.y_axis.nodes
+        xs, ys = mesh.x, mesh.y
         nodal = template(*np.meshgrid(xs, ys))
         maxima = dict.fromkeys(Region, 0.0)
         for u in offsets:
@@ -219,7 +215,6 @@ def mms_convergence(spec, N_list, quad_order=3, lam=None):
         raise ValueError("spec has no exact solution")
     errors = {}
     for N, uh in _solutions(spec, N_list, quad_order, lam):
-        exact = spec.exact(*np.meshgrid(uh.mesh.x_axis.nodes,
-                                        uh.mesh.y_axis.nodes))
+        exact = spec.exact(*np.meshgrid(uh.mesh.x, uh.mesh.y))
         errors[N] = float(np.abs(uh.values - exact).max())
     return errors, _rates(errors, lambda n: 2 * n)

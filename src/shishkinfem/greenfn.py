@@ -75,8 +75,8 @@ def fe_energy_norm(field, M, eps):
     v = field.interior_values()
     if M.shape[0] != len(v):
         raise ValueError("mass matrix does not match field")
-    h = field.mesh.x_axis.spacings()
-    k = field.mesh.y_axis.spacings()[:, None]
+    h = np.diff(field.mesh.x)
+    k = np.diff(field.mesh.y)[:, None]
     V = field.values
     dx = np.diff(V, axis=1)
     dy = np.diff(V, axis=0)
@@ -121,6 +121,6 @@ def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
                 i, j = mesh.nearest_node(px, py)
                 g = green_function(A, mesh, (i, j), mg=mg)
                 reports[eps, N, region] = GreenReport(
-                    float(mesh.x_axis.nodes[i]), float(mesh.y_axis.nodes[j]),
+                    float(mesh.x[i]), float(mesh.y[j]),
                     fe_l2_norm(g, M), fe_energy_norm(g, M, eps))
     return reports

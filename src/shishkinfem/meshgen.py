@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Region",
-    "MeshAxis",
     "TensorMesh",
     "transition_params",
     "build_x_axis",
@@ -51,23 +50,8 @@ def transition_params(eps, alpha, beta):
     return lambda_x, lambda_y
 
 
-@dataclass(frozen=True)
-class MeshAxis:
-    """A 1D piecewise-uniform grid with its transition parameter."""
-
-    nodes: np.ndarray
-    lam: float
-
-    @property
-    def n_intervals(self):
-        return len(self.nodes) - 1
-
-    def spacings(self):
-        return np.diff(self.nodes)
-
-
 def build_x_axis(N, lambda_x):
-    """Full-domain x-axis on [-1,1] with 2N intervals.
+    """Nodes of the full-domain x-axis on [-1,1], 2N intervals.
 
     The half-axis [0,1] gets N/2 uniform intervals in [0, lambda_x] and
     N/2 in [lambda_x, 1]; the partition is mirrored about 0.
@@ -84,7 +68,7 @@ def build_x_axis(N, lambda_x):
 
 
 def build_y_axis(N, lambda_y):
-    """y-axis on [-1,1]: N/4 intervals in each boundary strip, N/2 between."""
+    """y-axis nodes on [-1,1]: N/4 intervals in each strip, N/2 between."""
     if N % 4 != 0 or N < 4:
         raise ValueError(f"N must be a positive multiple of 4, got {N}")
     if not 0.0 < lambda_y <= 0.25:
@@ -98,43 +82,37 @@ def build_y_axis(N, lambda_y):
 
 
 def _axis(nodes, N, lam, name):
-    """The MeshAxis of nodes, which must be strictly increasing: a
-    transition parameter too small for float resolution at N collapses
-    nodes onto each other, and such a mesh has singular systems."""
+    """nodes, checked to be strictly increasing: a transition parameter
+    too small for float resolution at N collapses nodes onto each
+    other, and such a mesh has singular systems."""
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError(f"mesh nodes coincide: lambda_{name} = {lam:.6g} "
                          f"is below float resolution at N = {N}")
-    return MeshAxis(nodes=nodes, lam=lam)
+    return nodes
 
 
 @dataclass(frozen=True)
 class TensorMesh:
-    """Tensor product of the two Shishkin axes.
+    """Tensor product of the two Shishkin axes: node arrays x and y
+    with their transition parameters.
 
-    Node (i, j) sits at (x_axis.nodes[i], y_axis.nodes[j]); nodal
-    arrays have shape (ny, nx), so the value at node (i, j) is
-    values[j, i].  The unknowns are the interior block [1:-1, 1:-1],
-    raveled row-major with x fastest.
+    Node (i, j) sits at (x[i], y[j]); nodal arrays have shape (ny, nx),
+    so the value at node (i, j) is values[j, i].  The unknowns are the
+    interior block [1:-1, 1:-1], raveled row-major with x fastest.
     """
 
-    x_axis: MeshAxis
-    y_axis: MeshAxis
-
-    @property
-    def lambda_x(self):
-        return self.x_axis.lam
-
-    @property
-    def lambda_y(self):
-        return self.y_axis.lam
+    x: np.ndarray
+    y: np.ndarray
+    lambda_x: float
+    lambda_y: float
 
     @property
     def nx(self):
-        return len(self.x_axis.nodes)
+        return len(self.x)
 
     @property
     def ny(self):
-        return len(self.y_axis.nodes)
+        return len(self.y)
 
     @property
     def n_interior(self):
@@ -142,15 +120,15 @@ class TensorMesh:
 
     def nearest_node(self, x, y):
         """Grid index (i, j) of the interior node nearest (x, y)."""
-        i = 1 + int(np.argmin(np.abs(self.x_axis.nodes[1:-1] - x)))
-        j = 1 + int(np.argmin(np.abs(self.y_axis.nodes[1:-1] - y)))
+        i = 1 + int(np.argmin(np.abs(self.x[1:-1] - x)))
+        j = 1 + int(np.argmin(np.abs(self.y[1:-1] - y)))
         return i, j
 
 
 def build_mesh(N, lambda_x, lambda_y):
     """Tensor mesh with 2N intervals in x and N intervals in y."""
-    return TensorMesh(x_axis=build_x_axis(N, lambda_x),
-                      y_axis=build_y_axis(N, lambda_y))
+    return TensorMesh(build_x_axis(N, lambda_x), build_y_axis(N, lambda_y),
+                      lambda_x, lambda_y)
 
 
 def classify_points(x, y, lambda_x, lambda_y):

@@ -134,7 +134,7 @@ def interior_index(mesh):
 
 def node_coords(mesh):
     """(nx * ny, 2) node coordinates in flat order."""
-    xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+    xs, ys = mesh.x, mesh.y
     return np.array([(x, y) for y in ys for x in xs])
 
 

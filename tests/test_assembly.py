@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shishkinfem.meshgen import MeshAxis, TensorMesh, build_mesh, transition_params
+from shishkinfem.meshgen import TensorMesh, build_mesh, transition_params
 from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
@@ -25,8 +25,8 @@ def constant_spec(eps=1.0, b1=0.0, c=1.0, f=1.0):
 
 def _cell_arrays(mesh):
     """Row-major cell geometry arrays and corner flat indices."""
-    xs = mesh.x_axis.nodes
-    ys = mesh.y_axis.nodes
+    xs = mesh.x
+    ys = mesh.y
     hx = np.diff(xs)
     hy = np.diff(ys)
     X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
@@ -74,7 +74,7 @@ def cell_by_cell_assemble(mesh, spec, quad_order):
 
 def uniform_mesh(n, lo=-1.0, hi=1.0):
     nodes = np.linspace(lo, hi, n + 1)
-    return TensorMesh(x_axis=MeshAxis(nodes, 0.5), y_axis=MeshAxis(nodes, 0.25))
+    return TensorMesh(nodes, nodes, 0.5, 0.25)
 
 
 class TestQuadRule:
@@ -242,7 +242,7 @@ class TestMassStiffness:
         v = rng.standard_normal(mesh.n_interior)
         field = FeField.from_interior(mesh, v)
         from shishkinfem.errorlab import bilinear_interp
-        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        xs, ys = mesh.x, mesh.y
         q, w = np.polynomial.legendre.leggauss(2)
         total = 0.0
         for i in range(len(xs) - 1):
@@ -267,7 +267,7 @@ class TestMassStiffness:
         # field supported on one interior patch instead.
         mesh = uniform_mesh(8)
         K = assemble_stiffness(mesh)
-        X, Y = np.meshgrid(mesh.x_axis.nodes, mesh.y_axis.nodes)
+        X, Y = np.meshgrid(mesh.x, mesh.y)
         # zero out everything outside the central 2x2-cell patch
         inside = (np.abs(X) <= 0.25 + 1e-12) & (np.abs(Y) <= 0.25 + 1e-12)
         vals = np.where(inside, X * Y, 0.0)
@@ -275,7 +275,7 @@ class TestMassStiffness:
         v = field.interior_values()
         # independent oracle: high-order quadrature of |grad I(v)|^2 per cell
         energy = 0.0
-        xs = mesh.x_axis.nodes
+        xs = mesh.x
         h = xs[1] - xs[0]
         grid = field.values
         q, w = np.polynomial.legendre.leggauss(4)

@@ -153,8 +153,8 @@ class TestRunModes:
                         output_dir=str(tmp_path))
         assert run(cfg) == 0
         old = [f"{mesh.nx} {mesh.ny}"]
-        for y, row in zip(mesh.y_axis.nodes, uh.values):
-            for x, u in zip(mesh.x_axis.nodes, row):
+        for y, row in zip(mesh.y, uh.values):
+            for x, u in zip(mesh.x, row):
                 old.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
         want = "".join(line + "\n" for line in cli._metadata_lines(cfg) + old)
         assert (tmp_path / "field.txt").read_bytes() == want.encode()
@@ -451,6 +451,17 @@ class TestMain:
         assert result.stderr.count("\n") == 1
         assert "lambda_y" in result.stderr and "N = 8" in result.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_output_dir_made_only_for_a_result(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh"
+        assert main(["--mode", "errors", "--eps", "1e-300", "--N", "8",
+                     "-o", str(fresh)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not fresh.exists()
+        nested = tmp_path / "a" / "b"
+        assert main(["--mode", "errors", "--eps", "1e-4", "--N", "8",
+                     "-o", str(nested)]) == 0
+        assert (nested / "errors.csv").stat().st_size > 0
 
     def test_non_finite_coefficient_exits_2(self, tmp_path, monkeypatch,
                                             capsys):

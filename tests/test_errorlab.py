@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shishkinfem import errorlab, linsolve
-from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
+from shishkinfem.meshgen import (Region, TensorMesh, build_mesh,
                                  classify_points, transition_params)
 from shishkinfem.problem import example_5_1, mms_problem, layer_template
 from shishkinfem.assembly import FeField, assemble
@@ -19,7 +19,7 @@ from oracles import node_coords
 
 def uniform_field(n, fn):
     nodes = np.linspace(-1.0, 1.0, n + 1)
-    mesh = TensorMesh(x_axis=MeshAxis(nodes, 0.5), y_axis=MeshAxis(nodes, 0.25))
+    mesh = TensorMesh(nodes, nodes, 0.5, 0.25)
     return FeField(mesh=mesh, values=fn(*np.meshgrid(nodes, nodes)))
 
 
@@ -30,8 +30,8 @@ class TestBilinearInterp:
         np.testing.assert_allclose(vals, field.values.ravel(), atol=1e-14)
 
     def test_cell_center_average(self):
-        mesh = TensorMesh(x_axis=MeshAxis(np.array([-1.0, 1.0]), 0.5),
-                          y_axis=MeshAxis(np.array([-1.0, 1.0]), 0.25))
+        nodes = np.array([-1.0, 1.0])
+        mesh = TensorMesh(nodes, nodes, 0.5, 0.25)
         field = FeField(mesh=mesh, values=np.array([[0.0, 0.0], [0.0, 4.0]]))
         assert bilinear_interp(field, (0.0, 0.0)) == pytest.approx(1.0)
 
@@ -296,7 +296,7 @@ def pointwise_interp_study(template, eps, alpha, beta, N_list):
     results = {}
     for N in sorted(N_list):
         mesh = build_mesh(N, lam_x, lam_y)
-        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        xs, ys = mesh.x, mesh.y
         fld = FeField(mesh=mesh, values=template(*np.meshgrid(xs, ys)))
         X0, Y0 = np.meshgrid(xs[:-1], ys[:-1])
         H, K = np.meshgrid(np.diff(xs), np.diff(ys))

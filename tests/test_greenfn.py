@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shishkinfem.meshgen import (Region, MeshAxis, TensorMesh, build_mesh,
+from shishkinfem.meshgen import (Region, TensorMesh, build_mesh,
                                  transition_params)
 from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
@@ -75,8 +75,7 @@ class TestNorms:
     def test_sine_interpolant_l2(self):
         # int sin^2(pi x) sin^2(pi y) over [-1,1]^2 = 1
         nodes = np.linspace(-1.0, 1.0, 65)
-        mesh = TensorMesh(x_axis=MeshAxis(nodes, 0.5),
-                          y_axis=MeshAxis(nodes, 0.25))
+        mesh = TensorMesh(nodes, nodes, 0.5, 0.25)
         X, Y = np.meshgrid(nodes, nodes)
         vals = np.sin(np.pi * X) * np.sin(np.pi * Y)
         field = FeField(mesh=mesh, values=vals)
@@ -120,8 +119,8 @@ class TestNorms:
 
         ld = np.longdouble
         V = g.values.astype(ld)
-        h = np.diff(mesh.x_axis.nodes.astype(ld))
-        k = np.diff(mesh.y_axis.nodes.astype(ld))[:, None]
+        h = np.diff(mesh.x.astype(ld))
+        k = np.diff(mesh.y.astype(ld))[:, None]
         q = (1 + np.array([-1, 1], dtype=ld) / np.sqrt(ld(3))) / 2
         grad_sq = ld(0)
         for t in q:

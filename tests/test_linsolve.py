@@ -261,7 +261,7 @@ class TestMultigrid:
         coarse = build_mesh(16, *lam)
         v = np.random.default_rng(5).standard_normal(coarse.n_interior)
         P = multigrid(A, shape).levels[0].P
-        X, Y = np.meshgrid(fine.x_axis.nodes[1:-1], fine.y_axis.nodes[1:-1])
+        X, Y = np.meshgrid(fine.x[1:-1], fine.y[1:-1])
         expect = bilinear_interp(FeField.from_interior(coarse, v),
                                  np.column_stack([X.ravel(), Y.ravel()]))
         np.testing.assert_allclose(P @ v, expect, rtol=0.0, atol=1e-11)

@@ -41,25 +41,25 @@ class TestXAxis:
     def test_hand_evaluated(self):
         ax = build_x_axis(4, 0.1)
         np.testing.assert_allclose(
-            ax.nodes, [-1, -0.55, -0.1, -0.05, 0, 0.05, 0.1, 0.55, 1],
+            ax, [-1, -0.55, -0.1, -0.05, 0, 0.05, 0.1, 0.55, 1],
             atol=1e-15)
 
     def test_uniform_at_cap(self):
         ax = build_x_axis(4, 0.5)
-        np.testing.assert_allclose(np.diff(ax.nodes), 0.25, atol=1e-15)
+        np.testing.assert_allclose(np.diff(ax), 0.25, atol=1e-15)
 
     def test_transition_node_and_spacings(self):
         ax = build_x_axis(8, 0.1)
-        n = ax.n_intervals  # 2N intervals
+        n = len(ax) - 1  # 2N intervals
         assert n == 16
         # positive half: node N/2 past center is the transition point
-        assert ax.nodes[8 + 4] == pytest.approx(0.1)
-        assert ax.nodes[8 + 1] - ax.nodes[8] == pytest.approx(0.05 / 2)
-        assert ax.nodes[8 + 5] - ax.nodes[8 + 4] == pytest.approx(0.225)
+        assert ax[8 + 4] == pytest.approx(0.1)
+        assert ax[8 + 1] - ax[8] == pytest.approx(0.05 / 2)
+        assert ax[8 + 5] - ax[8 + 4] == pytest.approx(0.225)
 
     def test_symmetric(self):
         ax = build_x_axis(12, 0.3)
-        np.testing.assert_allclose(ax.nodes, -ax.nodes[::-1], atol=1e-14)
+        np.testing.assert_allclose(ax, -ax[::-1], atol=1e-14)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -69,17 +69,16 @@ class TestXAxis:
 class TestYAxis:
     def test_hand_evaluated_n4(self):
         ay = build_y_axis(4, 0.25)
-        np.testing.assert_allclose(ay.nodes, [-1, -0.75, 0, 0.75, 1],
-                                   atol=1e-15)
+        np.testing.assert_allclose(ay, [-1, -0.75, 0, 0.75, 1], atol=1e-15)
 
     def test_hand_evaluated_n8(self):
         ay = build_y_axis(8, 0.2)
         np.testing.assert_allclose(
-            ay.nodes, [-1, -0.9, -0.8, -0.4, 0, 0.4, 0.8, 0.9, 1], atol=1e-15)
+            ay, [-1, -0.9, -0.8, -0.4, 0, 0.4, 0.8, 0.9, 1], atol=1e-15)
 
     def test_branch_boundary(self):
         ay = build_y_axis(4, 0.25)
-        assert ay.nodes[3] == pytest.approx(0.75)
+        assert ay[3] == pytest.approx(0.75)
 
     def test_not_multiple_of_4(self):
         with pytest.raises(ValueError):
@@ -90,12 +89,12 @@ class TestWidths:
     @pytest.mark.parametrize("N,lx,ly", [(8, 0.1, 0.2), (16, 0.02, 0.1)])
     def test_piecewise_spacings(self, N, lx, ly):
         ax = build_x_axis(N, lx)
-        hx = np.diff(ax.nodes)
+        hx = np.diff(ax)
         # fine x-spacing 2*lx/N, coarse 2*(1-lx)/N on each half
         np.testing.assert_allclose(hx[N // 2:N], 2 * lx / N)
         np.testing.assert_allclose(hx[:N // 2], 2 * (1 - lx) / N)
         ay = build_y_axis(N, ly)
-        hy = np.diff(ay.nodes)
+        hy = np.diff(ay)
         np.testing.assert_allclose(hy[:N // 4], 4 * ly / N)
         np.testing.assert_allclose(hy[N // 4:3 * N // 4], 4 * (1 - ly) / N)
 
@@ -117,7 +116,7 @@ class TestDegenerateMesh:
     def test_smallest_eps_of_the_studies_is_fine(self):
         lx, ly = transition_params(1e-9, 2.0, 1.0)
         for N in (4, 512, 1024):
-            assert np.all(np.diff(build_mesh(N, lx, ly).y_axis.nodes) > 0.0)
+            assert np.all(np.diff(build_mesh(N, lx, ly).y) > 0.0)
 
 
 class TestNestedness:
@@ -127,10 +126,8 @@ class TestNestedness:
         for N in (8, 16, 32):
             coarse = build_mesh(N, lx, ly)
             fine = build_mesh(2 * N, lx, ly)
-            np.testing.assert_allclose(fine.x_axis.nodes[::2],
-                                       coarse.x_axis.nodes, atol=1e-12)
-            np.testing.assert_allclose(fine.y_axis.nodes[::2],
-                                       coarse.y_axis.nodes, atol=1e-12)
+            np.testing.assert_allclose(fine.x[::2], coarse.x, atol=1e-12)
+            np.testing.assert_allclose(fine.y[::2], coarse.y, atol=1e-12)
 
 
 class TestClassify:
@@ -165,7 +162,7 @@ class TestClassify:
     def test_transition_lines_are_nodes(self):
         lx, ly = transition_params(1e-6, 2.0, 1.0)
         mesh = build_mesh(16, lx, ly)
-        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        xs, ys = mesh.x, mesh.y
         for v in (-lx, lx):
             assert np.min(np.abs(xs - v)) < 1e-14
         for v in (-1 + ly, 1 - ly):
@@ -179,7 +176,7 @@ class TestRegionMasks:
         # x-nodes N/2...3N/2 span [-lambda_x, lambda_x]; y-nodes 0...N/4
         # and 3N/4...N the strips; both ranges include the transition lines
         mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
-        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        xs, ys = mesh.x, mesh.y
         masks = region_masks(xs[None, :], ys[:, None], mesh.lambda_x,
                              mesh.lambda_y)
         i, j = np.arange(2 * N + 1), np.arange(N + 1)
@@ -203,7 +200,7 @@ class TestRegionMasks:
 class TestNearestNode:
     def test_interior_point(self):
         mesh = build_mesh(8, 0.1, 0.2)
-        xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+        xs, ys = mesh.x, mesh.y
         # (0.56, 0.05) is nearest to x = 0.55 (i = 14) and y = 0 (j = 4)
         assert (xs[14], ys[4]) == pytest.approx((0.55, 0.0))
         assert mesh.nearest_node(0.56, 0.05) == (14, 4)

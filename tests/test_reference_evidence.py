@@ -54,8 +54,7 @@ FORMER_REF_ERRORS_LAYER_X = {
 def region_max(mesh, values):
     """Region-wise max |values| over all nodes of mesh; values is an
     (ny, nx) nodal grid."""
-    tags = classify_points(mesh.x_axis.nodes[None, :],
-                           mesh.y_axis.nodes[:, None],
+    tags = classify_points(mesh.x[None, :], mesh.y[:, None],
                            mesh.lambda_x, mesh.lambda_y)
     return {r: float(np.abs(values[tags == r]).max()) for r in REGIONS}
 
@@ -153,7 +152,7 @@ def layer_study():
         true = {}
         for N in LAYER_NS:
             uh = solve_problem(spec, N)
-            X, Y = np.meshgrid(uh.mesh.x_axis.nodes, uh.mesh.y_axis.nodes)
+            X, Y = np.meshgrid(uh.mesh.x, uh.mesh.y)
             true[N] = region_max(uh.mesh, uh.values - spec.exact(X, Y))
         out[eps] = (true, errors)
     return out
@@ -238,7 +237,7 @@ def fd_upwind(spec, mesh):
     entry of A is <= 0 and each row sums to at least c: A is an M-matrix
     and |U| <= max|f| / min c.
     """
-    xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
+    xs, ys = mesh.x, mesh.y
     X, Y = np.meshgrid(xs[1:-1], ys[1:-1])
     x, y = X.ravel(), Y.ravel()
     ix = sp.identity(len(xs) - 2)
