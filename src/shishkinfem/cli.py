@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 run/solver/output
 failure or out of memory.
 """
 
+import contextlib
 import math
 import os
 import sys
@@ -173,12 +174,18 @@ def _write(path, cfg, lines):
 
     The target directory is made if missing, only now that there is
     something to write.  The lines go to a temporary file in it, which
-    then replaces path; on any error it is removed and an existing file
-    at path is left as it was.
+    then replaces path.  On any error the temporary file and the
+    directories made here are removed; an existing file at path is left
+    as it was.
     """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    made = []       # the missing directories of path, deepest first
+    parent = os.path.dirname(path)
+    while parent and not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w") as fh:
             for line in _metadata_lines(cfg):
                 fh.write(line + "\n")
@@ -188,6 +195,9 @@ def _write(path, cfg, lines):
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):  # not made, or not empty
+                os.rmdir(directory)
         raise
 
 

@@ -50,7 +50,8 @@ def bilinear_interp(field_, points):
         raise ValueError("point outside the mesh domain")
     i, s = _locate(xs, pts[:, 0])
     j, t = _locate(ys, pts[:, 1])
-    out = _bilinear(field_.values, i, j, s, t)
+    g = field_.values
+    out = _bilinear(g[j, i], g[j, i + 1], g[j + 1, i], g[j + 1, i + 1], s, t)
     if np.asarray(points).ndim == 1:
         return float(out[0])
     return out
@@ -62,24 +63,42 @@ def _locate(nodes, p):
     return i, (p - nodes[i]) / (nodes[i + 1] - nodes[i])
 
 
-def _bilinear(grid, i, j, s, t):
-    """Bilinear interpolant of grid (ny, nx) in cells (i, j) at local (s, t).
-
-    The arguments broadcast against each other: equal 1D arrays give
-    points, i and s along columns with j and t along rows give a grid.
-    """
-    v00 = grid[j, i]
-    v10 = grid[j, i + 1]
-    v11 = grid[j + 1, i + 1]
-    v01 = grid[j + 1, i]
+def _bilinear(v00, v10, v01, v11, s, t):
+    """Bilinear interpolant at local (s, t) in cells with corner values
+    v00 at (0, 0), v10 at (1, 0), v01 at (0, 1) and v11 at (1, 1); the
+    arguments broadcast against each other."""
     # corner-difference form: exact for constant fields, not just close
     return (v00 + s * (v10 - v00) + t * (v01 - v00)
             + s * t * (v11 - v10 - v01 + v00))
 
 
+def _grid_corners(grid, i, j):
+    """Corner values v00, v10, v01, v11 of grid (ny, nx) for a tensor
+    grid of samples, one per cell on each axis, in cells i along x and
+    j along y.  Where sample k lies in cell k on an axis, the corners
+    along it are slices of grid; otherwise they are gathered."""
+    def ends(k):
+        if np.array_equal(k, np.arange(len(k))):
+            return slice(None, -1), slice(1, None)
+        return k, k + 1
+    rows, cols = ends(j), ends(i)
+    if not isinstance(rows[0], slice) and not isinstance(cols[0], slice):
+        rows = tuple(r[:, None] for r in rows)  # outer gather, no row copy
+    return tuple(grid[r, c] for r in rows for c in cols)
+
+
+def _on_grid(func, x, y):
+    """Elementwise func on the tensor grid of the axes x and y, as a
+    (len(y), len(x)) array.  func gets a row x[None, :] and a column
+    y[:, None]; what it returns is broadcast (a read-only view) to the
+    grid, so a func that is constant along an axis may keep it at 1."""
+    return np.broadcast_to(func(x[None, :], y[:, None]), (len(y), len(x)))
+
+
 def _region_max(err, masks):
-    """Maximum of err in each region of `region_masks`; 0 where empty."""
-    return {region: float(err[mask].max()) if mask.any() else 0.0
+    """Maximum of err (>= 0) in each region of `region_masks`; 0 where
+    empty."""
+    return {region: float(err.max(where=mask, initial=0.0))
             for region, mask in masks.items()}
 
 
@@ -176,9 +195,11 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     For each N: build the Shishkin mesh, sample the template at the
     nodes, and measure max |template - interpolant| over an s x s
     uniform sub-sample of every cell (s = SAMPLES_PER_CELL).  The
-    samples of one offset form a tensor grid, so cells, local
-    coordinates and regions are found per axis.  Returns the table of
-    errors.
+    template is an elementwise numpy callable, always called with a row
+    x[None, :] and a column y[:, None] (see `_on_grid`).  The samples of
+    one offset form a tensor grid, so cells, local coordinates and
+    regions are found per axis, and the template runs on the axes, not
+    on every point.  Returns the table of errors.
     """
     lam_x, lam_y = transition_params(eps, alpha, beta)
     offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
@@ -186,17 +207,20 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     for N in sorted(set(N_list)):
         mesh = build_mesh(N, lam_x, lam_y)
         xs, ys = mesh.x, mesh.y
-        nodal = template(*np.meshgrid(xs, ys))
+        hx, hy = np.diff(xs), np.diff(ys)
+        nodal = _on_grid(template, xs, ys)
         maxima = dict.fromkeys(Region, 0.0)
         for u in offsets:
-            px = xs[:-1] + u * np.diff(xs)
+            px = xs[:-1] + u * hx
             i, s = _locate(xs, px)
             for v in offsets:
-                py = ys[:-1] + v * np.diff(ys)
+                py = ys[:-1] + v * hy
                 j, t = _locate(ys, py)
-                approx = _bilinear(nodal, i[None, :], j[:, None],
-                                   s[None, :], t[:, None])
-                err = np.abs(template(*np.meshgrid(px, py)) - approx)
+                # unpacked into the call, no corner outlives it
+                err = _bilinear(*_grid_corners(nodal, i, j),
+                                s[None, :], t[:, None])
+                np.subtract(_on_grid(template, px, py), err, out=err)
+                np.abs(err, out=err)
                 masks = region_masks(px[None, :], py[:, None], lam_x, lam_y)
                 for region, e in _region_max(err, masks).items():
                     maxima[region] = max(maxima[region], e)
@@ -215,6 +239,6 @@ def mms_convergence(spec, N_list, quad_order=3, lam=None):
         raise ValueError("spec has no exact solution")
     errors = {}
     for N, uh in _solutions(spec, N_list, quad_order, lam):
-        exact = spec.exact(*np.meshgrid(uh.mesh.x, uh.mesh.y))
+        exact = _on_grid(spec.exact, uh.mesh.x, uh.mesh.y)
         errors[N] = float(np.abs(uh.values - exact).max())
     return errors, _rates(errors, lambda n: 2 * n)

@@ -128,6 +128,11 @@ def layer_template(kind, eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     interior_x : exp(-alpha |x| / eps) (1-y^2)
     boundary_y : (exp(-beta (1-y)/sqrt(eps)) + exp(-beta (1+y)/sqrt(eps))) (1-x^2)
     corner_xy  : product of the x- and y-layer factors
+
+    A template is an elementwise numpy callable of (x, y).
+    `interp_error_study` calls it with a row x[None, :] and a column
+    y[:, None], so each exp runs on an axis, and broadcasts the result
+    to the grid.
     """
     if eps <= 0.0 or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("eps, alpha, beta must be positive")

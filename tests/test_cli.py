@@ -331,6 +331,10 @@ class TestAtomicOutput:
         assert run(cfg) == 2
         assert list(tmp_path.iterdir()) == []
         assert "No space left" in capsys.readouterr().err
+        # nor the directories it made for a new nested -o
+        cfg.output_dir = str(tmp_path / "new" / "nested")
+        assert run(cfg) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMain:

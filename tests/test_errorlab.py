@@ -329,6 +329,34 @@ class TestInterpStudy:
                 == list(pointwise_interp_study(tpl, eps, 2.0, 1.0,
                                                [8, 16]).items()))
 
+    def test_equals_pointwise_study_on_gathered_cells(self):
+        # at offset 1 most samples round onto the next node and move one
+        # cell over, but some stay: the corners come from a mixed gather
+        eps, N = 1e-6, 64
+        xs = build_mesh(N, *transition_params(eps, 2.0, 1.0)).x
+        i, _ = errorlab._locate(xs, xs[:-1] + 1.0 * np.diff(xs))
+        moved = i != np.arange(len(i))
+        assert moved.any() and not moved[:-1].all()
+        tpl = layer_template("corner_xy", eps, 2.0, 1.0)
+        assert (list(interp_error_study(tpl, eps, 2.0, 1.0, [N]).items())
+                == list(pointwise_interp_study(tpl, eps, 2.0, 1.0,
+                                               [N]).items()))
+
+    def test_template_called_on_the_axes(self):
+        tpl = layer_template("corner_xy", 1e-6, 2.0, 1.0)
+        shapes = []
+
+        def recording(x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return tpl.func(x, y)
+
+        interp_error_study(dataclasses.replace(tpl, func=recording),
+                           1e-6, 2.0, 1.0, [8, 16])
+        # nodes and 25 offsets per N
+        assert len(shapes) == 2 * (1 + SAMPLES_PER_CELL ** 2)
+        for (rows, m), (k, cols) in shapes:     # a row and a column
+            assert rows == cols == 1 and m > 1 and k > 1
+
     def test_constant_template_exact(self):
         from shishkinfem.problem import LayerTemplate, TemplateKind
         const = LayerTemplate(kind=TemplateKind.SMOOTH,
