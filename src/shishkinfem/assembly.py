@@ -58,9 +58,12 @@ def _axis_points(nodes, g):
     return nodes[:-1, None] + 0.5 * h[:, None] * (1.0 + g), h
 
 
-def _coefficient(name, fn, X, Y):
-    """fn on the quadrature grid, checked to be finite everywhere."""
-    vals = np.broadcast_to(np.asarray(fn(X, Y), dtype=float), X.shape)
+def _coefficient(name, fn, xq, yq):
+    """fn called with the Gauss-point axes, x (1, 1, ni, q) and y
+    (nj, q, 1, 1), broadcast to their grid (cell j, point b, cell i,
+    point a) and checked to be finite."""
+    vals = np.asarray(fn(xq[None, None], yq[:, :, None, None]), dtype=float)
+    vals = np.broadcast_to(vals, yq.shape + xq.shape)
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         points = "point" if bad == 1 else "points"
@@ -72,23 +75,21 @@ def _csr_from_stencil(mesh, stencil):
     """CSR matrix over interior nodes from 9-point stencil arrays.
 
     stencil[dy + 1, dx + 1, j, i] couples node (i, j) to node
-    (i + dx, j + dy).  Columns come out sorted, since the interior
-    numbering is row-major with x fastest.
+    (i + dx, j + dy), on diagonal dy * mx + dx of the interior numbering.
+    Couplings past the ends of an x-line are zeroed and zeros are not
+    stored; where mx < 3 two can share a diagonal, never a row.
     """
-    mx, my = mesh.nx - 2, mesh.ny - 2
-    n = mx * my
-    vals = stencil[:, :, 1:-1, 1:-1].reshape(9, n).T
-    steps = np.array([-1, 0, 1])
-
-    def inside(m):
-        pos = np.arange(m)[:, None] + steps
-        return (pos >= 0) & (pos < m)
-
-    keep = (inside(my)[:, None, :, None]
-            & inside(mx)[None, :, None, :]).reshape(n, 9)
-    cols = np.arange(n)[:, None] + (steps[:, None] * mx + steps).ravel()
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    mx, n = mesh.nx - 2, mesh.n_interior
+    inner = stencil[:, :, 1:-1, 1:-1].copy()
+    inner[:, 0, :, :1] = 0.0
+    inner[:, 2, :, -1:] = 0.0
+    diagonals = {}
+    for (dy, dx), v in zip(np.ndindex(3, 3), inner.reshape(9, n)):
+        k = (dy - 1) * mx + dx - 1
+        if abs(k) <= n:
+            diagonals[k] = diagonals.get(k, 0.0) + v[max(-k, 0):n - max(k, 0)]
+    return sp.diags(list(diagonals.values()), list(diagonals), shape=(n, n),
+                    format="csr")
 
 
 def assemble(mesh, spec, quad_order=3):
@@ -97,12 +98,10 @@ def assemble(mesh, spec, quad_order=3):
     A[i, j] = eps (grad phi_j, grad phi_i) + (b1 d(phi_j)/dx, phi_i)
               + (c phi_j, phi_i),  F[i] = (f, phi_i).
 
-    Uses the tensor Gauss-Legendre rule of quad_order points per axis
-    on every cell, arranged as a tensor product: b1, c and f are
-    evaluated once on the grid of per-cell Gauss points, and the Q1
-    shape functions, products of 1D hat functions, are applied one axis
-    at a time.  Raises ValueError
-    if a coefficient is not finite at some quadrature point.
+    Uses quad_order Gauss-Legendre points per axis on every cell: b1, c
+    and f are called once each on the axes of Gauss points, and the Q1
+    shape functions (products of 1D hats) act one axis at a time.
+    Raises ValueError if a coefficient is not finite at a quadrature point.
     """
     g, w = _gauss(quad_order)
     q = len(g)
@@ -120,11 +119,8 @@ def assemble(mesh, spec, quad_order=3):
     mass_1d = mass.sum(axis=0)
     stiff_1d = w.sum() * np.outer(dhat, dhat).ravel()
 
-    shape = (nj, q, ni, q)                  # (cell j, point b, cell i, point a)
-    X = np.broadcast_to(xq, shape)
-    Y = np.broadcast_to(yq[:, :, None, None], shape)
-    b1 = _coefficient("b1", spec.b1, X, Y)
-    c = _coefficient("c", spec.c, X, Y)
+    b1 = _coefficient("b1", spec.b1, xq, yq)
+    c = _coefficient("c", spec.c, xq, yq)
 
     # x direction first, then y; jac = (h/2)(k/2), d/dx = (2/h) d/dxi.
     # Each array is freed after its last use and products are formed in
@@ -147,7 +143,7 @@ def assemble(mesh, spec, quad_order=3):
         local += diffusion
         del diffusion
     local = local.reshape(nj, 2, 2, ni, 2, 2)     # (j, ty, sy, i, tx, sx)
-    f = _coefficient("f", spec.f, X, Y)
+    f = _coefficient("f", spec.f, xq, yq)
     fx = (f.reshape(-1, q) @ load).reshape(nj, q, ni, 2)
     del f
     fx *= (0.5 * h)[:, None]

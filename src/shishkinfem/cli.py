@@ -83,6 +83,8 @@ class RunConfig:
                                   "[-1,1]^2")
         if self.template not in {kind.value for kind in TemplateKind}:
             raise ConfigError(f"template: unknown template {self.template!r}")
+        if not self.output_dir:
+            raise ConfigError("output: empty directory name")
         return self
 
 

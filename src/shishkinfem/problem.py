@@ -6,7 +6,6 @@ The model equation is
     u = 0 on the boundary,
 
 with b1(x,y) = x * a(x,y) changing sign across the turning line x = 0.
-All coefficient callables accept and return numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -30,7 +29,9 @@ DEFAULT_BETA = 1.0
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A turning-point convection-diffusion problem instance."""
+    """A turning-point convection-diffusion problem instance: b1, c, f
+    and exact are elementwise numpy callables of (x, y), called with
+    broadcastable axis arrays, and their result is broadcast."""
 
     eps: float
     b1: Callable

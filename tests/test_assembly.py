@@ -205,9 +205,51 @@ class TestTensorAssembly:
         assemble(build_mesh(16, *transition_params(1e-6, 2.0, 1.0)), spec, 3)
         assert sorted(calls) == ["b1", "c", "f"]
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_coefficients_called_on_the_axes(self, order):
+        # x is the (1, 1, ni, q) axis and y the (nj, q, 1, 1) axis of
+        # Gauss points, never the broadcast grid
+        shapes = {}
+
+        def recorded(name, fn):
+            def wrapper(x, y):
+                shapes[name] = (np.shape(x), np.shape(y))
+                return fn(x, y)
+            return wrapper
+
+        spec = example_5_1(1e-6)
+        spec = dataclasses.replace(spec, b1=recorded("b1", spec.b1),
+                                   c=recorded("c", spec.c),
+                                   f=recorded("f", spec.f))
+        mesh = build_mesh(16, *transition_params(1e-6, 2.0, 1.0))
+        assemble(mesh, spec, order)
+        ni, nj = mesh.nx - 1, mesh.ny - 1
+        assert sorted(shapes) == ["b1", "c", "f"]
+        for x_shape, y_shape in shapes.values():
+            assert np.prod(x_shape) == ni * order and x_shape[:2] == (1, 1)
+            assert np.prod(y_shape) == nj * order and y_shape[-2:] == (1, 1)
+
+    @pytest.mark.parametrize("nx", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ny", [2, 3, 4])
+    def test_small_meshes_match_oracle(self, nx, ny):
+        # below three interior nodes per x-line two couplings share a
+        # stencil diagonal, one x-line leaves diagonals past the matrix,
+        # and no interior node leaves the matrix empty
+        mesh = TensorMesh(np.linspace(-1.0, 1.0, nx),
+                          np.linspace(-1.0, 1.0, ny), 0.5, 0.25)
+        spec = example_5_1(1e-3)
+        A, F = assemble(mesh, spec, 3)
+        A0, F0 = cell_by_cell_assemble(mesh, spec, 3)
+        assert A.shape == A0.shape
+        np.testing.assert_array_equal(A.indptr, A0.indptr)
+        np.testing.assert_array_equal(A.indices, A0.indices)
+        gap = np.abs(A.toarray() - A0.toarray()).max(initial=0.0)
+        assert gap <= 1e-13 * np.abs(A0.toarray()).max(initial=0.0)
+        np.testing.assert_allclose(F, F0, rtol=1e-13, atol=1e-16)
+
     def test_nan_load_names_coefficient(self):
         def f(x, y):
-            out = np.zeros(np.shape(x))
+            out = np.zeros(np.broadcast(x, y).shape)
             out.flat[7] = np.nan
             return out
 

@@ -381,6 +381,26 @@ class TestMain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["-o", ""], ["--output="],
+                                      ["--config", "output ="]],
+                             ids=["flag", "equals", "config"])
+    def test_empty_output_dir_exits_1(self, argv, tmp_path, monkeypatch,
+                                      capsys):
+        # rejected before any work: nothing is computed, nothing is made
+        if argv[0] == "--config":
+            conf = tmp_path / "run.conf"
+            conf.write_text(argv[1] + "\n")
+            argv = ["--config", str(conf)]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(cli, "interp_error_study", None)
+        assert main(["--mode", "interp", "--eps", "1e-4", "--N", "8"]
+                    + argv) == 1
+        assert capsys.readouterr().err == \
+            "config error: output: empty directory name\n"
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("argv, message", [
         (["--bogus", "1"], "--bogus: unknown flag"),
         (["--probe_coarse", "0,0"], "--probe_coarse: unknown flag"),
@@ -473,7 +493,7 @@ class TestMain:
 
         def nan_source(eps, alpha, beta):
             def f(x, y):
-                out = np.zeros(np.shape(x))
+                out = np.zeros(np.broadcast(x, y).shape)
                 out.flat[0] = np.nan
                 return out
             return dataclasses.replace(make(eps, alpha, beta), f=f)
