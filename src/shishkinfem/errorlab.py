@@ -45,8 +45,8 @@ def bilinear_interp(field_, points):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xs, ys = field_.mesh.x, field_.mesh.y
-    if (pts[:, 0].min() < xs[0] - 1e-14 or pts[:, 0].max() > xs[-1] + 1e-14
-            or pts[:, 1].min() < ys[0] - 1e-14 or pts[:, 1].max() > ys[-1] + 1e-14):
+    if not np.all((pts >= [xs[0] - 1e-14, ys[0] - 1e-14])
+                  & (pts <= [xs[-1] + 1e-14, ys[-1] + 1e-14])):
         raise ValueError("point outside the mesh domain")
     i, s = _locate(xs, pts[:, 0])
     j, t = _locate(ys, pts[:, 1])
@@ -95,11 +95,13 @@ def _on_grid(func, x, y):
     return np.broadcast_to(func(x[None, :], y[:, None]), (len(y), len(x)))
 
 
-def _region_max(err, masks):
-    """Maximum of err (>= 0) in each region of `region_masks`; 0 where
-    empty."""
-    return {region: float(err.max(where=mask, initial=0.0))
-            for region, mask in masks.items()}
+def _region_max(err, x, y, mesh):
+    """Max of err (>= 0) on the grid of the axes x and y per region of
+    `region_masks`, 0 where empty: over its columns, then its rows."""
+    masks = region_masks(x, y, mesh.lambda_x, mesh.lambda_y)
+    return {region: float(err.max(axis=1, where=mx, initial=0.0)
+                          .max(where=my, initial=0.0))
+            for region, (mx, my) in masks.items()}
 
 
 def nested_systems(spec, N_list, quad_order, lam):
@@ -154,9 +156,8 @@ def _compare_nested(u_N, u_2N):
     """Region-wise max |U_N - U_2N| at the N-mesh nodes; the meshes must
     be nested (one lam), as those of one `_solutions` walk are."""
     mesh = u_N.mesh
-    masks = region_masks(mesh.x[None, :], mesh.y[:, None],
-                         mesh.lambda_x, mesh.lambda_y)
-    return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]), masks)
+    return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]),
+                       mesh.x, mesh.y, mesh)
 
 
 def _rates(errors, twice):
@@ -198,8 +199,8 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     template is an elementwise numpy callable, always called with a row
     x[None, :] and a column y[:, None] (see `_on_grid`).  The samples of
     one offset form a tensor grid, so cells, local coordinates and
-    regions are found per axis, and the template runs on the axes, not
-    on every point.  Returns the table of errors.
+    regions are found per axis, and the template runs on the axes.
+    Returns the table of errors; a non-finite error raises ValueError.
     """
     lam_x, lam_y = transition_params(eps, alpha, beta)
     offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
@@ -221,8 +222,10 @@ def interp_error_study(template, eps, alpha, beta, N_list):
                                 s[None, :], t[:, None])
                 np.subtract(_on_grid(template, px, py), err, out=err)
                 np.abs(err, out=err)
-                masks = region_masks(px[None, :], py[:, None], lam_x, lam_y)
-                for region, e in _region_max(err, masks).items():
+                for region, e in _region_max(err, px, py, mesh).items():
+                    if not math.isfinite(e):
+                        raise ValueError(f"interpolation error is not finite "
+                                         f"in {region.value} at N = {N}")
                     maxima[region] = max(maxima[region], e)
         results.update({(eps, N, region): e for region, e in maxima.items()})
     return results

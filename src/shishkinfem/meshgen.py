@@ -120,6 +120,8 @@ class TensorMesh:
 
     def nearest_node(self, x, y):
         """Grid index (i, j) of the interior node nearest (x, y)."""
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ValueError(f"point ({x}, {y}) is not finite")
         i = 1 + int(np.argmin(np.abs(self.x[1:-1] - x)))
         j = 1 + int(np.argmin(np.abs(self.y[1:-1] - y)))
         return i, j
@@ -134,30 +136,27 @@ def build_mesh(N, lambda_x, lambda_y):
 def classify_points(x, y, lambda_x, lambda_y):
     """Region tags of points, as an object array over the broadcast of x
     and y; the tags follow `region_masks`."""
-    masks = region_masks(x, y, lambda_x, lambda_y)
-    out = np.empty(masks[Region.COARSE].shape, dtype=object)
-    for region, mask in masks.items():
-        out[mask] = region
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=object)
+    for region, (mx, my) in region_masks(x, y, lambda_x, lambda_y).items():
+        out[mx & my] = region
     return out
 
 
 def region_masks(x, y, lambda_x, lambda_y):
-    """{Region: boolean mask} over the broadcast of x and y.
-
-    Each region is an x-condition crossed with a y-condition, so on the
-    tensor grid pass the 1D axes as x[None, :] and y[:, None] to get
-    (ny, nx) masks.  Points on a transition line belong to the layer
-    region (closed-layer tie-break); the masks partition the points.
-    """
+    """{Region: (x_mask, y_mask)}, masks of the shapes of x and y: a
+    point of their broadcast lies in a region where x_mask & y_mask
+    holds, so on 1D axes a region is a set of columns times a set of
+    rows.  Points on a transition line belong to the layer region
+    (closed-layer tie-break); the regions partition the points."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(x) > 1.0) or np.any(np.abs(y) > 1.0):
+    if not (np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0)):
         raise ValueError("points outside [-1,1]^2")
     in_x = np.abs(x) <= lambda_x
     in_y = np.abs(y) >= 1.0 - lambda_y
     return {
-        Region.COARSE: ~in_x & ~in_y,
-        Region.LAYER_X: in_x & ~in_y,
-        Region.LAYER_Y: ~in_x & in_y,
-        Region.LAYER_XY: in_x & in_y,
+        Region.COARSE: (~in_x, ~in_y),
+        Region.LAYER_X: (in_x, ~in_y),
+        Region.LAYER_Y: (~in_x, in_y),
+        Region.LAYER_XY: (in_x, in_y),
     }

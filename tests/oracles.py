@@ -113,7 +113,7 @@ def classify(x, y, lambda_x, lambda_y):
     tie-break), as `region_masks` defines.
     """
     masks = region_masks(x, y, lambda_x, lambda_y)
-    return next(region for region, mask in masks.items() if mask)
+    return next(region for region, (mx, my) in masks.items() if mx & my)
 
 
 def flat_index(mesh, i, j):

@@ -45,8 +45,10 @@ class TestBilinearInterp:
 
     def test_outside_domain(self):
         field = uniform_field(4, lambda x, y: x)
-        with pytest.raises(ValueError):
-            bilinear_interp(field, (1.5, 0.0))
+        for points in [(1.5, 0.0), (np.nan, 0.0), (0.0, np.nan),
+                       [(0.0, 0.0), (0.5, np.nan)]]:
+            with pytest.raises(ValueError):
+                bilinear_interp(field, points)
 
 
 def rate(e_N, e_2N):
@@ -365,6 +367,15 @@ class TestInterpStudy:
         assert len(res) == 4
         for v in res.values():
             assert v == 0.0
+
+    def test_non_finite_template_raises(self):
+        # NaN in the coarse region only; the other maxima are finite
+        from shishkinfem.problem import LayerTemplate, TemplateKind
+        nan_right = LayerTemplate(
+            kind=TemplateKind.SMOOTH,
+            func=lambda x, y: np.where(x > 0.5, np.nan, x * y))
+        with pytest.raises(ValueError, match="coarse at N = 8"):
+            interp_error_study(nan_right, 1e-6, 2.0, 1.0, [8])
 
     def test_smooth_second_order_coarse(self):
         tpl = layer_template("smooth", 1e-6, 2.0, 1.0)

@@ -177,8 +177,8 @@ class TestRegionMasks:
         # and 3N/4...N the strips; both ranges include the transition lines
         mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
         xs, ys = mesh.x, mesh.y
-        masks = region_masks(xs[None, :], ys[:, None], mesh.lambda_x,
-                             mesh.lambda_y)
+        masks = {region: mx & my for region, (mx, my) in region_masks(
+            xs[None, :], ys[:, None], mesh.lambda_x, mesh.lambda_y).items()}
         i, j = np.arange(2 * N + 1), np.arange(N + 1)
         in_x = ((i >= N // 2) & (i <= 3 * N // 2))[None, :]
         in_y = ((j <= N // 4) | (j >= 3 * N // 4))[:, None]
@@ -193,8 +193,15 @@ class TestRegionMasks:
                 assert [r for r, m in masks.items() if m[jj, ii]] == [tag]
 
     def test_outside_domain(self):
-        with pytest.raises(ValueError):
-            region_masks(np.array([0.0, 1.5]), 0.0, 0.1, 0.2)
+        for x, y in [([0.0, 1.5], 0.0), ([0.0, np.nan], 0.0),
+                     (0.0, [np.nan])]:
+            with pytest.raises(ValueError):
+                region_masks(np.array(x), np.array(y), 0.1, 0.2)
+
+    def test_masks_are_per_axis(self):
+        xs, ys = np.linspace(-1, 1, 7), np.linspace(-1, 1, 5)
+        for mx, my in region_masks(xs, ys, 0.4, 0.3).values():
+            assert mx.shape == xs.shape and my.shape == ys.shape
 
 
 class TestNearestNode:
@@ -212,3 +219,10 @@ class TestNearestNode:
         assert mesh.nearest_node(1.0, 1.0) == (last_i, last_j)
         assert mesh.nearest_node(-1.0, 0.0) == (1, 4)
         assert mesh.nearest_node(0.56, 1.0) == (14, last_j)
+
+    @pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.nan),
+                                       (np.inf, 0.0)])
+    def test_non_finite_point(self, point):
+        mesh = build_mesh(8, 0.1, 0.2)
+        with pytest.raises(ValueError, match="not finite"):
+            mesh.nearest_node(*point)
