@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .meshgen import TensorMesh
+from .problem import on_grid
 
 __all__ = [
     "FeField",
@@ -59,11 +60,10 @@ def _axis_points(nodes, g):
 
 
 def _coefficient(name, fn, xq, yq):
-    """fn called with the Gauss-point axes, x (1, 1, ni, q) and y
-    (nj, q, 1, 1), broadcast to their grid (cell j, point b, cell i,
-    point a) and checked to be finite."""
-    vals = np.asarray(fn(xq[None, None], yq[:, :, None, None]), dtype=float)
-    vals = np.broadcast_to(vals, yq.shape + xq.shape)
+    """fn on the grid of the Gauss-point axes xq (ni, q) and yq (nj, q),
+    by `on_grid`: x (1, 1, ni, q) and y (nj, q, 1, 1), broadcast to
+    (cell j, point b, cell i, point a) and checked to be finite."""
+    vals = on_grid(fn, xq, yq)
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         points = "point" if bad == 1 else "points"

@@ -19,6 +19,7 @@ import numpy as np
 # perfbench/tracer.py wraps classify_points under this module's name.
 from .meshgen import (Region, transition_params, build_mesh, region_masks,
                       classify_points)  # noqa: F401
+from .problem import on_grid
 from .assembly import FeField, assemble
 from .linsolve import solve, multigrid, coarsens
 
@@ -72,36 +73,54 @@ def _bilinear(v00, v10, v01, v11, s, t):
             + s * t * (v11 - v10 - v01 + v00))
 
 
-def _grid_corners(grid, i, j):
-    """Corner values v00, v10, v01, v11 of grid (ny, nx) for a tensor
-    grid of samples, one per cell on each axis, in cells i along x and
-    j along y.  Where sample k lies in cell k on an axis, the corners
-    along it are slices of grid; otherwise they are gathered."""
-    def ends(k):
-        if np.array_equal(k, np.arange(len(k))):
-            return slice(None, -1), slice(1, None)
-        return k, k + 1
-    rows, cols = ends(j), ends(i)
-    if not isinstance(rows[0], slice) and not isinstance(cols[0], slice):
-        rows = tuple(r[:, None] for r in rows)  # outer gather, no row copy
-    return tuple(grid[r, c] for r in rows for c in cols)
-
-
-def _on_grid(func, x, y):
-    """Elementwise func on the tensor grid of the axes x and y, as a
-    (len(y), len(x)) array.  func gets a row x[None, :] and a column
-    y[:, None]; what it returns is broadcast (a read-only view) to the
-    grid, so a func that is constant along an axis may keep it at 1."""
-    return np.broadcast_to(func(x[None, :], y[:, None]), (len(y), len(x)))
+def _cells(k):
+    """Cells k on an axis as an index: a slice if sample k is in cell k."""
+    return slice(None) if np.array_equal(k, np.arange(len(k))) else k
 
 
 def _region_max(err, x, y, mesh):
     """Max of err (>= 0) on the grid of the axes x and y per region of
-    `region_masks`, 0 where empty: over its columns, then its rows."""
+    `region_masks`, 0 where empty: over its columns, once per distinct
+    x mask, then over its rows."""
     masks = region_masks(x, y, mesh.lambda_x, mesh.lambda_y)
-    return {region: float(err.max(axis=1, where=mx, initial=0.0)
-                          .max(where=my, initial=0.0))
+    cols = {mx.tobytes(): mx for mx, _ in masks.values()}
+    rows = {k: err.max(axis=1, where=m, initial=0.0) for k, m in cols.items()}
+    return {region: float(rows[mx.tobytes()].max(where=my, initial=0.0))
             for region, (mx, my) in masks.items()}
+
+
+def _subcell_max(mesh, nodal, func):
+    """Per region, max |func - bilinear interpolant of nodal| over s x s
+    uniform samples of every cell, edges included (s = SAMPLES_PER_CELL),
+    func on the axes of each offset grid; NaN propagates.  In `_bilinear`'s
+    order of operations: corner differences once, x parts per x-offset."""
+    offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
+    v00 = nodal[:-1, :-1]
+    dx, dy = nodal[:-1, 1:] - v00, nodal[1:, :-1] - v00
+    dxy = nodal[1:, 1:] - nodal[:-1, 1:] - nodal[1:, :-1] + v00
+    pu, err, st = np.empty((3,) + dx.shape)     # reused by every offset
+    maxima = []
+    for u in offsets:
+        px = mesh.x[:-1] + u * np.diff(mesh.x)
+        i, s = _locate(mesh.x, px)
+        cols = _cells(i)
+        np.multiply(s, dx[:, cols], out=pu)
+        pu += v00[:, cols]
+        for v in offsets:
+            py = mesh.y[:-1] + v * np.diff(mesh.y)
+            j, t = _locate(mesh.y, py)
+            rows = _cells(j)
+            at = np.ix_(j, i) if rows is j and cols is i else (rows, cols)
+            np.multiply(t[:, None], dy[at], out=err)
+            err += pu[rows]
+            np.multiply(s, t[:, None], out=st)
+            st *= dxy[at]
+            err += st
+            np.subtract(on_grid(func, px, py), err, out=err)
+            np.abs(err, out=err)
+            maxima.append(_region_max(err, px, py, mesh))
+    return {region: float(np.max([m[region] for m in maxima]))
+            for region in Region}
 
 
 def nested_systems(spec, N_list, quad_order, lam):
@@ -195,39 +214,21 @@ def interp_error_study(template, eps, alpha, beta, N_list):
 
     For each N: build the Shishkin mesh, sample the template at the
     nodes, and measure max |template - interpolant| over an s x s
-    uniform sub-sample of every cell (s = SAMPLES_PER_CELL).  The
-    template is an elementwise numpy callable, always called with a row
-    x[None, :] and a column y[:, None] (see `_on_grid`).  The samples of
-    one offset form a tensor grid, so cells, local coordinates and
-    regions are found per axis, and the template runs on the axes.
+    uniform sub-sample of every cell (s = SAMPLES_PER_CELL), by
+    `_subcell_max`.  The template is an elementwise numpy callable, called
+    on the axes (`problem.on_grid`: a row x[None, :], a column y[:, None]).
     Returns the table of errors; a non-finite error raises ValueError.
     """
     lam_x, lam_y = transition_params(eps, alpha, beta)
-    offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
     results = {}
     for N in sorted(set(N_list)):
         mesh = build_mesh(N, lam_x, lam_y)
-        xs, ys = mesh.x, mesh.y
-        hx, hy = np.diff(xs), np.diff(ys)
-        nodal = _on_grid(template, xs, ys)
-        maxima = dict.fromkeys(Region, 0.0)
-        for u in offsets:
-            px = xs[:-1] + u * hx
-            i, s = _locate(xs, px)
-            for v in offsets:
-                py = ys[:-1] + v * hy
-                j, t = _locate(ys, py)
-                # unpacked into the call, no corner outlives it
-                err = _bilinear(*_grid_corners(nodal, i, j),
-                                s[None, :], t[:, None])
-                np.subtract(_on_grid(template, px, py), err, out=err)
-                np.abs(err, out=err)
-                for region, e in _region_max(err, px, py, mesh).items():
-                    if not math.isfinite(e):
-                        raise ValueError(f"interpolation error is not finite "
-                                         f"in {region.value} at N = {N}")
-                    maxima[region] = max(maxima[region], e)
-        results.update({(eps, N, region): e for region, e in maxima.items()})
+        nodal = on_grid(template, mesh.x, mesh.y)
+        for region, e in _subcell_max(mesh, nodal, template).items():
+            if not math.isfinite(e):
+                raise ValueError(f"interpolation error is not finite "
+                                 f"in {region.value} at N = {N}")
+            results[eps, N, region] = e
     return results
 
 
@@ -242,6 +243,6 @@ def mms_convergence(spec, N_list, quad_order=3, lam=None):
         raise ValueError("spec has no exact solution")
     errors = {}
     for N, uh in _solutions(spec, N_list, quad_order, lam):
-        exact = _on_grid(spec.exact, uh.mesh.x, uh.mesh.y)
+        exact = on_grid(spec.exact, uh.mesh.x, uh.mesh.y)
         errors[N] = float(np.abs(uh.values - exact).max())
     return errors, _rates(errors, lambda n: 2 * n)

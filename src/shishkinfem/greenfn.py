@@ -102,18 +102,21 @@ def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
     spec_family maps eps -> ProblemSpec.  For each run the source is the
     interior node nearest the region's probe point.  probes maps some or
     all regions to a point; the other regions keep each eps's
-    `default_probes`.  The matrices of one eps are assembled once each,
-    with the multigrids of `errorlab.nested_systems` (N ascending); each
-    multigrid serves the solves with A^T, to `linsolve.TOL`, of all four
-    sources, and if its setup fails, all four go to splu without trying
-    again.  Returns the table {(eps, N, Region): GreenReport}, N
-    ascending, as `errorlab.error_table` does.
+    `default_probes`; a non-finite probe raises ValueError before any
+    assembly.  The matrices of one eps are assembled once each, with the
+    multigrids of `errorlab.nested_systems` (N ascending); each multigrid
+    serves the solves with A^T, to `linsolve.TOL`, of all four sources,
+    and if its setup fails, all four go to splu without trying again.
+    Returns the table {(eps, N, Region): GreenReport}, N ascending.
     """
     reports = {}
     for eps in dict.fromkeys(eps_list):
         spec = spec_family(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         probe_map = {**default_probes(*lam), **(probes or {})}
+        for region, point in probe_map.items():
+            if not np.isfinite(point).all():
+                raise ValueError(f"{region.value} probe {point} is not finite")
         for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
                                                 lam):
             M = assemble_mass(mesh)

@@ -42,7 +42,7 @@ def transition_params(eps, alpha, beta):
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):     # NaN fails too
         raise ValueError("alpha and beta must be positive")
     log_inv_eps = -np.log(eps)
     lambda_x = min(2.0 * eps / alpha * log_inv_eps, 0.5)

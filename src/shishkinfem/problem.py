@@ -30,8 +30,7 @@ DEFAULT_BETA = 1.0
 @dataclass(frozen=True)
 class ProblemSpec:
     """A turning-point convection-diffusion problem instance: b1, c, f
-    and exact are elementwise numpy callables of (x, y), called with
-    broadcastable axis arrays, and their result is broadcast."""
+    and exact are elementwise numpy callables of (x, y) (see `on_grid`)."""
 
     eps: float
     b1: Callable
@@ -44,8 +43,16 @@ class ProblemSpec:
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (self.alpha > 0.0 and self.beta > 0.0):     # NaN fails too
             raise ValueError("alpha and beta must be positive")
+
+
+def on_grid(func, x, y):
+    """Elementwise func on the tensor grid of the arrays x and y, of
+    shape y.shape + x.shape: func gets x on the trailing axes and y on
+    the leading ones, and its result is broadcast (read-only) to the grid."""
+    out = func(x[(None,) * y.ndim], y[(...,) + (None,) * x.ndim])
+    return np.broadcast_to(np.asarray(out, dtype=float), y.shape + x.shape)
 
 
 def _b1_ex(x, y):
@@ -131,11 +138,10 @@ def layer_template(kind, eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     corner_xy  : product of the x- and y-layer factors
 
     A template is an elementwise numpy callable of (x, y).
-    `interp_error_study` calls it with a row x[None, :] and a column
-    y[:, None], so each exp runs on an axis, and broadcasts the result
-    to the grid.
+    `interp_error_study` calls it on the axes (`on_grid`: a row
+    x[None, :] and a column y[:, None]), so each exp runs on an axis.
     """
-    if eps <= 0.0 or alpha <= 0.0 or beta <= 0.0:
+    if not (eps > 0.0 and alpha > 0.0 and beta > 0.0):     # NaN fails too
         raise ValueError("eps, alpha, beta must be positive")
     kind = TemplateKind(kind)
     se = np.sqrt(eps)

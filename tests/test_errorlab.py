@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,34 @@ class TestInterpStudy:
         assert len(res) == 4
         for v in res.values():
             assert v == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.3])
+    def test_bilinear_template_exact(self, eps):
+        # a + b x + c y + d x y is its own bilinear interpolant
+        from shishkinfem.problem import LayerTemplate, TemplateKind
+        bilinear = LayerTemplate(
+            kind=TemplateKind.SMOOTH,
+            func=lambda x, y: 0.3 - 1.7 * x + 0.9 * y + 1.3 * x * y)
+        res = interp_error_study(bilinear, eps, 2.0, 1.0, [8, 16])
+        assert len(res) == 8
+        assert max(res.values()) <= 1e-14
+
+    def test_peak_memory_of_the_kernel(self):
+        # the nodal values, the three cell differences, the x part, err,
+        # the (s t) dxy term and one gathered or template grid live at
+        # the peak: 8 cell grids and a little
+        tpl = layer_template("corner_xy", 1e-6, 2.0, 1.0)
+        N = 128
+        interp_error_study(tpl, 1e-6, 2.0, 1.0, [N])      # warm
+        tracemalloc.start()
+        try:
+            interp_error_study(tpl, 1e-6, 2.0, 1.0, [N])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mesh = build_mesh(N, *transition_params(1e-6, 2.0, 1.0))
+        cell_grid = (mesh.ny - 1) * (mesh.nx - 1) * 8
+        assert peak <= 9 * cell_grid
 
     def test_non_finite_template_raises(self):
         # NaN in the coarse region only; the other maxima are finite

@@ -167,10 +167,16 @@ class TestSweep:
         reports = green_norm_sweep(example_5_1, [1e-4], [8], probes=probes)
         assert reports[1e-4, 8, Region.COARSE].source_x < 0.0
 
-    def test_non_finite_probe_rejected(self):
+    def test_non_finite_probe_rejected(self, monkeypatch):
+        # rejected before the first mesh is assembled
+        assembled = []
+        assemble = errorlab.assemble
+        monkeypatch.setattr(errorlab, "assemble",
+                            lambda *a: assembled.append(a) or assemble(*a))
         with pytest.raises(ValueError, match="not finite"):
             green_norm_sweep(example_5_1, [1e-4], [8],
                              probes={Region.COARSE: (np.nan, 0.0)})
+        assert assembled == []
 
 
 class TestFactorReuse:

@@ -28,6 +28,12 @@ class TestTransitionParams:
         with pytest.raises(ValueError):
             transition_params(eps, 2.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (2.0, -1.0),
+                                             (np.nan, 1.0), (2.0, np.nan)])
+    def test_alpha_beta_errors(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            transition_params(1e-4, alpha, beta)
+
     @given(st.floats(min_value=1e-12, max_value=0.999),
            st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=0.1, max_value=10.0))

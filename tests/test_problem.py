@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shishkinfem.problem import (example_5_1, mms_problem, layer_template,
-                                 TemplateKind)
+                                 on_grid, TemplateKind)
 
 from oracles import example_5_1_db1_dx
 
@@ -99,3 +99,43 @@ class TestLayerTemplates:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             layer_template("bogus", 1e-6, 2.0, 1.0)
+
+    @pytest.mark.parametrize("eps, alpha, beta", [(0.0, 2.0, 1.0),
+                                                  (np.nan, 2.0, 1.0),
+                                                  (1e-6, np.nan, 1.0),
+                                                  (1e-6, 2.0, np.nan)])
+    def test_parameter_errors(self, eps, alpha, beta):
+        with pytest.raises(ValueError, match="must be positive"):
+            layer_template("corner_xy", eps, alpha, beta)
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (np.nan, 1.0),
+                                             (2.0, np.nan)])
+    def test_alpha_beta_errors(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            example_5_1(1e-4, alpha=alpha, beta=beta)
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("x_shape, y_shape", [((5,), (3,)),
+                                                  ((4, 2), (3, 2))])
+    def test_x_trailing_y_leading(self, x_shape, y_shape):
+        x = np.arange(np.prod(x_shape), dtype=float).reshape(x_shape)
+        y = 10.0 + np.arange(np.prod(y_shape), dtype=float).reshape(y_shape)
+        seen = []
+
+        def f(xa, ya):
+            seen.append((xa.shape, ya.shape))
+            return xa * ya
+
+        grid = on_grid(f, x, y)
+        assert seen == [((1,) * len(y_shape) + x_shape,
+                         y_shape + (1,) * len(x_shape))]
+        assert grid.shape == y_shape + x_shape
+        assert np.array_equal(grid, np.multiply.outer(y, x))
+
+    def test_constant_result_broadcast_as_float(self):
+        grid = on_grid(lambda x, y: 2, np.zeros(4), np.zeros(3))
+        assert grid.shape == (3, 4) and grid.dtype == float
+        assert not grid.flags.writeable and np.all(grid == 2.0)
