@@ -73,9 +73,18 @@ def _bilinear(v00, v10, v01, v11, s, t):
             + s * t * (v11 - v10 - v01 + v00))
 
 
-def _cells(k):
-    """Cells k on an axis as an index: a slice if sample k is in cell k."""
-    return slice(None) if np.array_equal(k, np.arange(len(k))) else k
+def _samples(nodes):
+    """(p, cells, s) per offset of an axis: samples, their cells (a slice
+    if sample m is in cell m for all m) and local coordinates.  Offset 1
+    drops the samples that repeat the next cell's offset 0 (p, cell, s)."""
+    n = len(nodes) - 1
+    for u in np.linspace(0.0, 1.0, SAMPLES_PER_CELL):
+        p = nodes[:-1] + u * np.diff(nodes)
+        i, s = _locate(nodes, p)
+        if u == 1.0:
+            keep = (i != np.arange(1, n + 1)) | (p != nodes[1:])
+            p, i, s = p[keep], i[keep], s[keep]
+        yield p, slice(None) if np.array_equal(i, np.arange(n)) else i, s
 
 
 def _region_max(err, x, y, mesh):
@@ -92,29 +101,25 @@ def _region_max(err, x, y, mesh):
 def _subcell_max(mesh, nodal, func):
     """Per region, max |func - bilinear interpolant of nodal| over s x s
     uniform samples of every cell, edges included (s = SAMPLES_PER_CELL),
-    func on the axes of each offset grid; NaN propagates.  In `_bilinear`'s
-    order of operations: corner differences once, x parts per x-offset."""
-    offsets = np.linspace(0.0, 1.0, SAMPLES_PER_CELL)
+    each distinct sample once (`_samples`), func on the axes of each
+    offset grid; NaN propagates.  In `_bilinear`'s order of operations:
+    corner differences once, x parts per x-offset."""
     v00 = nodal[:-1, :-1]
     dx, dy = nodal[:-1, 1:] - v00, nodal[1:, :-1] - v00
     dxy = nodal[1:, 1:] - nodal[:-1, 1:] - nodal[1:, :-1] + v00
-    pu, err, st = np.empty((3,) + dx.shape)     # reused by every offset
+    bufs = np.empty((3,) + dx.shape)    # reused by every offset
+    y_samples = list(_samples(mesh.y))
     maxima = []
-    for u in offsets:
-        px = mesh.x[:-1] + u * np.diff(mesh.x)
-        i, s = _locate(mesh.x, px)
-        cols = _cells(i)
+    for px, cols, s in _samples(mesh.x):
+        pu, dyc, dxyc = bufs[0, :, :len(px)], dy[:, cols], dxy[:, cols]
         np.multiply(s, dx[:, cols], out=pu)
         pu += v00[:, cols]
-        for v in offsets:
-            py = mesh.y[:-1] + v * np.diff(mesh.y)
-            j, t = _locate(mesh.y, py)
-            rows = _cells(j)
-            at = np.ix_(j, i) if rows is j and cols is i else (rows, cols)
-            np.multiply(t[:, None], dy[at], out=err)
+        for py, rows, t in y_samples:
+            err, st = bufs[1:, :len(py), :len(px)]
+            np.multiply(t[:, None], dyc[rows], out=err)
             err += pu[rows]
             np.multiply(s, t[:, None], out=st)
-            st *= dxy[at]
+            st *= dxyc[rows]
             err += st
             np.subtract(on_grid(func, px, py), err, out=err)
             np.abs(err, out=err)
@@ -214,9 +219,9 @@ def interp_error_study(template, eps, alpha, beta, N_list):
 
     For each N: build the Shishkin mesh, sample the template at the
     nodes, and measure max |template - interpolant| over an s x s
-    uniform sub-sample of every cell (s = SAMPLES_PER_CELL), by
-    `_subcell_max`.  The template is an elementwise numpy callable, called
-    on the axes (`problem.on_grid`: a row x[None, :], a column y[:, None]).
+    uniform sub-sample of every cell (s = SAMPLES_PER_CELL), each sample
+    once, by `_subcell_max`.  The template, an elementwise callable, is
+    called on the axes (`on_grid`: a row x[None, :], a column y[:, None]).
     Returns the table of errors; a non-finite error raises ValueError.
     """
     lam_x, lam_y = transition_params(eps, alpha, beta)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shishkinfem import cli
+from shishkinfem import cli, errorlab, linsolve
 from shishkinfem.assembly import FeField
 from shishkinfem.meshgen import Region, build_mesh
 from shishkinfem.cli import (RunConfig, ConfigError, parse_config, run, main,
@@ -300,6 +300,19 @@ class TestRunModes:
         assert run(cfg) == 2
         assert not (tmp_path / "interp.csv").exists()
         assert "error" in capsys.readouterr().err
+
+    def test_splu_over_memory_limit_exits_2(self, tmp_path, monkeypatch,
+                                            capsys):
+        # with no multigrid every solve falls to splu, which the limit
+        # refuses before it factors
+        monkeypatch.setattr(errorlab, "multigrid", lambda *a, **k: None)
+        monkeypatch.setattr(linsolve, "SPLU_MEMORY_SHARE", 1e-12)
+        out = tmp_path / "out"
+        assert main(["--mode", "errors", "--eps", "1e-4", "--N", "8",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: splu of n = ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAtomicOutput:

@@ -334,16 +334,42 @@ class TestInterpStudy:
 
     def test_equals_pointwise_study_on_gathered_cells(self):
         # at offset 1 most samples round onto the next node and move one
-        # cell over, but some stay: the corners come from a mixed gather
+        # cell over, but some stay: the kernel keeps only those, and
+        # gathers their cells into strips
         eps, N = 1e-6, 64
         xs = build_mesh(N, *transition_params(eps, 2.0, 1.0)).x
         i, _ = errorlab._locate(xs, xs[:-1] + 1.0 * np.diff(xs))
         moved = i != np.arange(len(i))
         assert moved.any() and not moved[:-1].all()
         tpl = layer_template("corner_xy", eps, 2.0, 1.0)
-        assert (list(interp_error_study(tpl, eps, 2.0, 1.0, [N]).items())
+        assert (list(interp_error_study(tpl, eps, 2.0, 1.0,
+                                        [N, 128]).items())
                 == list(pointwise_interp_study(tpl, eps, 2.0, 1.0,
-                                               [N]).items()))
+                                               [N, 128]).items()))
+
+    @pytest.mark.parametrize("eps, N", [(1e-6, 128), (1e-6, 256),
+                                        (1e-6, 512)]
+                             + [(eps, N) for eps in (0.2, 1e-6, 3.7e-9)
+                                for N in (8, 16, 64)])
+    def test_offset_one_drops_only_twins(self, eps, N):
+        # a dropped offset-1 sample of cell m is the offset-0 sample of
+        # cell m + 1 bit for bit: same coordinate, same cell, s = 0
+        mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
+        for nodes, most in ((mesh.x, 2), (mesh.y, 1)):
+            samples = list(errorlab._samples(nodes))
+            assert len(samples) == SAMPLES_PER_CELL
+            (p0, cells0, s0), (p1, cells1, s1) = samples[0], samples[-1]
+            assert cells0 == slice(None) and not s0.any()
+            p = nodes[:-1] + 1.0 * np.diff(nodes)
+            i, s = errorlab._locate(nodes, p)
+            kept = np.isin(p, p1)
+            assert 1 <= kept.sum() == len(p1) <= most
+            assert kept[-1]     # the domain's last node has no twin
+            m = np.flatnonzero(~kept)
+            assert np.array_equal(p[m], p0[m + 1])
+            assert np.array_equal(i[m], m + 1) and not s[m].any()
+            assert np.array_equal(cells1, i[kept])
+            assert np.array_equal(s1, s[kept])
 
     def test_template_called_on_the_axes(self):
         tpl = layer_template("corner_xy", 1e-6, 2.0, 1.0)
@@ -355,10 +381,23 @@ class TestInterpStudy:
 
         interp_error_study(dataclasses.replace(tpl, func=recording),
                            1e-6, 2.0, 1.0, [8, 16])
-        # nodes and 25 offsets per N
-        assert len(shapes) == 2 * (1 + SAMPLES_PER_CELL ** 2)
+        # nodes and 25 offset pairs per N
+        calls = 1 + SAMPLES_PER_CELL ** 2
+        assert len(shapes) == 2 * calls
         for (rows, m), (k, cols) in shapes:     # a row and a column
-            assert rows == cols == 1 and m > 1 and k > 1
+            assert rows == cols == 1 and m >= 1 and k >= 1
+        # per axis: the nodes, every cell at the offsets below 1 and, at
+        # offset 1, the kept samples: those that are not the next node
+        # and the domain's last node
+        for N, calls_N in zip([8, 16], [shapes[:calls], shapes[calls:]]):
+            mesh = build_mesh(N, *transition_params(1e-6, 2.0, 1.0))
+            for axis, nodes in enumerate([mesh.x, mesh.y]):
+                n = len(nodes) - 1
+                kept = 1 + np.count_nonzero(nodes[:-2] + np.diff(nodes)[:-1]
+                                            != nodes[1:-1])
+                assert sum(call[axis][1 - axis] for call in calls_N) == \
+                    n + 1 + (SAMPLES_PER_CELL - 1) * SAMPLES_PER_CELL * n \
+                    + SAMPLES_PER_CELL * kept
 
     def test_constant_template_exact(self):
         from shishkinfem.problem import LayerTemplate, TemplateKind
@@ -382,8 +421,8 @@ class TestInterpStudy:
 
     def test_peak_memory_of_the_kernel(self):
         # the nodal values, the three cell differences, the x part, err,
-        # the (s t) dxy term and one gathered or template grid live at
-        # the peak: 8 cell grids and a little
+        # the (s t) dxy term and one template grid live at the peak: 8
+        # cell grids and a little
         tpl = layer_template("corner_xy", 1e-6, 2.0, 1.0)
         N = 128
         interp_error_study(tpl, 1e-6, 2.0, 1.0, [N])      # warm

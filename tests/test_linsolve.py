@@ -1,4 +1,6 @@
 import logging
+import os
+import re
 import types
 
 import numpy as np
@@ -124,6 +126,34 @@ class TestSolve:
         with pytest.raises(SolveError, match="best residual 1.000e") as info:
             solve(A, F, mg=stalled_multigrid(0.0))
         assert info.value.best_residual == 1.0
+
+
+class TestSpluMemoryCheck:
+    def test_over_the_limit_raises_before_factoring(self, monkeypatch):
+        _, A, F, _ = system(1e-6, 32)
+        calls = []
+        monkeypatch.setattr(linsolve, "SPLU_MEMORY_SHARE", 1e-12)
+        monkeypatch.setattr(linsolve.spla, "splu", calls.append)
+        need = linsolve._splu_bytes(len(F), A.nnz)
+        with pytest.raises(SolveError, match=re.escape(
+                f"splu of n = {len(F)} would need about {need:.3g} bytes")):
+            solve(A, F, mg=None)
+        assert calls == []
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_estimate_covers_the_factors(self, N):
+        # 8 bytes of value and 4 of row index per entry of L and U
+        _, A, _, _ = system(1e-7, N)
+        lu = linsolve.spla.splu(A.tocsc())
+        assert 12 * (lu.L.nnz + lu.U.nnz) \
+            <= linsolve._splu_bytes(A.shape[0], A.nnz)
+
+    def test_fallbacks_up_to_256_factor(self):
+        # the estimate grows with n and nnz, so N = 256 bounds N < 256
+        _, A, _, _ = system(1e-7, 256)
+        limit = linsolve.SPLU_MEMORY_SHARE * os.sysconf("SC_PHYS_PAGES") \
+            * os.sysconf("SC_PAGE_SIZE")
+        assert linsolve._splu_bytes(A.shape[0], A.nnz) < limit
 
 
 class TestFallbackLogging:
