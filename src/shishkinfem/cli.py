@@ -100,6 +100,9 @@ _KEYS = {
     "output": str,
 }
 
+# RunConfig fields whose key differs from the field name
+_FIELDS = {"eps": "eps_list", "N": "N_list", "output": "output_dir"}
+
 _PROBE_REGION = {f"probe_{region.value}": region for region in Region}
 _KEYS.update(dict.fromkeys(_PROBE_REGION, "point"))
 
@@ -131,16 +134,10 @@ def parse_config(text):
         if key not in _KEYS:
             raise ConfigError(f"{key}: unknown key")
         value = _parse_value(key, _KEYS[key], raw)
-        if key == "eps":
-            cfg.eps_list = value
-        elif key == "N":
-            cfg.N_list = value
-        elif key == "output":
-            cfg.output_dir = value
-        elif key in _PROBE_REGION:
+        if key in _PROBE_REGION:
             cfg.probes[_PROBE_REGION[key]] = value
         else:
-            setattr(cfg, key, value)
+            setattr(cfg, _FIELDS.get(key, key), value)
     return cfg.validate()
 
 
@@ -213,10 +210,10 @@ def _table(header, table):
     return rows
 
 
-def _run_errors(cfg, want_rates):
+def _run_errors(cfg):
     errors, rates = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list,
                                 quad_order=cfg.quad_order)
-    if want_rates:
+    if cfg.mode == "rates":
         return "rates.csv", _table("eps,N,region,rate", rates)
     return "errors.csv", _table("eps,N,region,error", errors)
 
@@ -261,17 +258,12 @@ def _run_mms(cfg):
 
 def run(cfg):
     """Execute a validated RunConfig; returns the process exit code."""
+    # built per call, so that patches of the module's names take effect
+    runners = {"errors": _run_errors, "rates": _run_errors,
+               "green": _run_green, "field": _run_field,
+               "interp": _run_interp, "mms": _run_mms}
     try:
-        if cfg.mode in ("errors", "rates"):
-            name, lines = _run_errors(cfg, want_rates=(cfg.mode == "rates"))
-        elif cfg.mode == "green":
-            name, lines = _run_green(cfg)
-        elif cfg.mode == "field":
-            name, lines = _run_field(cfg)
-        elif cfg.mode == "interp":
-            name, lines = _run_interp(cfg)
-        else:
-            name, lines = _run_mms(cfg)
+        name, lines = runners[cfg.mode](cfg)
         path = os.path.join(cfg.output_dir, name)
         _write(path, cfg, lines)
     except (SolveError, ValueError, ArithmeticError, OSError,

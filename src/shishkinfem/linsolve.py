@@ -91,11 +91,14 @@ class Multigrid:
         west[rows[:, 0]] = east[rows[:, -1]] = 0.0
         diag = A.diagonal()
         self.lines = []
-        for colour in (even, odd):
+        for c, colour in enumerate((even, odd)):
             *factors, info = lapack.dgttrf(west[colour][1:], diag[colour],
                                            east[colour][:-1])
-            if info > 0:
-                raise np.linalg.LinAlgError(f"singular x-line at row {info}")
+            if info > 0:    # the 1-based zero pivot among the lines of c
+                row, col = divmod(info - 1, mx)
+                raise np.linalg.LinAlgError(
+                    f"singular x-line: zero pivot in the {('even', 'odd')[c]}"
+                    f" rows at interior node (row {2 * row + c}, column {col})")
             self.lines.append(factors)
         self.up, self.down = A[even][:, odd], A[odd][:, even]
         self.P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),

@@ -41,7 +41,7 @@ class ProblemSpec:
     exact: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:     # NaN fails too
             raise ValueError("eps must be positive")
         if not (self.alpha > 0.0 and self.beta > 0.0):     # NaN fails too
             raise ValueError("alpha and beta must be positive")
@@ -130,12 +130,10 @@ class LayerTemplate:
 
 
 def layer_template(kind, eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
-    """Build a layer-shaped test function.
-
-    smooth     : (1-x^2)(1-y^2)
-    interior_x : exp(-alpha |x| / eps) (1-y^2)
-    boundary_y : (exp(-beta (1-y)/sqrt(eps)) + exp(-beta (1+y)/sqrt(eps))) (1-x^2)
-    corner_xy  : product of the x- and y-layer factors
+    """Build a layer-shaped test function, an x factor times a y factor:
+    the x-layer exp(-alpha |x| / eps) for interior_x and corner_xy, else
+    1-x^2; the y-layer exp(-beta (1-y)/sqrt(eps)) + exp(-beta (1+y)/sqrt(eps))
+    for boundary_y and corner_xy, else 1-y^2.  smooth is (1-x^2)(1-y^2).
 
     A template is an elementwise numpy callable of (x, y).
     `interp_error_study` calls it on the axes (`on_grid`: a row
@@ -145,19 +143,14 @@ def layer_template(kind, eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
         raise ValueError("eps, alpha, beta must be positive")
     kind = TemplateKind(kind)
     se = np.sqrt(eps)
+    layer_x = kind in (TemplateKind.INTERIOR_X, TemplateKind.CORNER_XY)
+    layer_y = kind in (TemplateKind.BOUNDARY_Y, TemplateKind.CORNER_XY)
 
-    def x_layer(x):
-        return np.exp(-alpha * np.abs(x) / eps)
+    def fx(x):
+        return np.exp(-alpha * np.abs(x) / eps) if layer_x else 1.0 - x * x
 
-    def y_layer(y):
-        return np.exp(-beta * (1.0 - y) / se) + np.exp(-beta * (1.0 + y) / se)
+    def fy(y):
+        return (np.exp(-beta * (1.0 - y) / se) + np.exp(-beta * (1.0 + y) / se)
+                if layer_y else 1.0 - y * y)
 
-    if kind is TemplateKind.SMOOTH:
-        func = lambda x, y: (1.0 - x * x) * (1.0 - y * y)
-    elif kind is TemplateKind.INTERIOR_X:
-        func = lambda x, y: x_layer(x) * (1.0 - y * y)
-    elif kind is TemplateKind.BOUNDARY_Y:
-        func = lambda x, y: y_layer(y) * (1.0 - x * x)
-    else:
-        func = lambda x, y: x_layer(x) * y_layer(y)
-    return LayerTemplate(kind=kind, func=func)
+    return LayerTemplate(kind=kind, func=lambda x, y: fx(x) * fy(y))

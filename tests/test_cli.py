@@ -379,7 +379,9 @@ class TestMain:
                                       ["--alpha", "inf"],
                                       ["--beta", "nan"],
                                       ["--probe-coarse", "nan,0"],
-                                      ["--probe-coarse", "5,5"]])
+                                      ["--probe-coarse", "5,5"],
+                                      ["--problem", "bogus"],
+                                      ["--quad-order", "5"]])
     def test_bad_flag_value_exits_1(self, argv, tmp_path, capsys):
         # a bad value is a configuration error whether it comes from a
         # flag or a config file: exit 1, one line, no usage dump

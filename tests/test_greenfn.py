@@ -141,6 +141,13 @@ class TestNorms:
         with pytest.raises(ValueError):
             fe_l2_norm(field, M)
 
+    def test_energy_dimension_mismatch(self):
+        mesh = build_mesh(4, 0.1, 0.2)
+        M = assemble_mass(build_mesh(8, 0.1, 0.2))
+        field = FeField.from_interior(mesh, np.zeros(mesh.n_interior))
+        with pytest.raises(ValueError, match="mass matrix does not match"):
+            fe_energy_norm(field, M, 1e-4)
+
 
 class TestSweep:
     def test_report_cardinality_and_regions(self):

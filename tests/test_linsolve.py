@@ -114,6 +114,14 @@ class TestSolve:
             solve(A, np.array([1.0, 2.0]), mg=IDENTITY_MG)
         assert "tried mg and splu," in str(info.value)
 
+    @pytest.mark.parametrize("A, b", [(sp.csr_matrix(np.ones((2, 3))),
+                                       np.ones(2)),
+                                      (sp.eye(3, format="csr"), np.ones(2))],
+                             ids=["non-square", "wrong-length-b"])
+    def test_shape_mismatch_rejected(self, A, b):
+        with pytest.raises(ValueError, match="square and match b"):
+            solve(A, b)
+
     def test_splu_out_of_memory_raises_solve_error(self, monkeypatch):
         # the cycles leave x = 0 (residual 1); splu then runs out of
         # memory: SolveError, carrying the cycles' residual as its best
@@ -172,6 +180,34 @@ class TestFallbackLogging:
         assert len(messages) == 1
         assert messages[0].startswith("multigrid setup failed")
         assert ("MemoryError" if error else "singular x-line") in messages[0]
+
+    def test_singular_line_names_its_node(self, caplog):
+        # a zero diagonal whose x-neighbours do not couple to it makes a
+        # zero column in its line block: the pivot vanishes at that node,
+        # here in an odd row of a grid that coarsens
+        _, A, _, shape = system(1e-6, 32)
+        assert shape == (31, 63) and linsolve.coarsens(shape)
+        k = 5 * shape[1] + 10
+        A = A.tolil()
+        A[k, k] = A[k - 1, k] = A[k + 1, k] = 0.0
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            assert multigrid(A.tocsr(), shape) is None
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("multigrid setup failed")
+        assert ("zero pivot in the odd rows at interior node "
+                "(row 5, column 10)") in message
+
+    def test_splu_residual_above_tol_raises(self, monkeypatch, caplog):
+        # a factorization whose solve is wrong: x = b for A = 2 I leaves
+        # relative residual 1, one WARNING, then SolveError
+        wrong = types.SimpleNamespace(solve=lambda b, trans="N": b.copy())
+        monkeypatch.setattr(linsolve.spla, "splu", lambda A: wrong)
+        A = 2.0 * sp.eye(4, format="csr")
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            with pytest.raises(SolveError, match="best residual 1.000e"):
+                solve(A, np.arange(1.0, 5.0))
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"splu residual 1.000e+00 above TOL {linsolve.TOL:g}"]
 
     # the name dates from the GMRES the V-cycle iteration replaced
     def test_gmres_miss_logged(self, caplog):

@@ -71,6 +71,11 @@ class TestXAxis:
         with pytest.raises(ValueError):
             build_x_axis(5, 0.1)
 
+    @pytest.mark.parametrize("lambda_x", [0.0, 0.6, np.nan])
+    def test_lambda_out_of_range(self, lambda_x):
+        with pytest.raises(ValueError, match="lambda_x must lie in"):
+            build_x_axis(8, lambda_x)
+
 
 class TestYAxis:
     def test_hand_evaluated_n4(self):
@@ -89,6 +94,11 @@ class TestYAxis:
     def test_not_multiple_of_4(self):
         with pytest.raises(ValueError):
             build_y_axis(6, 0.2)
+
+    @pytest.mark.parametrize("lambda_y", [0.0, 0.3, np.nan])
+    def test_lambda_out_of_range(self, lambda_y):
+        with pytest.raises(ValueError, match="lambda_y must lie in"):
+            build_y_axis(8, lambda_y)
 
 
 class TestWidths:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shishkinfem.problem import (example_5_1, mms_problem, layer_template,
-                                 on_grid, TemplateKind)
+                                 on_grid, ProblemSpec, TemplateKind)
 
 from oracles import example_5_1_db1_dx
 
@@ -54,6 +54,11 @@ class TestMms:
     def test_center_value(self):
         spec = mms_problem(1.0)
         assert spec.exact(0.5, 0.5) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 1.5, np.nan])
+    def test_eps_outside_range(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            mms_problem(eps)
 
     def test_f_matches_operator_finite_differences(self):
         # apply -eps*Lap + b1*d/dx + c to u with central differences
@@ -115,6 +120,12 @@ class TestProblemSpec:
     def test_alpha_beta_errors(self, alpha, beta):
         with pytest.raises(ValueError, match="alpha and beta"):
             example_5_1(1e-4, alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan])
+    def test_eps_errors(self, eps):
+        spec = example_5_1(1e-4)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            ProblemSpec(eps, spec.b1, spec.c, spec.f, 2.0, 1.0)
 
 
 class TestOnGrid:
