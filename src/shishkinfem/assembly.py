@@ -76,20 +76,19 @@ def _csr_from_stencil(mesh, stencil):
 
     stencil[dy + 1, dx + 1, j, i] couples node (i, j) to node
     (i + dx, j + dy), on diagonal dy * mx + dx of the interior numbering.
-    Couplings past the ends of an x-line are zeroed and zeros are not
-    stored; where mx < 3 two can share a diagonal, never a row.
+    Each plane is added, shifted, into the DIA data row of its diagonal
+    (planes share one where mx < 3), after the x-boundary columns, which
+    would land where x-lines end, are zeroed in place.
     """
-    mx, n = mesh.nx - 2, mesh.n_interior
-    inner = stencil[:, :, 1:-1, 1:-1].copy()
-    inner[:, 0, :, :1] = 0.0
-    inner[:, 2, :, -1:] = 0.0
-    diagonals = {}
-    for (dy, dx), v in zip(np.ndindex(3, 3), inner.reshape(9, n)):
-        k = (dy - 1) * mx + dx - 1
-        if abs(k) <= n:
-            diagonals[k] = diagonals.get(k, 0.0) + v[max(-k, 0):n - max(k, 0)]
-    return sp.diags(list(diagonals.values()), list(diagonals), shape=(n, n),
-                    format="csr")
+    my, mx, n = mesh.ny - 2, mesh.nx - 2, mesh.n_interior
+    keys, slot = np.unique(np.add.outer(np.arange(-1, 2) * mx,
+                                        np.arange(-1, 2)), return_inverse=True)
+    stencil[:, 2, :, 0] = stencil[:, 0, :, -1] = 0.0
+    data = np.zeros((len(keys), my, mx))
+    for (dy, dx), d in zip(np.ndindex(3, 3), slot.ravel()):
+        data[d] += stencil[dy, dx, 2 - dy:my + 2 - dy, 2 - dx:mx + 2 - dx]
+    return sp.dia_matrix((data.reshape(len(keys), n), keys),
+                         shape=(n, n)).tocsr()
 
 
 def assemble(mesh, spec, quad_order=3):

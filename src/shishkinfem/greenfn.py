@@ -13,10 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .meshgen import Region, transition_params
-from .assembly import FeField, assemble_mass
+from .assembly import FeField
 # perfbench/tracer.py wraps these under this module's name.
 from .meshgen import build_mesh  # noqa: F401
-from .assembly import assemble, assemble_stiffness  # noqa: F401
+from .assembly import (assemble, assemble_mass,  # noqa: F401
+                       assemble_stiffness)
 from .linsolve import solve_transpose
 from .errorlab import nested_systems
 
@@ -55,16 +56,21 @@ def green_function(A, mesh, source, mg=None):
     return FeField.from_interior(mesh, g)
 
 
-def fe_l2_norm(field, M):
-    """sqrt(v^T M v) over interior values."""
-    v = field.interior_values()
-    if M.shape[0] != len(v):
-        raise ValueError("mass matrix does not match field")
-    return float(np.sqrt(v @ (M @ v)))
+def fe_l2_norm(field):
+    """sqrt(int v^2) = sqrt(v^T (M_y (x) M_x) v), summed exactly cell by
+    cell: on an h x k cell with corner values u, int v^2 is h k / 36 times
+    the sum of the nine squares of (L (x) L)^T u, where L^T takes the two
+    ends of an interval and their sum (L L^T = [[2, 1], [1, 2]])."""
+    h = np.diff(field.mesh.x)
+    k = np.diff(field.mesh.y)[:, None]
+    lo, hi = field.values[:, :-1], field.values[:, 1:]
+    sq = sum(np.sum((X[:-1] ** 2 + X[1:] ** 2 + (X[:-1] + X[1:]) ** 2)
+                    * (h * k)) for X in (lo, hi, lo + hi))
+    return float(np.sqrt(sq / 36.0))
 
 
-def fe_energy_norm(field, M, eps):
-    """sqrt(eps |v|_1^2 + v^T M v), with |v|_1^2 = int |grad v|^2.
+def fe_energy_norm(field, eps):
+    """sqrt(eps |v|_1^2 + int v^2), with |v|_1^2 = int |grad v|^2.
 
     |v|_1^2 is summed exactly, cell by cell, from nodal differences: on
     an h x k cell whose bottom and top edges carry the differences a and
@@ -72,9 +78,6 @@ def fe_energy_norm(field, M, eps):
     in y.  Every term is nonnegative, so unlike v^T K v, which cancels
     badly for fields with steep layers, the sum keeps full precision.
     """
-    v = field.interior_values()
-    if M.shape[0] != len(v):
-        raise ValueError("mass matrix does not match field")
     h = np.diff(field.mesh.x)
     k = np.diff(field.mesh.y)[:, None]
     V = field.values
@@ -83,7 +86,7 @@ def fe_energy_norm(field, M, eps):
     ex = dx[:-1] ** 2 + dx[1:] ** 2 + (dx[:-1] + dx[1:]) ** 2
     ey = dy[:, :-1] ** 2 + dy[:, 1:] ** 2 + (dy[:, :-1] + dy[:, 1:]) ** 2
     grad_sq = (np.sum(ex * (k / h)) + np.sum(ey * (h / k))) / 6.0
-    return float(np.sqrt(eps * grad_sq + v @ (M @ v)))
+    return float(np.sqrt(eps * grad_sq + fe_l2_norm(field) ** 2))
 
 
 def default_probes(lambda_x, lambda_y):
@@ -119,11 +122,10 @@ def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
                 raise ValueError(f"{region.value} probe {point} is not finite")
         for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
                                                 lam):
-            M = assemble_mass(mesh)
             for region, (px, py) in probe_map.items():
                 i, j = mesh.nearest_node(px, py)
                 g = green_function(A, mesh, (i, j), mg=mg)
                 reports[eps, N, region] = GreenReport(
                     float(mesh.x[i]), float(mesh.y[j]),
-                    fe_l2_norm(g, M), fe_energy_norm(g, M, eps))
+                    fe_l2_norm(g), fe_energy_norm(g, eps))
     return reports

@@ -90,15 +90,23 @@ class Multigrid:
         west[1:], east[:-1] = A.diagonal(-1), A.diagonal(1)
         west[rows[:, 0]] = east[rows[:, -1]] = 0.0
         diag = A.diagonal()
+        # dgttrf pivots a zero row down its x-line, so a node whose row or
+        # column of its line block is zero is looked for before factoring
+        zero = np.flatnonzero((diag == 0) & ((west == 0) & (east == 0) | (
+            np.roll(east, 1) == 0) & (np.roll(west, -1) == 0)))
+        if zero.size:
+            row, col = divmod(zero[0], mx)
+            raise np.linalg.LinAlgError(
+                f"singular x-line: zero pivot in the {('even', 'odd')[row % 2]}"
+                f" rows at interior node (row {row}, column {col})")
         self.lines = []
         for c, colour in enumerate((even, odd)):
             *factors, info = lapack.dgttrf(west[colour][1:], diag[colour],
                                            east[colour][:-1])
             if info > 0:    # the 1-based zero pivot among the lines of c
-                row, col = divmod(info - 1, mx)
                 raise np.linalg.LinAlgError(
                     f"singular x-line: zero pivot in the {('even', 'odd')[c]}"
-                    f" rows at interior node (row {2 * row + c}, column {col})")
+                    f" rows on x-line (row {2 * ((info - 1) // mx) + c})")
             self.lines.append(factors)
         self.up, self.down = A[even][:, odd], A[odd][:, even]
         self.P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),

@@ -7,11 +7,13 @@ import scipy.sparse as sp
 
 from shishkinfem.meshgen import TensorMesh, build_mesh, transition_params
 from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
+from shishkinfem import assembly
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
 
-from oracles import (dense_solve, element_matrices, flat_index,
-                     interior_index, local_matrices, node_coords, quad_rule)
+from oracles import (dense_solve, diagonals_csr, element_matrices,
+                     flat_index, interior_index, local_matrices, node_coords,
+                     quad_rule)
 
 
 def constant_spec(eps=1.0, b1=0.0, c=1.0, f=1.0):
@@ -172,6 +174,21 @@ class TestAssemble:
         result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + F.nbytes
         assert peak <= 5 * result
 
+    def test_csr_from_stencil_without_copies(self):
+        # the stencil planes go straight into one DIA data array: the peak
+        # is 2.5 times the CSR's bytes at N = 128, and 3.7 times when the
+        # interior stencil, its diagonals and their DIA form are copies
+        mesh = build_mesh(128, *transition_params(1e-6, 2.0, 1.0))
+        spec = example_5_1(1e-6)
+        tracemalloc.start()
+        try:
+            A, _ = assemble(mesh, spec, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * (A.data.nbytes + A.indices.nbytes
+                              + A.indptr.nbytes)
+
 
 class TestTensorAssembly:
     @pytest.mark.parametrize("N", [4, 8])
@@ -188,6 +205,27 @@ class TestTensorAssembly:
         np.testing.assert_array_equal(A.indices, A0.indices)
         assert abs(A - A0).max() <= 1e-13 * abs(A0).max()
         assert np.abs(F - F0).max() <= 1e-13 * np.abs(F0).max()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_csr_equals_diagonals_oracle(self, order, monkeypatch):
+        # bit for bit: same values, same stored entries, same index dtype
+        stencils = []
+        csr_from_stencil = assembly._csr_from_stencil
+
+        def keep(mesh, stencil):
+            stencils.append(stencil.copy())
+            return csr_from_stencil(mesh, stencil)
+
+        monkeypatch.setattr(assembly, "_csr_from_stencil", keep)
+        for N in (8, 16, 32, 64, 128):
+            for eps in (1e-3, 1e-7):
+                mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
+                A, _ = assemble(mesh, example_5_1(eps), order)
+                A0 = diagonals_csr(mesh, stencils.pop())
+                for a, a0 in ((A.data, A0.data), (A.indices, A0.indices),
+                              (A.indptr, A0.indptr)):
+                    assert a.dtype == a0.dtype
+                    assert a.tobytes() == a0.tobytes()
 
     def test_each_coefficient_called_once(self):
         calls = []

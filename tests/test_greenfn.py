@@ -7,7 +7,7 @@ from shishkinfem.meshgen import (Region, TensorMesh, build_mesh,
 from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
-from shishkinfem import errorlab, greenfn, linsolve
+from shishkinfem import assembly, errorlab, greenfn, linsolve
 from shishkinfem.linsolve import multigrid, solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
@@ -67,10 +67,9 @@ class TestGreenFunction:
 class TestNorms:
     def test_zero_field(self):
         mesh = build_mesh(4, 0.1, 0.2)
-        M = assemble_mass(mesh)
         field = FeField.from_interior(mesh, np.zeros(mesh.n_interior))
-        assert fe_l2_norm(field, M) == 0.0
-        assert fe_energy_norm(field, M, 1e-6) == 0.0
+        assert fe_l2_norm(field) == 0.0
+        assert fe_energy_norm(field, 1e-6) == 0.0
 
     def test_sine_interpolant_l2(self):
         # int sin^2(pi x) sin^2(pi y) over [-1,1]^2 = 1
@@ -79,17 +78,15 @@ class TestNorms:
         X, Y = np.meshgrid(nodes, nodes)
         vals = np.sin(np.pi * X) * np.sin(np.pi * Y)
         field = FeField(mesh=mesh, values=vals)
-        M = assemble_mass(mesh)
-        assert fe_l2_norm(field, M) == pytest.approx(1.0, abs=2e-3)
+        assert fe_l2_norm(field) == pytest.approx(1.0, abs=2e-3)
 
     def test_energy_at_least_l2(self):
         mesh = build_mesh(8, 0.1, 0.2)
-        M = assemble_mass(mesh)
         rng = np.random.default_rng(5)
         for _ in range(10):
             field = FeField.from_interior(
                 mesh, rng.standard_normal(mesh.n_interior))
-            assert fe_energy_norm(field, M, 1e-7) >= fe_l2_norm(field, M)
+            assert fe_energy_norm(field, 1e-7) >= fe_l2_norm(field)
 
     def test_energy_matches_stiffness_form(self):
         # on a random field v^T K v does not cancel, so it checks the
@@ -101,8 +98,7 @@ class TestNorms:
         field = FeField.from_interior(mesh, v)
         eps = 0.3
         expected = np.sqrt(eps * (v @ (K @ v)) + v @ (M @ v))
-        assert fe_energy_norm(field, M, eps) == pytest.approx(expected,
-                                                              rel=1e-14)
+        assert fe_energy_norm(field, eps) == pytest.approx(expected, rel=1e-14)
 
     def test_energy_of_layer_green_function_to_rounding(self):
         # the x-layer Green's function at eps = 1e-6 is where v^T K v
@@ -131,22 +127,28 @@ class TestNorms:
             grad_sq += np.sum(vx * vx * h * k) / 2 + np.sum(vy * vy * h * k) / 2
         v = g.interior_values()
         exact = np.sqrt(ld(eps) * grad_sq + ld(v @ (M @ v)))
-        assert abs(fe_energy_norm(g, M, eps) / exact - 1) <= 1e-15
+        assert abs(fe_energy_norm(g, eps) / exact - 1) <= 1e-15
 
-    def test_dimension_mismatch(self):
-        mesh = build_mesh(4, 0.1, 0.2)
-        other = build_mesh(8, 0.1, 0.2)
-        M = assemble_mass(other)
-        field = FeField.from_interior(mesh, np.zeros(mesh.n_interior))
-        with pytest.raises(ValueError):
-            fe_l2_norm(field, M)
-
-    def test_energy_dimension_mismatch(self):
-        mesh = build_mesh(4, 0.1, 0.2)
-        M = assemble_mass(build_mesh(8, 0.1, 0.2))
-        field = FeField.from_interior(mesh, np.zeros(mesh.n_interior))
-        with pytest.raises(ValueError, match="mass matrix does not match"):
-            fe_energy_norm(field, M, 1e-4)
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
+    def test_l2_and_mass_part_match_mass_matrix(self, N):
+        # both norms sum int v^2 over the mesh; the oracle is v^T M v with
+        # the assembled Kronecker mass matrix, on random fields and on the
+        # Green's functions of every default probe
+        eps = 1e-6
+        lam = transition_params(eps, 2.0, 1.0)
+        mesh = build_mesh(N, *lam)
+        A, _ = assemble(mesh, example_5_1(eps), 3)
+        M = assemble_mass(mesh)
+        rng = np.random.default_rng(N)
+        fields = [FeField.from_interior(mesh, rng.standard_normal(
+            mesh.n_interior)) for _ in range(3)]
+        fields += [green_function(A, mesh, mesh.nearest_node(*p))
+                   for p in default_probes(*lam).values()]
+        for field in fields:
+            v = field.interior_values()
+            exact = v @ (M @ v)
+            assert abs(fe_l2_norm(field) ** 2 / exact - 1) <= 1e-13
+            assert abs(fe_energy_norm(field, 0.0) ** 2 / exact - 1) <= 1e-13
 
 
 class TestSweep:
@@ -156,6 +158,18 @@ class TestSweep:
                                  for N in (8, 16) for region in Region]
         for r in reports.values():
             assert all(type(v) is float for v in r)
+
+    def test_sweep_assembles_no_mass_matrix(self, monkeypatch):
+        # the norms sum over the mesh, so a mass matrix that cannot be
+        # assembled does not stop the sweep
+        def no_mass(mesh):
+            raise MemoryError("assemble_mass called")
+
+        for module in (greenfn, assembly):
+            monkeypatch.setattr(module, "assemble_mass", no_mass)
+        reports = green_norm_sweep(example_5_1, [1e-6], [8, 16])
+        assert len(reports) == 8
+        assert all(0.0 < r.l2_norm <= r.energy_norm for r in reports.values())
 
     def test_sources_land_in_their_region(self):
         reports = green_norm_sweep(example_5_1, [1e-6], [16])
@@ -255,11 +269,10 @@ class TestFactorReuse:
         lam = transition_params(eps, spec.alpha, spec.beta)
         mesh = build_mesh(N, *lam)
         A, _ = assemble(mesh, spec, 3)
-        M = assemble_mass(mesh)
         probes = default_probes(*lam)
         for (_, _, region), r in reports.items():
             node = mesh.nearest_node(*probes[region])
             g = green_function(A, mesh, node,
                                mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
-            assert r.l2_norm == fe_l2_norm(g, M)
-            assert r.energy_norm == fe_energy_norm(g, M, eps)
+            assert r.l2_norm == fe_l2_norm(g)
+            assert r.energy_norm == fe_energy_norm(g, eps)

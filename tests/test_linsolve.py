@@ -197,6 +197,34 @@ class TestFallbackLogging:
         assert ("zero pivot in the odd rows at interior node "
                 "(row 5, column 10)") in message
 
+    def test_zero_row_names_its_node(self, caplog):
+        # dgttrf pivots a zero row down its x-line to the line's last
+        # node; the row is found before factoring and named instead
+        _, A, _, shape = system(1e-6, 32)
+        k = 5 * shape[1] + 10
+        A = A.tolil()
+        A[k, :] = 0.0
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            assert multigrid(A.tocsr(), shape) is None
+        [message] = [r.getMessage() for r in caplog.records]
+        assert ("zero pivot in the odd rows at interior node "
+                "(row 5, column 10)") in message
+
+    def test_singular_line_without_zero_row_names_its_line(self, caplog):
+        # rows k and k + 1 couple only to each other in their line block,
+        # through a singular 2 x 2 block: no row or column is zero there,
+        # so the message names the x-line and no column
+        _, A, _, shape = system(1e-6, 32)
+        k = 7 * shape[1] + 20
+        A = A.tolil()
+        A[k, k - 1] = A[k + 1, k + 2] = 0.0
+        A[k, k] = A[k, k + 1] = A[k + 1, k] = A[k + 1, k + 1] = 1.0
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            assert multigrid(A.tocsr(), shape) is None
+        [message] = [r.getMessage() for r in caplog.records]
+        assert "zero pivot in the odd rows on x-line (row 7)" in message
+        assert "column" not in message
+
     def test_splu_residual_above_tol_raises(self, monkeypatch, caplog):
         # a factorization whose solve is wrong: x = b for A = 2 I leaves
         # relative residual 1, one WARNING, then SolveError
