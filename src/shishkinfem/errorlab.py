@@ -34,6 +34,7 @@ __all__ = [
 
 # Samples per cell and axis in the interpolation study, edges included.
 SAMPLES_PER_CELL = 5
+BLOCK_CELLS = 2 ** 16   # cells in a block of `_subcell_max`: 0.5 MiB an array
 # Errors at or below this are rounding; no rate is formed from them.
 ZERO_TOL = 1e-13
 
@@ -98,32 +99,46 @@ def _region_max(err, x, y, mesh):
             for region, (mx, my) in masks.items()}
 
 
+def _rows_of(samples, j0, j1):
+    """The `_samples` of cell rows j0 to j1 - 1 (cells from j0), if any."""
+    for p, cells, s in samples:
+        if isinstance(cells, slice):
+            yield p[j0:j1], cells, s[j0:j1]
+        elif np.any(m := (cells >= j0) & (cells < j1)):
+            yield p[m], cells[m] - j0, s[m]
+
+
 def _subcell_max(mesh, nodal, func):
     """Per region, max |func - bilinear interpolant of nodal| over s x s
     uniform samples of every cell, edges included (s = SAMPLES_PER_CELL),
     each distinct sample once (`_samples`), func on the axes of each
-    offset grid; NaN propagates.  In `_bilinear`'s order of operations:
-    corner differences once, x parts per x-offset."""
-    v00 = nodal[:-1, :-1]
-    dx, dy = nodal[:-1, 1:] - v00, nodal[1:, :-1] - v00
-    dxy = nodal[1:, 1:] - nodal[:-1, 1:] - nodal[1:, :-1] + v00
-    bufs = np.empty((3,) + dx.shape)    # reused by every offset
-    y_samples = list(_samples(mesh.y))
+    offset grid; NaN propagates.  In `_bilinear`'s order of operations,
+    per block of whole cell rows (BLOCK_CELLS cells, or one row): corner
+    differences once, x parts per x-offset; maxima combine by max."""
+    step = max(1, BLOCK_CELLS // (mesh.nx - 1))
+    bufs = np.empty((3, min(step, mesh.ny - 1), mesh.nx - 1))   # reused
+    x_samples, y_samples = list(_samples(mesh.x)), list(_samples(mesh.y))
     maxima = []
-    for px, cols, s in _samples(mesh.x):
-        pu, dyc, dxyc = bufs[0, :, :len(px)], dy[:, cols], dxy[:, cols]
-        np.multiply(s, dx[:, cols], out=pu)
-        pu += v00[:, cols]
-        for py, rows, t in y_samples:
-            err, st = bufs[1:, :len(py), :len(px)]
-            np.multiply(t[:, None], dyc[rows], out=err)
-            err += pu[rows]
-            np.multiply(s, t[:, None], out=st)
-            st *= dxyc[rows]
-            err += st
-            np.subtract(on_grid(func, px, py), err, out=err)
-            np.abs(err, out=err)
-            maxima.append(_region_max(err, px, py, mesh))
+    for j0 in range(0, mesh.ny - 1, step):
+        block = nodal[j0:j0 + step + 1]
+        v00 = block[:-1, :-1]
+        dx, dy = block[:-1, 1:] - v00, block[1:, :-1] - v00
+        dxy = block[1:, 1:] - block[:-1, 1:] - block[1:, :-1] + v00
+        for px, cols, s in x_samples:
+            pu = bufs[0, :len(v00), :len(px)]
+            dyc, dxyc = dy[:, cols], dxy[:, cols]
+            np.multiply(s, dx[:, cols], out=pu)
+            pu += v00[:, cols]
+            for py, rows, t in _rows_of(y_samples, j0, j0 + len(v00)):
+                err, st = bufs[1:, :len(py), :len(px)]
+                np.multiply(t[:, None], dyc[rows], out=err)
+                err += pu[rows]
+                np.multiply(s, t[:, None], out=st)
+                st *= dxyc[rows]
+                err += st
+                np.subtract(on_grid(func, px, py), err, out=err)
+                np.abs(err, out=err)
+                maxima.append(_region_max(err, px, py, mesh))
     return {region: float(np.max([m[region] for m in maxima]))
             for region in Region}
 

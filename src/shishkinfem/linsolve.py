@@ -206,6 +206,11 @@ def _splu_bytes(n, nnz):
     return 16.0 * max(1.5 * np.log2(n) - 9.0, 1.0) * nnz
 
 
+def _norm(v):
+    """2-norm of v by einsum's own loop: BLAS ddot can stall on threads."""
+    return np.sqrt(np.einsum("i,i->", v, v))
+
+
 def _accept(x, report, mg):
     log.debug("%s: n %d, levels %d, %d iterations, residual %.3e",
               report.method, len(x), len(mg.levels) if mg else 0,
@@ -221,7 +226,7 @@ def _solve(A, b, mg, x0, trans):
         raise ValueError("A must be square and match b")
     if x0 is not None and np.shape(x0) != b.shape:
         raise ValueError(f"x0 has shape {np.shape(x0)}, not {b.shape}")
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     if norm_b == 0.0:
         return _accept(np.zeros_like(b), SolveReport(0, 0.0, "trivial"), mg)
     op = A.T if trans == "T" else A
@@ -232,7 +237,7 @@ def _solve(A, b, mg, x0, trans):
         for cycles in range(1, MAX_CYCLES + 1):
             x += mg.solve(r, trans)
             r = b - op @ x
-            res = np.linalg.norm(r) / norm_b
+            res = _norm(r) / norm_b
             best = min(best, res)       # min and <= both pass over NaN
             if res <= 0.1 * TOL:
                 return _accept(x, SolveReport(cycles, res, "mg"), mg)
@@ -248,7 +253,7 @@ def _solve(A, b, mg, x0, trans):
     except (MemoryError, RuntimeError) as exc:
         log.warning("splu failed (%r)", exc)
     else:
-        res = np.linalg.norm(b - op @ x) / norm_b
+        res = _norm(b - op @ x) / norm_b
         best = min(best, res)
         if res <= TOL:
             return _accept(x, SolveReport(1, res, "splu"), mg)

@@ -1,6 +1,7 @@
 """Independent oracles for the tests: a dense LU, per-cell element
 matrices, a CSR matrix from a list of stencil diagonals, a scalar region
-tag, flat node numbering and an analytic coefficient derivative.
+tag, the whole-grid sub-cell error kernel, flat node numbering and an
+analytic coefficient derivative.
 
 Nothing in the package calls these.  Each computes something the
 package computes another way, so the tests can compare the two:
@@ -8,9 +9,10 @@ package computes another way, so the tests can compare the two:
 `local_matrices` (one cell at a time) against the tensor-product
 `assemble`, `diagonals_csr` (`sp.diags` of flat diagonals) against
 the DIA fill of `assemble`, `classify` (one point) against
-`region_masks`, and the flat numbering j * nx + i (`flat_index`,
-`interior_index`, `node_coords`) against the package's (ny, nx) node
-grids.
+`region_masks`, `subcell_max` (every cell row at once) against the
+row blocks of `errorlab._subcell_max`, and the flat numbering
+j * nx + i (`flat_index`, `interior_index`, `node_coords`) against the
+package's (ny, nx) node grids.
 """
 
 import numpy as np
@@ -18,7 +20,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from shishkinfem.assembly import _gauss
-from shishkinfem.meshgen import region_masks
+from shishkinfem.errorlab import _region_max, _samples
+from shishkinfem.meshgen import Region, region_masks
+from shishkinfem.problem import on_grid
 
 DENSE_LIMIT = 2000
 
@@ -138,6 +142,34 @@ def classify(x, y, lambda_x, lambda_y):
     """
     masks = region_masks(x, y, lambda_x, lambda_y)
     return next(region for region, (mx, my) in masks.items() if mx & my)
+
+
+def subcell_max(mesh, nodal, func):
+    """`errorlab._subcell_max` on the whole mesh at once: the same
+    samples and order of operations, with each cell difference, the x
+    part and the error held as a grid over every cell."""
+    v00 = nodal[:-1, :-1]
+    dx, dy = nodal[:-1, 1:] - v00, nodal[1:, :-1] - v00
+    dxy = nodal[1:, 1:] - nodal[:-1, 1:] - nodal[1:, :-1] + v00
+    bufs = np.empty((3,) + dx.shape)
+    y_samples = list(_samples(mesh.y))
+    maxima = []
+    for px, cols, s in _samples(mesh.x):
+        pu, dyc, dxyc = bufs[0, :, :len(px)], dy[:, cols], dxy[:, cols]
+        np.multiply(s, dx[:, cols], out=pu)
+        pu += v00[:, cols]
+        for py, rows, t in y_samples:
+            err, st = bufs[1:, :len(py), :len(px)]
+            np.multiply(t[:, None], dyc[rows], out=err)
+            err += pu[rows]
+            np.multiply(s, t[:, None], out=st)
+            st *= dxyc[rows]
+            err += st
+            np.subtract(on_grid(func, px, py), err, out=err)
+            np.abs(err, out=err)
+            maxima.append(_region_max(err, px, py, mesh))
+    return {region: float(np.max([m[region] for m in maxima]))
+            for region in Region}
 
 
 def flat_index(mesh, i, j):

@@ -8,14 +8,15 @@ import pytest
 from shishkinfem import errorlab, linsolve
 from shishkinfem.meshgen import (Region, TensorMesh, build_mesh,
                                  classify_points, transition_params)
-from shishkinfem.problem import example_5_1, mms_problem, layer_template
+from shishkinfem.problem import (example_5_1, mms_problem, layer_template,
+                                 on_grid)
 from shishkinfem.assembly import FeField, assemble
 from shishkinfem.errorlab import (bilinear_interp, error_table,
                                   interp_error_study, mms_convergence,
                                   solve_problem, _compare_nested, _rates,
                                   SAMPLES_PER_CELL, ZERO_TOL)
 
-from oracles import node_coords
+from oracles import node_coords, subcell_max
 
 
 def uniform_field(n, fn):
@@ -420,11 +421,13 @@ class TestInterpStudy:
         assert max(res.values()) <= 1e-14
 
     def test_peak_memory_of_the_kernel(self):
-        # the nodal values, the three cell differences, the x part, err,
-        # the (s t) dxy term and one template grid live at the peak: 8
-        # cell grids and a little
+        # N = 512 has 512 rows of 1024 cells, so blocks of 64 rows: the
+        # nodal values (1.0 cell grid) and, for one block, the three
+        # cell differences, the x part, err, the (s t) dxy term and one
+        # template grid (7/8 of a cell grid) live at the peak, 2.07 cell
+        # grids; `oracles.subcell_max`, on every row at once, holds 8
         tpl = layer_template("corner_xy", 1e-6, 2.0, 1.0)
-        N = 128
+        N = 512
         interp_error_study(tpl, 1e-6, 2.0, 1.0, [N])      # warm
         tracemalloc.start()
         try:
@@ -434,7 +437,7 @@ class TestInterpStudy:
             tracemalloc.stop()
         mesh = build_mesh(N, *transition_params(1e-6, 2.0, 1.0))
         cell_grid = (mesh.ny - 1) * (mesh.nx - 1) * 8
-        assert peak <= 9 * cell_grid
+        assert peak <= 3 * cell_grid
 
     def test_non_finite_template_raises(self):
         # NaN in the coarse region only; the other maxima are finite
@@ -444,6 +447,19 @@ class TestInterpStudy:
             func=lambda x, y: np.where(x > 0.5, np.nan, x * y))
         with pytest.raises(ValueError, match="coarse at N = 8"):
             interp_error_study(nan_right, 1e-6, 2.0, 1.0, [8])
+
+    def test_non_finite_in_one_block_raises(self, monkeypatch):
+        # blocks of one cell row; NaN in the coarse rows -1/2 < y < 0
+        # only, so earlier and later blocks have finite maxima there
+        from shishkinfem.problem import LayerTemplate, TemplateKind
+        mesh = build_mesh(8, *transition_params(1e-6, 2.0, 1.0))
+        monkeypatch.setattr(errorlab, "BLOCK_CELLS", mesh.nx - 1)
+        nan_inside = LayerTemplate(
+            kind=TemplateKind.SMOOTH,
+            func=lambda x, y: np.where((x > 0.5) & (-0.5 < y) & (y < 0.0),
+                                       np.nan, x * y))
+        with pytest.raises(ValueError, match="coarse at N = 8"):
+            interp_error_study(nan_inside, 1e-6, 2.0, 1.0, [8])
 
     def test_smooth_second_order_coarse(self):
         tpl = layer_template("smooth", 1e-6, 2.0, 1.0)
@@ -459,6 +475,26 @@ class TestInterpStudy:
         for N in (32, 64, 128):
             bound = 1.3 * C * math.log(N) ** 2 / N ** 2
             assert res[1e-6, N, Region.LAYER_X] <= bound
+
+
+class TestSubcellBlocks:
+    @pytest.mark.parametrize("kind", ["smooth", "interior_x", "boundary_y",
+                                      "corner_xy"])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 0.3])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_equals_whole_grid_oracle(self, kind, eps, rows, monkeypatch):
+        # blocks of one row (BLOCK_CELLS = 1 is less than a row), of
+        # three rows and of the default BLOCK_CELLS: the edges of the
+        # small ones fall inside every region, and the maxima are equal
+        tpl = layer_template(kind, eps, 2.0, 1.0)
+        for N in (8, 16, 64):
+            mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
+            if rows is not None:
+                monkeypatch.setattr(errorlab, "BLOCK_CELLS",
+                                    1 if rows == 1 else rows * (mesh.nx - 1))
+            nodal = on_grid(tpl.func, mesh.x, mesh.y)
+            assert errorlab._subcell_max(mesh, nodal, tpl.func) == \
+                subcell_max(mesh, nodal, tpl.func)
 
 
 class TestMmsConvergence:

@@ -500,3 +500,26 @@ class TestSparseVsDense:
         x_dense = dense_solve(A, F)
         denom = np.linalg.norm(x_dense)
         assert np.linalg.norm(x_sparse - x_dense) / denom <= 1e-8
+
+
+class TestResidualNorm:
+    @pytest.mark.parametrize("scale", [1e-20, 1e-10, 1.0, 1e10, 1e20])
+    def test_equals_linalg_norm(self, scale):
+        v = scale * np.random.default_rng(0).standard_normal(10_000)
+        assert linsolve._norm(v) == pytest.approx(np.linalg.norm(v),
+                                                  rel=1e-14)
+
+    @pytest.mark.parametrize("direction", [solve, solve_transpose])
+    def test_solves_without_linalg_norm(self, direction, monkeypatch):
+        # ||b||, each cycle's ||r|| and the splu check all go through
+        # linsolve._norm, never through np.linalg.norm's BLAS ddot
+        _, A, F, shape = system(1e-6, 32)
+        mg = multigrid(A, shape)
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        for with_mg, method in ((mg, "mg"), (None, "splu")):
+            _, report = direction(A, F, mg=with_mg)
+            assert report.method == method
+            assert report.relative_residual <= linsolve.TOL
