@@ -41,9 +41,6 @@ class FeField:
         inner = np.reshape(interior_values, (mesh.ny - 2, mesh.nx - 2))
         return cls(mesh=mesh, values=np.pad(inner, 1))
 
-    def interior_values(self):
-        return self.values[1:-1, 1:-1].ravel()
-
 
 def _gauss(order):
     """1D Gauss-Legendre points and weights on [-1, 1]."""
@@ -71,24 +68,11 @@ def _coefficient(name, fn, xq, yq):
     return vals
 
 
-def _csr_from_stencil(mesh, stencil):
-    """CSR matrix over interior nodes from 9-point stencil arrays.
-
-    stencil[dy + 1, dx + 1, j, i] couples node (i, j) to node
-    (i + dx, j + dy), on diagonal dy * mx + dx of the interior numbering.
-    Each plane is added, shifted, into the DIA data row of its diagonal
-    (planes share one where mx < 3), after the x-boundary columns, which
-    would land where x-lines end, are zeroed in place.
-    """
-    my, mx, n = mesh.ny - 2, mesh.nx - 2, mesh.n_interior
-    keys, slot = np.unique(np.add.outer(np.arange(-1, 2) * mx,
-                                        np.arange(-1, 2)), return_inverse=True)
-    stencil[:, 2, :, 0] = stencil[:, 0, :, -1] = 0.0
-    data = np.zeros((len(keys), my, mx))
-    for (dy, dx), d in zip(np.ndindex(3, 3), slot.ravel()):
-        data[d] += stencil[dy, dx, 2 - dy:my + 2 - dy, 2 - dx:mx + 2 - dx]
-    return sp.dia_matrix((data.reshape(len(keys), n), keys),
-                         shape=(n, n)).tocsr()
+def _reach(m, t, s):
+    """Cells of an axis with m interior nodes whose local test node t and
+    trial node s are both interior, and those trial nodes: two slices."""
+    lo, hi = max(0, s - t), m + min(0, s - t)
+    return slice(lo + 1 - s, hi + 1 - s), slice(lo, hi)
 
 
 def assemble(mesh, spec, quad_order=3):
@@ -151,18 +135,25 @@ def assemble(mesh, spec, quad_order=3):
     fl *= (0.5 * k)[:, None, None]
     fl = fl.reshape(nj, 2, ni, 2)                 # (j, ty, i, tx)
 
-    stencil = np.zeros((3, 3, mesh.ny, mesh.nx))
-    F = np.zeros((mesh.ny, mesh.nx))
-    for ty in (0, 1):
-        for tx in (0, 1):
-            rows = (slice(ty, ty + nj), slice(tx, tx + ni))
-            F[rows] += fl[:, ty, :, tx]
-            for sy in (0, 1):
-                for sx in (0, 1):
-                    stencil[(sy - ty + 1, sx - tx + 1) + rows] += \
-                        local[:, ty, sy, :, tx, sx]
+    # one DIA data row per diagonal dy * mx + dx of the interior
+    # numbering, indexed by the trial node u; where mx < 3 two (dy, dx)
+    # share a diagonal, at distinct trial nodes
+    my, mx, n = mesh.ny - 2, mesh.nx - 2, mesh.n_interior
+    keys, slot = np.unique(np.add.outer(np.arange(-1, 2) * mx,
+                                        np.arange(-1, 2)), return_inverse=True)
+    slot = slot.reshape(3, 3)
+    data = np.zeros((len(keys), my, mx))
+    F = np.zeros((my, mx))
+    for ty, tx in np.ndindex(2, 2):
+        (cy, uy), (cx, ux) = _reach(my, ty, ty), _reach(mx, tx, tx)
+        F[uy, ux] += fl[cy, ty, cx, tx]
+        for sy, sx in np.ndindex(2, 2):
+            (cy, uy), (cx, ux) = _reach(my, ty, sy), _reach(mx, tx, sx)
+            data[slot[sy - ty + 1, sx - tx + 1], uy, ux] += \
+                local[cy, ty, sy, cx, tx, sx]
     del local, fl
-    return _csr_from_stencil(mesh, stencil), F[1:-1, 1:-1].ravel()
+    return sp.dia_matrix((data.reshape(len(keys), n), keys),
+                         shape=(n, n)).tocsr(), F.ravel()
 
 
 def _axis_matrices(nodes):

@@ -226,6 +226,7 @@ def error_table(spec_family, eps_list, N_list, quad_order=3):
             for region, e in _compare_nested(fields[n],
                                              fields[2 * n]).items():
                 errors[eps, n, region] = e
+        del fields      # free this row's solutions before the next walk
     return errors, _rates(errors, lambda key: (key[0], 2 * key[1], key[2]))
 
 

@@ -70,16 +70,16 @@ def _interpolation(m):
 class Multigrid:
     """V(1,1) cycle of A on its (my, mx) interior grid; see `multigrid`.
 
-    The coarsest level holds the splu factors `lu` of A; the others the
-    interpolation P from `coarse`, the Multigrid of the next coarser
-    level, and a zebra x-line smoother.  Grid rows (x-lines) of one
-    colour, even or odd, couple only to rows of the other colour (`up`:
-    even to odd, `down`: odd to even), so the lines of a colour form one
-    tridiagonal system, zero at line ends; `lines` holds both factored.
+    No level keeps A.  The coarsest holds the splu factors `lu` of A;
+    the others the interpolation P from `coarse`, the Multigrid of the
+    next coarser level, and a zebra x-line smoother.  Grid rows (x-lines)
+    of one colour, even or odd, couple only to rows of the other colour
+    (`up`: even to odd, `down`: odd to even), so the lines of a colour
+    form one tridiagonal system, zero at line ends; `lines` has both factored.
     """
 
     def __init__(self, A, shape, coarse=None):
-        self.A, self.shape, self.P, self.coarse = A, shape, None, None
+        self.shape, self.P, self.coarse = shape, None, None
         if not coarsens(shape):
             self.lu = spla.splu(A.tocsc())
             return

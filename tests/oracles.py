@@ -1,14 +1,14 @@
 """Independent oracles for the tests: a dense LU, per-cell element
-matrices, a CSR matrix from a list of stencil diagonals, a scalar region
-tag, the whole-grid sub-cell error kernel, flat node numbering and an
-analytic coefficient derivative.
+matrices, a scalar region tag, the whole-grid sub-cell error kernel,
+flat node numbering, an analytic coefficient derivative and the matrix
+test of a multigrid level.
 
 Nothing in the package calls these.  Each computes something the
 package computes another way, so the tests can compare the two:
 `dense_solve` against the sparse solvers, `element_matrices` and
 `local_matrices` (one cell at a time) against the tensor-product
-`assemble`, `diagonals_csr` (`sp.diags` of flat diagonals) against
-the DIA fill of `assemble`, `classify` (one point) against
+`assemble`, `built_from` (a level set up anew) against a level of a
+`multigrid`, which keeps no matrix, `classify` (one point) against
 `region_masks`, `subcell_max` (every cell row at once) against the
 row blocks of `errorlab._subcell_max`, and the flat numbering
 j * nx + i (`flat_index`, `interior_index`, `node_coords`) against the
@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from shishkinfem.assembly import _gauss
 from shishkinfem.errorlab import _region_max, _samples
+from shishkinfem.linsolve import multigrid
 from shishkinfem.meshgen import Region, region_masks
 from shishkinfem.problem import on_grid
 
@@ -38,6 +39,15 @@ def dense_solve(A, b):
         raise ValueError(
             f"dense oracle limited to {DENSE_LIMIT} unknowns, got {A.shape[0]}")
     return scipy.linalg.solve(A.toarray(), b)
+
+
+def built_from(level, A):
+    """Whether a `multigrid` level was set up from the matrix A: its
+    cycle on a fixed random vector equals, bit for bit, that of
+    multigrid(A, level.shape, coarse=level.coarse)."""
+    v = np.random.default_rng(0).standard_normal(np.prod(level.shape))
+    return np.array_equal(level.solve(v), multigrid(
+        A, level.shape, coarse=level.coarse).solve(v))
 
 
 def quad_rule(order):
@@ -110,28 +120,6 @@ def element_matrices(cell, spec, quad_order=3):
         np.array([x0]), np.array([y0]), np.array([h]), np.array([k]),
         spec, quad_order)
     return d[0], c[0], r[0], f[0]
-
-
-def diagonals_csr(mesh, stencil):
-    """CSR matrix over interior nodes from 9-point stencil arrays, by
-    `sp.diags` of the flat diagonals.
-
-    stencil[dy + 1, dx + 1, j, i] couples node (i, j) to node
-    (i + dx, j + dy), on diagonal dy * mx + dx of the interior numbering.
-    Couplings past the ends of an x-line are zeroed and zeros are not
-    stored; where mx < 3 two share a diagonal and are summed.
-    """
-    mx, n = mesh.nx - 2, mesh.n_interior
-    inner = stencil[:, :, 1:-1, 1:-1].copy()
-    inner[:, 0, :, :1] = 0.0
-    inner[:, 2, :, -1:] = 0.0
-    diagonals = {}
-    for (dy, dx), v in zip(np.ndindex(3, 3), inner.reshape(9, n)):
-        k = (dy - 1) * mx + dx - 1
-        if abs(k) <= n:
-            diagonals[k] = diagonals.get(k, 0.0) + v[max(-k, 0):n - max(k, 0)]
-    return sp.diags(list(diagonals.values()), list(diagonals), shape=(n, n),
-                    format="csr")
 
 
 def classify(x, y, lambda_x, lambda_y):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from shishkinfem.errorlab import (bilinear_interp, error_table,
                                   solve_problem, _compare_nested, _rates,
                                   SAMPLES_PER_CELL, ZERO_TOL)
 
-from oracles import node_coords, subcell_max
+from oracles import built_from, node_coords, subcell_max
 
 
 def uniform_field(n, fn):
@@ -199,11 +201,12 @@ class TestNestedSystems:
         lam = transition_params(eps, spec.alpha, spec.beta)
         *_, (_, _, A, _, mg) = errorlab.nested_systems(spec, [16, 32, 64],
                                                        3, lam)
-        assert np.shares_memory(mg.levels[0].A.data, A.data)
+        assert built_from(mg.levels[0], A)
         for level, n in zip(mg.levels, (64, 32, 16)):
             A_n, _ = assemble(build_mesh(n, *lam), spec, 3)
             assert level.shape == (n - 1, 2 * n - 1)
-            assert (level.A != A_n).nnz == 0
+            assert built_from(level, A_n)
+            assert not built_from(level, A_n.T)
         assert len(mg.levels) == 3
 
     def test_each_level_assembled_once_per_eps_row(self, monkeypatch):
@@ -230,7 +233,10 @@ class TestNestedSystems:
                                                           lam)
         assert calls == N_list
         fine, coarse = mg.levels[:2]
-        assert abs(coarse.A - fine.P.T @ fine.A @ fine.P).max() == 0.0
+        galerkin = (fine.P.T @ A @ fine.P).tocsr()
+        assert built_from(fine, A)
+        assert built_from(coarse, galerkin)
+        assert not built_from(coarse, galerkin.T)
         u, report = linsolve.solve(A, F, mg=mg)
         assert report.method == "mg"
         assert np.linalg.norm(F - A @ u) <= 1e-10 * np.linalg.norm(F)
@@ -240,21 +246,21 @@ class TestNestedSystems:
 
         def recording_solve(A, b, **kwargs):
             u, report = solve(A, b, **kwargs)
-            seen.append((kwargs["mg"], kwargs["x0"], b, u, report))
+            seen.append((A, kwargs["mg"], kwargs["x0"], b, u, report))
             return u, report
 
         monkeypatch.setattr(errorlab, "solve", recording_solve)
         error_table(example_5_1, [1e-7], [16, 32])
-        (mg16, x16, _, u16, _), (mg32, x32, b32, u32, r32), \
-            (mg64, x64, b64, _, r64) = seen
+        (_, mg16, x16, _, u16, _), (A32, mg32, x32, b32, u32, r32), \
+            (A64, mg64, x64, b64, _, r64) = seen
         assert x16 is None
         assert mg32.coarse is mg16 and mg64.coarse is mg32
         assert np.array_equal(x32, mg32.P @ u16)
         assert np.array_equal(x64, mg64.P @ u32)
         # (7 against 7 at N = 32, fewer further up the row)
-        _, cold = solve(mg32.A, b32, mg=mg32)
+        _, cold = solve(A32, b32, mg=mg32)
         assert r32.iterations <= cold.iterations
-        _, cold = solve(mg64.A, b64, mg=mg64)
+        _, cold = solve(A64, b64, mg=mg64)
         assert r64.iterations < cold.iterations
 
 
@@ -266,6 +272,25 @@ class TestErrorTable:
                                 for N in (8, 16) for region in Region]
         for e in errors.values():
             assert type(e) is float and e >= 0.0
+
+    def test_each_row_freed_before_the_next(self, monkeypatch):
+        # one eps row's solution grids are freed before the next row's
+        # solves, so no solve of a row runs with the last row's fields
+        rows, live, solutions = [], [], errorlab._solutions
+
+        def watched(*args):
+            rows.append([])
+            for N, field in solutions(*args):
+                if len(rows) == 2 and not rows[1]:
+                    gc.collect()
+                    live.extend(ref() is not None for ref in rows[0])
+                rows[-1].append(weakref.ref(field.values))
+                yield N, field
+
+        monkeypatch.setattr(errorlab, "_solutions", watched)
+        error_table(example_5_1, [1e-4, 1e-5], [8])
+        assert [len(refs) for refs in rows] == [2, 2]
+        assert live == [False, False]
 
     def test_rates_derive_from_errors(self):
         errors, rates = error_table(example_5_1, [1e-4], [8, 16])

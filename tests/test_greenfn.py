@@ -12,7 +12,8 @@ from shishkinfem.linsolve import multigrid, solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
 
-from oracles import classify, dense_solve, flat_index, interior_index
+from oracles import (built_from, classify, dense_solve, flat_index,
+                     interior_index)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ class TestGreenFunction:
         e = np.zeros(mesh.n_interior)
         e[interior_index(mesh)[flat_index(mesh, *node)]] = 1.0
         g_dense = dense_solve(sp.csr_matrix(A).T.tocsr(), e)
-        np.testing.assert_allclose(g.interior_values(), g_dense,
+        np.testing.assert_allclose(g.values[1:-1, 1:-1].ravel(), g_dense,
                                    rtol=1e-8, atol=1e-12)
 
     def test_reproducing_identity(self, small_run):
@@ -40,7 +41,7 @@ class TestGreenFunction:
         u, _ = solve(A, F)
         node = mesh.nearest_node(0.5, 0.0)
         g = green_function(A, mesh, node)
-        lhs = float(F @ g.interior_values())
+        lhs = float(F @ g.values[1:-1, 1:-1].ravel())
         rhs = u[interior_index(mesh)[flat_index(mesh, *node)]]
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -50,7 +51,7 @@ class TestGreenFunction:
         g = green_function(A, mesh, node)
         k = interior_index(mesh)[flat_index(mesh, *node)]
         # (A e_j) . g = delta_{j,source} for every j
-        prod = A.T @ g.interior_values()
+        prod = A.T @ g.values[1:-1, 1:-1].ravel()
         expect = np.zeros(mesh.n_interior)
         expect[k] = 1.0
         np.testing.assert_allclose(prod, expect, atol=1e-8)
@@ -125,7 +126,7 @@ class TestNorms:
             vy = ((1 - t) * (V[1:, :-1] - V[:-1, :-1])
                   + t * (V[1:, 1:] - V[:-1, 1:])) / k
             grad_sq += np.sum(vx * vx * h * k) / 2 + np.sum(vy * vy * h * k) / 2
-        v = g.interior_values()
+        v = g.values[1:-1, 1:-1].ravel()
         exact = np.sqrt(ld(eps) * grad_sq + ld(v @ (M @ v)))
         assert abs(fe_energy_norm(g, eps) / exact - 1) <= 1e-15
 
@@ -145,7 +146,7 @@ class TestNorms:
         fields += [green_function(A, mesh, mesh.nearest_node(*p))
                    for p in default_probes(*lam).values()]
         for field in fields:
-            v = field.interior_values()
+            v = field.values[1:-1, 1:-1].ravel()
             exact = v @ (M @ v)
             assert abs(fe_l2_norm(field) ** 2 / exact - 1) <= 1e-13
             assert abs(fe_energy_norm(field, 0.0) ** 2 / exact - 1) <= 1e-13
@@ -241,8 +242,8 @@ class TestFactorReuse:
             A, _ = assemble(mesh, spec, 3)
             assert shape == (mesh.ny - 2, mesh.nx - 2)
             assert abs(A_seen - A).max() == 0.0
-            assert abs(mg.levels[0].A - A).max() == 0.0
-            assert abs(mg.levels[0].A - A.T).max() > 0.0
+            assert built_from(mg, A)
+            assert not built_from(mg, A.T)
         assert [coarse for _, _, coarse, _ in setups] == \
             [None, setups[0][3], None, setups[2][3]]
         assert methods == ["mg"] * 16
