@@ -1,10 +1,11 @@
 """Independent oracles for the tests: a dense LU, per-cell element
 matrices, a scalar region tag, the whole-grid sub-cell error kernel,
-flat node numbering, an analytic coefficient derivative and the matrix
-test of a multigrid level.
+flat node numbering, an analytic coefficient derivative, the matrix
+test of a multigrid level and a spy on the multigrid setups and solves
+of a sweep.
 
-Nothing in the package calls these.  Each computes something the
-package computes another way, so the tests can compare the two:
+Nothing in the package calls these.  Each oracle computes something
+the package computes another way, so the tests can compare the two:
 `dense_solve` against the sparse solvers, `element_matrices` and
 `local_matrices` (one cell at a time) against the tensor-product
 `assemble`, `built_from` (a level set up anew) against a level of a
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from shishkinfem import errorlab
 from shishkinfem.assembly import _gauss
 from shishkinfem.errorlab import _region_max, _samples
 from shishkinfem.linsolve import multigrid
@@ -48,6 +50,30 @@ def built_from(level, A):
     v = np.random.default_rng(0).standard_normal(np.prod(level.shape))
     return np.array_equal(level.solve(v), multigrid(
         A, level.shape, coarse=level.coarse).solve(v))
+
+
+def record_solves(monkeypatch, module, name):
+    """Wrap `errorlab.multigrid` and the solve function `module.name`.
+    Returns (setups, methods): one (A, shape, coarse, mg) per multigrid
+    setup and one report method per solve.  Each solve must use the
+    matrix and the multigrid of the latest setup."""
+    setups, methods = [], []
+    multigrid, solve = errorlab.multigrid, getattr(module, name)
+
+    def recording_multigrid(A, shape, coarse=None):
+        mg = multigrid(A, shape, coarse)
+        setups.append((A, shape, coarse, mg))
+        return mg
+
+    def recording_solve(A, b, **kwargs):
+        assert A is setups[-1][0] and kwargs["mg"] is setups[-1][3]
+        x, report = solve(A, b, **kwargs)
+        methods.append(report.method)
+        return x, report
+
+    monkeypatch.setattr(errorlab, "multigrid", recording_multigrid)
+    monkeypatch.setattr(module, name, recording_solve)
+    return setups, methods
 
 
 def quad_rule(order):

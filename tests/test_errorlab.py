@@ -18,7 +18,7 @@ from shishkinfem.errorlab import (bilinear_interp, error_table,
                                   solve_problem, _compare_nested, _rates,
                                   SAMPLES_PER_CELL, ZERO_TOL)
 
-from oracles import built_from, node_coords, subcell_max
+from oracles import built_from, node_coords, record_solves, subcell_max
 
 
 def uniform_field(n, fn):
@@ -132,28 +132,9 @@ class TestDoubleMesh:
 
 
 class TestSolveProblemOrdering:
-    # the class and its first test keep the names they had when the
-    # preconditioner was a nested-dissection ILU; the property is the
-    # same: one preconditioner setup per solve, on the interior grid
     @pytest.fixture
     def recorded(self, monkeypatch):
-        setups, methods = [], []
-        multigrid, solve = errorlab.multigrid, errorlab.solve
-
-        def recording_multigrid(A, shape, coarse=None):
-            mg = multigrid(A, shape, coarse)
-            setups.append((shape, coarse, mg))
-            return mg
-
-        def recording_solve(A, b, **kwargs):
-            assert kwargs["mg"] is setups[-1][2]
-            u, report = solve(A, b, **kwargs)
-            methods.append(report.method)
-            return u, report
-
-        monkeypatch.setattr(errorlab, "multigrid", recording_multigrid)
-        monkeypatch.setattr(errorlab, "solve", recording_solve)
-        return setups, methods
+        return record_solves(monkeypatch, errorlab, "solve")
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("N", [16, 32, 64])
@@ -162,7 +143,7 @@ class TestSolveProblemOrdering:
         # Galerkin operators, formed inside this one setup
         setups, methods = recorded
         solve_problem(example_5_1(eps), N)
-        (shape, coarse, mg), = setups
+        (_, shape, coarse, mg), = setups
         assert shape == (N - 1, 2 * N - 1)
         assert coarse is None and mg is not None
         assert methods == ["mg"]
@@ -176,7 +157,7 @@ class TestSolveProblemOrdering:
 
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
         u = solve_problem(example_5_1(1e-6), 32)
-        assert [mg is None for _, _, mg in setups] == [False, True]
+        assert [mg is None for *_, mg in setups] == [False, True]
         assert methods == ["mg", "splu"]
         np.testing.assert_allclose(u.values, u_mg.values, rtol=0.0,
                                    atol=1e-12)

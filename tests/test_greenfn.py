@@ -13,7 +13,7 @@ from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
 
 from oracles import (built_from, classify, dense_solve, flat_index,
-                     interior_index)
+                     interior_index, record_solves)
 
 
 @pytest.fixture(scope="module")
@@ -204,30 +204,12 @@ class TestSweep:
 class TestFactorReuse:
     @pytest.fixture
     def recorded(self, monkeypatch):
-        setups, methods = [], []
-        multigrid = errorlab.multigrid
-        solve_transpose = greenfn.solve_transpose
+        return record_solves(monkeypatch, greenfn, "solve_transpose")
 
-        def recording_multigrid(A, shape, coarse=None):
-            mg = multigrid(A, shape, coarse)
-            setups.append((A, shape, coarse, mg))
-            return mg
-
-        def recording_solve_transpose(A, e, **kwargs):
-            assert A is setups[-1][0] and kwargs["mg"] is setups[-1][3]
-            g, report = solve_transpose(A, e, **kwargs)
-            methods.append(report.method)
-            return g, report
-
-        monkeypatch.setattr(errorlab, "multigrid", recording_multigrid)
-        monkeypatch.setattr(greenfn, "solve_transpose",
-                            recording_solve_transpose)
-        return setups, methods
-
-    def test_one_ilu_per_matrix(self, recorded):
+    def test_one_multigrid_per_matrix(self, recorded):
         # one multigrid of A itself, not of A^T, per matrix serves all
-        # four sources (the name dates from the ILU it replaced); the
-        # N = 32 multigrid sits on the N = 16 one of the same eps
+        # four sources; the N = 32 multigrid sits on the N = 16 one of
+        # the same eps
         setups, methods = recorded
         reports = green_norm_sweep(example_5_1, [1e-4, 1e-6], [32, 16])
         assert len(reports) == 16

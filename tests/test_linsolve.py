@@ -95,20 +95,14 @@ class TestSolve:
         np.testing.assert_allclose(x, 0.0)
         assert report.method == "trivial"
 
-    def test_nonconvergence_raises(self):
+    def test_singular_splu_raises_solve_error(self):
         # singular system with incompatible rhs cannot reach any tolerance
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(SolveError) as info:
+        with pytest.raises(SolveError, match="tried splu,") as info:
             solve(A, np.array([1.0, 2.0]))
         assert info.value.best_residual > 1e-10
 
-    def test_singular_splu_raises_solve_error(self):
-        A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(SolveError, match="tried splu,"):
-            solve(A, np.array([1.0, 2.0]))
-
-    # the name dates from the GMRES the V-cycle iteration replaced
-    def test_singular_tries_gmres_then_splu_only(self):
+    def test_singular_tries_mg_then_splu(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(SolveError) as info:
             solve(A, np.array([1.0, 2.0]), mg=IDENTITY_MG)
@@ -237,15 +231,6 @@ class TestFallbackLogging:
         assert [r.getMessage() for r in caplog.records] == \
             [f"splu residual 1.000e+00 above TOL {linsolve.TOL:g}"]
 
-    # the name dates from the GMRES the V-cycle iteration replaced
-    def test_gmres_miss_logged(self, caplog):
-        _, A, F, _ = system(1e-6, 32)
-        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
-            _, report = solve(A, F, mg=stalled_multigrid(0.0))
-        assert report.method == "splu"
-        assert any("multigrid stopped" in r.getMessage()
-                   for r in caplog.records)
-
     @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
     def test_stalled_cycles_hand_over_to_splu(self, value, caplog):
         # no stall heuristic: exactly MAX_CYCLES cycles, one WARNING, and
@@ -281,9 +266,7 @@ class TestFallbackLogging:
         assert direct.method == "splu"
 
 
-class TestPrebuiltIlu:
-    # named for the ILU a caller could build once and pass in; the
-    # multigrid took its place and these tests keep their names
+class TestSharedMultigrid:
     def test_same_bits_as_factoring_inside(self):
         # one multigrid serves both directions and many right-hand sides
         _, A, F, shape = system(1e-4, 32)
@@ -409,34 +392,24 @@ class TestMultigrid:
         mg = multigrid(A, shape, coarse=coarse)
         assert mg.coarse is coarse and mg.levels[1:] == coarse.levels
 
-    # the names date from the GMRES the V-cycle iteration replaced; they
-    # bound its cycles
     @pytest.mark.parametrize("N", [16, 32, 64, 128])
     @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3, 1e-5, 1e-9])
-    def test_gmres_iterations_bounded(self, eps, N):
+    @pytest.mark.parametrize("levels", ["galerkin", "nested"])
+    def test_cycles_bounded(self, levels, eps, N):
+        # coarse levels: Galerkin operators, or the matrices assembled on
+        # the nested meshes
         lam = (0.5, 0.25) if eps == 1.0 else None
         _, A, F, shape = system(eps, N, lam)
-        assert_iterations_bounded(A, F, shape, multigrid(A, shape))
-
-    @pytest.mark.parametrize("N", [16, 32, 64, 128])
-    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3, 1e-5, 1e-9])
-    def test_gmres_iterations_bounded_on_nested_levels(self, eps, N):
-        lam = (0.5, 0.25) if eps == 1.0 else None
-        _, A, F, shape = system(eps, N, lam)
-        assert_iterations_bounded(A, F, shape, nested_multigrid(eps, N, lam))
-
-
-def assert_iterations_bounded(A, F, shape, mg):
-    """The V-cycles of mg reach 1e-10 within 25 cycles for F and for a
-    point source of A^T."""
-    e = np.zeros(shape)
-    e[shape[0] // 2, shape[1] // 3] = 1.0
-    for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
-        x, report = run(A, b, mg=mg)
-        assert report.method == "mg"
-        assert report.iterations <= 25
-        res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
-        assert res <= 1e-10
+        mg = (multigrid(A, shape) if levels == "galerkin"
+              else nested_multigrid(eps, N, lam))
+        e = np.zeros(shape)
+        e[shape[0] // 2, shape[1] // 3] = 1.0
+        for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
+            x, report = run(A, b, mg=mg)
+            assert report.method == "mg"
+            assert report.iterations <= 25
+            res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
+            assert res <= 1e-10
 
 
 class TestInitialGuess:
