@@ -21,7 +21,7 @@ from .meshgen import (Region, transition_params, build_mesh, region_masks,
                       classify_points)  # noqa: F401
 from .problem import on_grid
 from .assembly import FeField, assemble
-from .linsolve import solve, multigrid, coarsens
+from .linsolve import solve, multigrid, coarsens, prolong
 
 __all__ = [
     "bilinear_interp",
@@ -175,7 +175,8 @@ def _solutions(spec, N_list, quad_order, lam=None):
     for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order, lam):
         seeded = mg is not None and prev_mg is not None \
             and mg.coarse is prev_mg
-        u, _ = solve(A, F, mg=mg, x0=mg.P @ prev_u if seeded else None)
+        u, _ = solve(A, F, mg=mg, x0=prolong(np.reshape(
+            prev_u, prev_mg.shape)).ravel() if seeded else None)
         prev_mg, prev_u = mg, u
         yield N, FeField.from_interior(mesh, u)
 

@@ -4,10 +4,12 @@ The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
 B_h(v, g) = v(x_m, y_n).  Norm sweeps over (eps, N) probe the scaling
 of ||g|| and ||g||_{1,eps} with the source region.  A sweep assembles
-the matrices of one eps and their multigrids as forward solves do, once
-per matrix, and reuses each multigrid for all its sources.
+the matrices of one eps and their multigrids once each, as forward solves
+do, and solves two sources at a time on one multigrid: it stores no
+transfer matrix nor state between cycles, and splu fallbacks take turns.
 """
 
+from concurrent import futures
 from typing import NamedTuple
 
 import numpy as np
@@ -78,15 +80,17 @@ def fe_energy_norm(field, eps):
     in y.  Every term is nonnegative, so unlike v^T K v, which cancels
     badly for fields with steep layers, the sum keeps full precision.
     """
+    l2_sq = fe_l2_norm(field) ** 2
     h = np.diff(field.mesh.x)
     k = np.diff(field.mesh.y)[:, None]
-    V = field.values
-    dx = np.diff(V, axis=1)
-    dy = np.diff(V, axis=0)
-    ex = dx[:-1] ** 2 + dx[1:] ** 2 + (dx[:-1] + dx[1:]) ** 2
-    ey = dy[:, :-1] ** 2 + dy[:, 1:] ** 2 + (dy[:, :-1] + dy[:, 1:]) ** 2
-    grad_sq = (np.sum(ex * (k / h)) + np.sum(ey * (h / k))) / 6.0
-    return float(np.sqrt(eps * grad_sq + fe_l2_norm(field) ** 2))
+    dx = np.diff(field.values, axis=1)
+    ex = np.sum((dx[:-1] ** 2 + dx[1:] ** 2 + (dx[:-1] + dx[1:]) ** 2)
+                * (k / h))
+    del dx      # one difference grid at a time
+    dy = np.diff(field.values, axis=0)
+    ey = np.sum((dy[:, :-1] ** 2 + dy[:, 1:] ** 2 + (dy[:, :-1] + dy[:, 1:])
+                 ** 2) * (h / k))
+    return float(np.sqrt(eps * ((ex + ey) / 6.0) + l2_sq))
 
 
 def default_probes(lambda_x, lambda_y):
@@ -109,23 +113,32 @@ def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
     assembly.  The matrices of one eps are assembled once each, with the
     multigrids of `errorlab.nested_systems` (N ascending); each multigrid
     serves the solves with A^T, to `linsolve.TOL`, of all four sources,
-    and if its setup fails, all four go to splu without trying again.
-    Returns the table {(eps, N, Region): GreenReport}, N ascending.
+    two at a time (every other one on a worker thread), and if its setup
+    fails, all four go to splu without trying again.  Returns the table
+    {(eps, N, Region): GreenReport}, N ascending.
     """
     reports = {}
-    for eps in dict.fromkeys(eps_list):
-        spec = spec_family(eps)
-        lam = transition_params(eps, spec.alpha, spec.beta)
-        probe_map = {**default_probes(*lam), **(probes or {})}
-        for region, point in probe_map.items():
-            if not np.isfinite(point).all():
-                raise ValueError(f"{region.value} probe {point} is not finite")
-        for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
-                                                lam):
-            for region, (px, py) in probe_map.items():
-                i, j = mesh.nearest_node(px, py)
-                g = green_function(A, mesh, (i, j), mg=mg)
-                reports[eps, N, region] = GreenReport(
-                    float(mesh.x[i]), float(mesh.y[j]),
-                    fe_l2_norm(g), fe_energy_norm(g, eps))
+    with futures.ThreadPoolExecutor(1) as worker:
+        for eps in dict.fromkeys(eps_list):
+            spec = spec_family(eps)
+            lam = transition_params(eps, spec.alpha, spec.beta)
+            probe_map = {**default_probes(*lam), **(probes or {})}
+            for region, point in probe_map.items():
+                if not np.isfinite(point).all():
+                    raise ValueError(
+                        f"{region.value} probe {point} is not finite")
+            for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
+                                                    lam):
+                def report(point):
+                    i, j = mesh.nearest_node(*point)
+                    g = green_function(A, mesh, (i, j), mg=mg)
+                    return GreenReport(float(mesh.x[i]), float(mesh.y[j]),
+                                       fe_l2_norm(g), fe_energy_norm(g, eps))
+                points = list(probe_map.values())
+                for n, region in enumerate(probe_map):
+                    if n % 2 == 0 and n + 1 < len(points):
+                        # partner first, so a raise leaves one solve running
+                        partner = worker.submit(report, points[n + 1])
+                    reports[eps, N, region] = partner.result() if n % 2 \
+                        else report(points[n])
     return reports

@@ -6,11 +6,14 @@ complete sparse LU if its estimated memory fits, then `SolveError`;
 with no multigrid they go straight to the LU.  Every accepted solution
 has its relative residual, recomputed from scratch, at most TOL and is
 logged at DEBUG; each fallback is logged at WARNING.  One multigrid of
-A serves both directions and many right-hand sides.
+A serves both directions and many right-hand sides, from any number of
+threads: no level stores a transfer matrix, and a cycle keeps no state
+between calls.  Fallback factorizations run one at a time.
 """
 
 import logging
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 __all__ = ["SolveReport", "SolveError", "Multigrid", "coarsens", "multigrid",
-           "solve", "solve_transpose"]
+           "prolong", "solve", "solve_transpose"]
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +33,10 @@ MAX_CYCLES = 50
 COARSE_LIMIT = 1000
 # Share of physical memory the fallback splu may take, by `_splu_bytes`.
 SPLU_MEMORY_SHARE = 0.5
+# One fallback splu at a time: SPLU_MEMORY_SHARE budgets for one.
+_SPLU_LOCK = threading.Lock()
+# Terms (offset, weight) of 1D interpolation: coarse k to fine 2k + offset.
+_TERMS = ((2, 0.5), (1, 1.0), (0, 0.5))
 
 
 @dataclass
@@ -61,25 +68,46 @@ def _interpolation(m):
     coarse node k is fine node 2k + 1, and each fine node between takes
     half of each neighbour (boundary values are 0).  Exact on nested
     meshes, whose new fine nodes are the midpoints of coarse cells."""
+    offsets, weights = zip(*_TERMS)
     cols = np.repeat(np.arange(m), 3)
-    rows = 2 * cols + np.tile([0, 1, 2], m)
-    return sp.csr_matrix((np.tile([0.5, 1.0, 0.5], m), (rows, cols)),
-                         shape=(2 * m + 1, m))
+    return sp.csr_matrix((np.tile(weights, m), (2 * cols + np.tile(
+        offsets, m), cols)), shape=(2 * m + 1, m))
+
+
+def prolong(C, rows=_TERMS):
+    """P C on the (2 cy + 1, 2 cx + 1) grid, summed as the CSR product of
+    P = P_y (x) P_x and C (cy, cx); rows ((1, 1.0),) fills the odd rows."""
+    cy, cx = C.shape
+    U = np.zeros((2 * cy + 1, 2 * cx + 1))
+    for oy, wy in rows:
+        for ox, wx in _TERMS:
+            U[oy:oy + 2 * cy:2, ox:ox + 2 * cx:2] += wy * wx * C
+    return U
+
+
+def _restrict(E):
+    """(P's even rows)^T E for the even rows E (cy + 1, 2 cx + 1) of a
+    fine grid, summed as that CSC product is."""
+    cy, cx = E.shape[0] - 1, E.shape[1] // 2
+    return sum(0.5 * wx * E[oy:oy + cy, ox:ox + 2 * cx:2]
+               for oy in (0, 1) for ox, wx in _TERMS[::-1])
 
 
 class Multigrid:
     """V(1,1) cycle of A on its (my, mx) interior grid; see `multigrid`.
 
-    No level keeps A.  The coarsest holds the splu factors `lu` of A;
-    the others the interpolation P from `coarse`, the Multigrid of the
-    next coarser level, and a zebra x-line smoother.  Grid rows (x-lines)
-    of one colour, even or odd, couple only to rows of the other colour
-    (`up`: even to odd, `down`: odd to even), so the lines of a colour
-    form one tridiagonal system, zero at line ends; `lines` has both factored.
+    No level keeps A or a transfer matrix.  The coarsest holds the splu
+    factors `lu` of A; the others `coarse`, the Multigrid of the next
+    coarser level, and a zebra x-line smoother, and apply P as strided
+    sums (`prolong`, `_restrict`).  `solve` keeps no state between calls,
+    so threads may share one.  Grid rows (x-lines) of one colour, even or
+    odd, couple only to rows of the other colour (`up`: even to odd,
+    `down`: odd to even), so the lines of a colour form one tridiagonal
+    system, zero at line ends; `lines` has both factored.
     """
 
     def __init__(self, A, shape, coarse=None):
-        self.shape, self.P, self.coarse = shape, None, None
+        self.shape, self.coarse = shape, None
         if not coarsens(shape):
             self.lu = spla.splu(A.tocsc())
             return
@@ -109,11 +137,11 @@ class Multigrid:
                     f" rows on x-line (row {2 * ((info - 1) // mx) + c})")
             self.lines.append(factors)
         self.up, self.down = A[even][:, odd], A[odd][:, even]
-        self.P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),
-                         format="csr")
-        self.P_even, self.P_odd = self.P[even], self.P[odd]
-        self.coarse = coarse if coarse is not None else Multigrid(
-            (self.P.T @ A @ self.P).tocsr(), (my // 2, mx // 2))
+        if coarse is None:
+            P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),
+                        format="csr")
+            coarse = Multigrid((P.T @ A @ P).tocsr(), (my // 2, mx // 2))
+        self.coarse = coarse
 
     @property
     def levels(self):
@@ -136,8 +164,9 @@ class Multigrid:
         # the even rows carry a residual
         ue = lines(0, fe)
         uo = lines(1, fo - down @ ue)
-        uo += self.P_odd @ self.coarse.solve(self.P_even.T @ -(up @ uo),
-                                             trans)
+        r = _restrict(np.reshape(-(up @ uo), (-1, F.shape[1])))
+        c = self.coarse.solve(r.ravel(), trans)
+        uo += prolong(c.reshape(r.shape), ((1, 1.0),))[1::2].ravel()
         # the even half-sweep overwrites the even rows, so only the odd
         # part of the coarse-grid correction is added
         ue = lines(0, fe - up @ uo)
@@ -245,19 +274,21 @@ def _solve(A, b, mg, x0, trans):
                     MAX_CYCLES, res)
     need, limit = _splu_bytes(len(b), A.nnz), SPLU_MEMORY_SHARE * \
         os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > limit:
-        raise SolveError(f"splu of n = {len(b)} would need about {need:.3g} "
-                         f"bytes, above {limit:.3g}", best_residual=best)
-    try:
-        x = spla.splu(A.tocsc()).solve(b, trans)
-    except (MemoryError, RuntimeError) as exc:
-        log.warning("splu failed (%r)", exc)
-    else:
-        res = _norm(b - op @ x) / norm_b
-        best = min(best, res)
-        if res <= TOL:
-            return _accept(x, SolveReport(1, res, "splu"), mg)
-        log.warning("splu residual %.3e above TOL %g", res, TOL)
+    with _SPLU_LOCK:
+        if need > limit:
+            raise SolveError(f"splu of n = {len(b)} would need about "
+                             f"{need:.3g} bytes, above {limit:.3g}",
+                             best_residual=best)
+        try:
+            x = spla.splu(A.tocsc()).solve(b, trans)
+        except (MemoryError, RuntimeError) as exc:
+            log.warning("splu failed (%r)", exc)
+        else:
+            res = _norm(b - op @ x) / norm_b
+            best = min(best, res)
+            if res <= TOL:
+                return _accept(x, SolveReport(1, res, "splu"), mg)
+            log.warning("splu residual %.3e above TOL %g", res, TOL)
     raise SolveError(
         f"no solver reached TOL={TOL} (tried "
         f"{'mg and ' if mg else ''}splu, "

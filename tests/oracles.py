@@ -1,15 +1,17 @@
 """Independent oracles for the tests: a dense LU, per-cell element
 matrices, a scalar region tag, the whole-grid sub-cell error kernel,
 flat node numbering, an analytic coefficient derivative, the matrix
-test of a multigrid level and a spy on the multigrid setups and solves
-of a sweep.
+test of a multigrid level, the multigrid interpolation matrix and a spy
+on the multigrid setups and solves of a sweep.
 
 Nothing in the package calls these.  Each oracle computes something
 the package computes another way, so the tests can compare the two:
 `dense_solve` against the sparse solvers, `element_matrices` and
 `local_matrices` (one cell at a time) against the tensor-product
 `assemble`, `built_from` (a level set up anew) against a level of a
-`multigrid`, which keeps no matrix, `classify` (one point) against
+`multigrid`, which keeps no matrix, `interpolation` (a sparse matrix,
+filled column by column) against the strided grid transfers of
+`linsolve`, `classify` (one point) against
 `region_masks`, `subcell_max` (every cell row at once) against the
 row blocks of `errorlab._subcell_max`, and the flat numbering
 j * nx + i (`flat_index`, `interior_index`, `node_coords`) against the
@@ -50,6 +52,19 @@ def built_from(level, A):
     v = np.random.default_rng(0).standard_normal(np.prod(level.shape))
     return np.array_equal(level.solve(v), multigrid(
         A, level.shape, coarse=level.coarse).solve(v))
+
+
+def interpolation(shape):
+    """The multigrid interpolation P = P_y (x) P_x, CSR, from the
+    (my // 2, mx // 2) to the (my, mx) interior grid: along an axis,
+    coarse node k is fine node 2k + 1 and gives half its value to fine
+    nodes 2k and 2k + 2."""
+    def axis(m):
+        P = np.zeros((m, m // 2))
+        for k in range(m // 2):
+            P[2 * k:2 * k + 3, k] = 0.5, 1.0, 0.5
+        return sp.csr_matrix(P)
+    return sp.kron(axis(shape[0]), axis(shape[1]), format="csr")
 
 
 def record_solves(monkeypatch, module, name):

@@ -1,3 +1,7 @@
+import threading
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +12,8 @@ from shishkinfem.problem import example_5_1
 from shishkinfem.assembly import (FeField, assemble, assemble_mass,
                                   assemble_stiffness)
 from shishkinfem import assembly, errorlab, greenfn, linsolve
-from shishkinfem.linsolve import multigrid, solve
+from shishkinfem.cli import main
+from shishkinfem.linsolve import SolveError, multigrid, solve
 from shishkinfem.greenfn import (green_function, fe_l2_norm, fe_energy_norm,
                                  green_norm_sweep, default_probes)
 
@@ -129,6 +134,25 @@ class TestNorms:
         v = g.values[1:-1, 1:-1].ravel()
         exact = np.sqrt(ld(eps) * grad_sq + ld(v @ (M @ v)))
         assert abs(fe_energy_norm(g, eps) / exact - 1) <= 1e-15
+
+    def test_energy_norm_heap_peak(self):
+        # the L2 part first, then one difference grid at a time: about
+        # 3.1 field grids at N = 256, against 7.1 with both alive
+        eps, N = 1e-6, 256
+        spec = example_5_1(eps)
+        lam = transition_params(eps, spec.alpha, spec.beta)
+        mesh = build_mesh(N, *lam)
+        A, _ = assemble(mesh, spec, 3)
+        node = mesh.nearest_node(*default_probes(*lam)[Region.LAYER_X])
+        g = green_function(A, mesh, node,
+                           mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
+        tracemalloc.start()
+        try:
+            fe_energy_norm(g, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * g.values.nbytes
 
     @pytest.mark.parametrize("N", [8, 16, 32, 64])
     def test_l2_and_mass_part_match_mass_matrix(self, N):
@@ -259,3 +283,87 @@ class TestFactorReuse:
                                mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
             assert r.l2_norm == fe_l2_norm(g)
             assert r.energy_norm == fe_energy_norm(g, eps)
+
+
+class TestTwoAtATime:
+    # the command of tests/data/green.csv: --eps 1e-4,1e-6 --N 32,64
+    DATA = Path(__file__).resolve().parent / "data" / "green.csv"
+
+    def test_table_equals_one_at_a_time(self, monkeypatch):
+        before = threading.active_count()
+        threads, function = set(), greenfn.green_function
+
+        def spy(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(greenfn, "green_function", spy)
+        table = green_norm_sweep(example_5_1, [1e-4, 1e-6], [32, 64])
+        assert len(threads) == 2
+        assert threading.active_count() == before
+        # the same sweep one source at a time, on this thread
+        serial = {}
+        for eps in (1e-4, 1e-6):
+            spec = example_5_1(eps)
+            lam = transition_params(eps, spec.alpha, spec.beta)
+            for N, mesh, A, _, mg in errorlab.nested_systems(spec, [32, 64],
+                                                             3, lam):
+                for region, point in default_probes(*lam).items():
+                    i, j = mesh.nearest_node(*point)
+                    g = function(A, mesh, (i, j), mg=mg)
+                    serial[eps, N, region] = greenfn.GreenReport(
+                        float(mesh.x[i]), float(mesh.y[j]), fe_l2_norm(g),
+                        fe_energy_norm(g, eps))
+        assert list(table.items()) == list(serial.items())
+        # and the stored file, to its bound in test_reference_outputs
+        rows = [line.split(",") for line in self.DATA.read_text().splitlines()
+                if line[0].isdigit()]
+        assert len(rows) == len(table)
+        for row, ((eps, N, region), r) in zip(rows, table.items()):
+            assert (float(row[0]), int(row[1]), row[2]) == \
+                (eps, N, region.value)
+            assert tuple(r) == pytest.approx(
+                tuple(map(float, row[3:])), rel=1e-8, abs=0.0)
+
+    @staticmethod
+    def failing(monkeypatch, main_thread_fails):
+        """Make solve_transpose raise on the main thread or on the worker;
+        returns the list of threads that entered it."""
+        entered, solve_transpose = [], greenfn.solve_transpose
+
+        def fails(A, e, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            entered.append(on_main)
+            if on_main == main_thread_fails:
+                raise SolveError("no solver reached TOL on the "
+                                 + ("caller" if on_main else "worker"), 1.0)
+            return solve_transpose(A, e, **kwargs)
+
+        monkeypatch.setattr(greenfn, "solve_transpose", fails)
+        return entered
+
+    def test_worker_solve_error_reaches_the_caller(self, monkeypatch,
+                                                   tmp_path, capsys):
+        before = threading.active_count()
+        self.failing(monkeypatch, main_thread_fails=False)
+        with pytest.raises(SolveError, match="on the worker"):
+            green_norm_sweep(example_5_1, [1e-4], [16])
+        assert threading.active_count() == before
+        out = tmp_path / "out"
+        assert main(["--mode", "green", "--eps", "1e-4", "--N", "16",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: no solver reached TOL on the worker\n"
+        assert not out.exists()
+        assert threading.active_count() == before
+
+    def test_caller_solve_error_waits_for_one_worker_solve(self,
+                                                           monkeypatch):
+        # the first source fails on the caller while its partner, the
+        # second, runs on the worker; the fourth is never started
+        before = threading.active_count()
+        entered = self.failing(monkeypatch, main_thread_fails=True)
+        with pytest.raises(SolveError, match="on the caller"):
+            green_norm_sweep(example_5_1, [1e-4], [16])
+        assert sorted(entered) == [False, True]
+        assert threading.active_count() == before

@@ -1,6 +1,9 @@
 import logging
 import os
 import re
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -14,9 +17,9 @@ from shishkinfem.problem import ProblemSpec, example_5_1, mms_problem
 from shishkinfem.assembly import FeField, assemble
 from shishkinfem.errorlab import bilinear_interp, nested_systems
 from shishkinfem.linsolve import (solve, solve_transpose, multigrid,
-                                  SolveError)
+                                  SolveError, coarsens, prolong)
 
-from oracles import built_from, dense_solve
+from oracles import built_from, dense_solve, interpolation
 
 # the identity as a "multigrid", for matrices with no grid
 IDENTITY_MG = types.SimpleNamespace(solve=lambda r, trans="N": r, levels=[])
@@ -157,6 +160,36 @@ class TestSpluMemoryCheck:
             * os.sysconf("SC_PAGE_SIZE")
         assert linsolve._splu_bytes(A.shape[0], A.nnz) < limit
 
+    def test_fallback_factorizations_take_turns(self, monkeypatch):
+        # the limit budgets memory for one factorization, so two solves
+        # whose cycles stall on two threads never factor at once
+        _, A, F, _ = system(1e-6, 32)
+        splu, count, running, most = linsolve.spla.splu, threading.Lock(), \
+            [0], [0]
+
+        def counting_splu(*args, **kwargs):
+            with count:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.2)
+                return splu(*args, **kwargs)
+            finally:
+                with count:
+                    running[0] -= 1
+
+        monkeypatch.setattr(linsolve.spla, "splu", counting_splu)
+        reports = []
+        threads = [threading.Thread(target=lambda: reports.append(
+            solve(A, F, mg=stalled_multigrid(0.0))[1])) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert [r.method for r in reports] == ["splu", "splu"]
+        assert most == [1]
+
 
 class TestFallbackLogging:
     @pytest.mark.parametrize("error", [MemoryError(), None],
@@ -279,6 +312,34 @@ class TestSharedMultigrid:
             assert r1 == r2 and r1.method == "mg"
             assert np.array_equal(x1, x2)
 
+    def test_threads_share_one_multigrid(self):
+        # a cycle keeps no state between calls: more threads than CPUs,
+        # switching often, each get the bits of a solve on its own
+        _, A, _, shape = system(1e-6, 64)
+        shared = multigrid(A, shape)
+        sources = np.zeros((6, A.shape[0]))
+        sources[range(6), range(0, A.shape[0], A.shape[0] // 6)[:6]] = 1.0
+        alone = [solve_transpose(A, e, mg=shared)[0] for e in sources]
+        together = [None] * len(sources)
+
+        def run(n):
+            together[n] = solve_transpose(A, sources[n], mg=shared)[0]
+
+        threads = [threading.Thread(target=run, args=(n,))
+                   for n in range(len(sources))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for x, y in zip(alone, together):
+            assert np.array_equal(x, y)
+
     def test_failed_factor_falls_back(self, monkeypatch):
         _, A, _, shape = system(1e-4, 32)
         monkeypatch.setattr(linsolve.lapack, "dgttrf",
@@ -324,7 +385,8 @@ class TestMultigrid:
         galerkin = A
         for fine, coarse in zip(levels[:-1], levels[1:]):
             assert built_from(fine, galerkin)
-            galerkin = (fine.P.T @ galerkin @ fine.P).tocsr()
+            P = interpolation(fine.shape)
+            galerkin = (P.T @ galerkin @ P).tocsr()
         assert built_from(levels[-1], galerkin)
         # not the matrix assembled on the nested N = 32 mesh
         _, A32, _, _ = system(eps, 32)
@@ -337,10 +399,10 @@ class TestMultigrid:
         # the rounding of node coordinates in cells of width ~1e-9
         # moves the local coordinates off 1/2 (3.3e-13 at eps = 1e-6)
         lam = transition_params(eps, 2.0, 1.0)
-        fine, A, _, shape = system(eps, 32)
+        fine, _, _, shape = system(eps, 32)
         coarse = build_mesh(16, *lam)
         v = np.random.default_rng(5).standard_normal(coarse.n_interior)
-        P = multigrid(A, shape).levels[0].P
+        P = interpolation(shape)
         X, Y = np.meshgrid(fine.x[1:-1], fine.y[1:-1])
         expect = bilinear_interp(FeField.from_interior(coarse, v),
                                  np.column_stack([X.ravel(), Y.ravel()]))
@@ -371,7 +433,7 @@ class TestMultigrid:
         fine = build_mesh(2 * N, *lam)
         A_2N, _ = assemble(fine, spec, 3)
         A_N, _ = assemble(build_mesh(N, *lam), spec, 3)
-        P = multigrid(A_2N, (fine.ny - 2, fine.nx - 2)).P
+        P = interpolation((fine.ny - 2, fine.nx - 2))
         gap = abs(P.T @ A_2N @ P - A_N).max()
         assert gap <= 1e-13 * abs(A_N).max()
         # a coarse mesh of another eps is caught
@@ -410,6 +472,32 @@ class TestMultigrid:
             assert report.iterations <= 25
             res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
             assert res <= 1e-10
+
+
+class TestGridTransfers:
+    @pytest.mark.parametrize("shape", [(3, 335), (7, 143), (31, 63),
+                                       (255, 511)], ids=str)
+    def test_equal_the_csr_products_bit_for_bit(self, shape):
+        # (3, 335) has one coarse row, (7, 143) the fewest unknowns of a
+        # grid that coarsens; values over 16 decades make a sum in any
+        # other order than the products' round differently
+        assert coarsens(shape)
+        P = interpolation(shape)
+        rows = np.arange(P.shape[0]).reshape(shape)
+        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
+        rng = np.random.default_rng(4)
+
+        def spread(n):
+            return rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+
+        c, v = spread(P.shape[1]), spread(even.size)
+        C = c.reshape(shape[0] // 2, shape[1] // 2)
+        assert np.array_equal(prolong(C).ravel(), P @ c)
+        U = prolong(C, ((1, 1.0),))
+        assert np.array_equal(U[1::2].ravel(), P[odd] @ c)
+        assert not U[0::2].any()
+        R = linsolve._restrict(v.reshape(-1, shape[1]))
+        assert np.array_equal(R.ravel(), P[even].T @ v)
 
 
 class TestInitialGuess:
