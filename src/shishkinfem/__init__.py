@@ -4,8 +4,7 @@ and double-mesh convergence studies."""
 
 __version__ = "0.1.0"
 
-from .meshgen import (Region, TensorMesh, transition_params, build_x_axis,
-                      build_y_axis, build_mesh)
+from .meshgen import Region, TensorMesh, transition_params, build_mesh
 from .problem import (ProblemSpec, LayerTemplate, TemplateKind,
                       example_5_1, mms_problem, layer_template)
 from .assembly import FeField, assemble, assemble_mass, assemble_stiffness
@@ -17,8 +16,7 @@ from .errorlab import (bilinear_interp, error_table, interp_error_study,
                        mms_convergence, solve_problem)
 
 __all__ = [
-    "Region", "TensorMesh", "transition_params",
-    "build_x_axis", "build_y_axis", "build_mesh",
+    "Region", "TensorMesh", "transition_params", "build_mesh",
     "ProblemSpec", "LayerTemplate", "TemplateKind",
     "example_5_1", "mms_problem", "layer_template",
     "FeField", "assemble", "assemble_mass", "assemble_stiffness",

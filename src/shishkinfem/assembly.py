@@ -38,7 +38,7 @@ class FeField:
 
     @classmethod
     def from_interior(cls, mesh, interior_values):
-        inner = np.reshape(interior_values, (mesh.ny - 2, mesh.nx - 2))
+        inner = np.reshape(interior_values, mesh.interior)
         return cls(mesh=mesh, values=np.pad(inner, 1))
 
 
@@ -138,7 +138,8 @@ def assemble(mesh, spec, quad_order=3):
     # one DIA data row per diagonal dy * mx + dx of the interior
     # numbering, indexed by the trial node u; where mx < 3 two (dy, dx)
     # share a diagonal, at distinct trial nodes
-    my, mx, n = mesh.ny - 2, mesh.nx - 2, mesh.n_interior
+    my, mx = mesh.interior
+    n = my * mx
     keys, slot = np.unique(np.add.outer(np.arange(-1, 2) * mx,
                                         np.arange(-1, 2)), return_inverse=True)
     slot = slot.reshape(3, 3)

@@ -157,10 +157,10 @@ def nested_systems(spec, N_list, quad_order, lam):
     prev_N = prev_mg = None
     for N in sorted(set(N_list)):
         mesh = build_mesh(N, *lam)
-        shape = (mesh.ny - 2, mesh.nx - 2)
-        on_half = prev_N == N // 2 and coarsens(shape)
+        on_half = prev_N == N // 2 and coarsens(mesh.interior)
         A, F = assemble(mesh, spec, quad_order)
-        prev_N, prev_mg = N, multigrid(A, shape, prev_mg if on_half else None)
+        prev_N, prev_mg = N, multigrid(A, mesh.interior,
+                                       prev_mg if on_half else None)
         yield N, mesh, A, F, prev_mg
 
 

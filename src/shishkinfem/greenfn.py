@@ -52,7 +52,7 @@ def green_function(A, mesh, source, mg=None):
     i, j = source
     if not (0 < i < mesh.nx - 1 and 0 < j < mesh.ny - 1):
         raise ValueError(f"source node {source} is not an interior node")
-    e = np.zeros((mesh.ny - 2, mesh.nx - 2))
+    e = np.zeros(mesh.interior)
     e[j - 1, i - 1] = 1.0
     g, _ = solve_transpose(A, e.ravel(), mg=mg)
     return FeField.from_interior(mesh, g)

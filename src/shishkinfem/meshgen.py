@@ -15,8 +15,6 @@ __all__ = [
     "Region",
     "TensorMesh",
     "transition_params",
-    "build_x_axis",
-    "build_y_axis",
     "build_mesh",
     "classify_points",
     "region_masks",
@@ -50,45 +48,12 @@ def transition_params(eps, alpha, beta):
     return lambda_x, lambda_y
 
 
-def build_x_axis(N, lambda_x):
-    """Nodes of the full-domain x-axis on [-1,1], 2N intervals.
-
-    The half-axis [0,1] gets N/2 uniform intervals in [0, lambda_x] and
-    N/2 in [lambda_x, 1]; the partition is mirrored about 0.
-    """
-    if N % 2 != 0 or N < 4:
-        raise ValueError(f"N must be an even integer >= 4, got {N}")
-    if not 0.0 < lambda_x <= 0.5:
-        raise ValueError(f"lambda_x must lie in (0, 1/2], got {lambda_x}")
-    half = np.concatenate([
-        np.linspace(0.0, lambda_x, N // 2 + 1),
-        np.linspace(lambda_x, 1.0, N // 2 + 1)[1:],
-    ])
-    return _axis(np.concatenate([-half[::-1], half[1:]]), N, lambda_x, "x")
-
-
-def build_y_axis(N, lambda_y):
-    """y-axis nodes on [-1,1]: N/4 intervals in each strip, N/2 between."""
-    if N % 4 != 0 or N < 4:
-        raise ValueError(f"N must be a positive multiple of 4, got {N}")
-    if not 0.0 < lambda_y <= 0.25:
-        raise ValueError(f"lambda_y must lie in (0, 1/4], got {lambda_y}")
-    nodes = np.concatenate([
-        np.linspace(-1.0, -1.0 + lambda_y, N // 4 + 1),
-        np.linspace(-1.0 + lambda_y, 1.0 - lambda_y, N // 2 + 1)[1:],
-        np.linspace(1.0 - lambda_y, 1.0, N // 4 + 1)[1:],
-    ])
-    return _axis(nodes, N, lambda_y, "y")
-
-
-def _axis(nodes, N, lam, name):
-    """nodes, checked to be strictly increasing: a transition parameter
-    too small for float resolution at N collapses nodes onto each
-    other, and such a mesh has singular systems."""
-    if not np.all(np.diff(nodes) > 0.0):
-        raise ValueError(f"mesh nodes coincide: lambda_{name} = {lam:.6g} "
-                         f"is below float resolution at N = {N}")
-    return nodes
+def _pieces(breaks, counts):
+    """Nodes of uniform pieces, counts[k] intervals from breaks[k] to
+    breaks[k + 1]; linspace ends a piece exactly on the break the next
+    one starts from."""
+    return np.concatenate([np.linspace(a, b, n + 1)[:-1] for a, b, n
+                           in zip(breaks, breaks[1:], counts)] + [breaks[-1:]])
 
 
 @dataclass(frozen=True)
@@ -115,8 +80,9 @@ class TensorMesh:
         return len(self.y)
 
     @property
-    def n_interior(self):
-        return (self.nx - 2) * (self.ny - 2)
+    def interior(self):
+        """Shape (ny - 2, nx - 2) of the grid of the unknowns."""
+        return self.ny - 2, self.nx - 2
 
     def nearest_node(self, x, y):
         """Grid index (i, j) of the interior node nearest (x, y)."""
@@ -128,9 +94,30 @@ class TensorMesh:
 
 
 def build_mesh(N, lambda_x, lambda_y):
-    """Tensor mesh with 2N intervals in x and N intervals in y."""
-    return TensorMesh(build_x_axis(N, lambda_x), build_y_axis(N, lambda_y),
-                      lambda_x, lambda_y)
+    """Tensor mesh with 2N intervals in x and N intervals in y.
+
+    The half-axis [0,1] of x gets N/2 uniform intervals in [0, lambda_x]
+    and N/2 in [lambda_x, 1], mirrored about 0; y gets N/4 intervals in
+    each strip [-1, -1 + lambda_y], [1 - lambda_y, 1] and N/2 between.
+    Nodes must be strictly increasing: a transition parameter too small
+    for float resolution at N collapses nodes onto each other, and such
+    a mesh has singular systems.
+    """
+    if N % 4 != 0 or N < 4:
+        raise ValueError(f"N must be a positive multiple of 4, got {N}")
+    if not 0.0 < lambda_x <= 0.5:
+        raise ValueError(f"lambda_x must lie in (0, 1/2], got {lambda_x}")
+    if not 0.0 < lambda_y <= 0.25:
+        raise ValueError(f"lambda_y must lie in (0, 1/4], got {lambda_y}")
+    half = _pieces((0.0, lambda_x, 1.0), (N // 2, N // 2))
+    x = np.concatenate([-half[::-1], half[1:]])
+    y = _pieces((-1.0, -1.0 + lambda_y, 1.0 - lambda_y, 1.0),
+                (N // 4, N // 2, N // 4))
+    for name, nodes, lam in (("x", x, lambda_x), ("y", y, lambda_y)):
+        if not np.all(np.diff(nodes) > 0.0):
+            raise ValueError(f"mesh nodes coincide: lambda_{name} = "
+                             f"{lam:.6g} is below float resolution at N = {N}")
+    return TensorMesh(x, y, lambda_x, lambda_y)
 
 
 def classify_points(x, y, lambda_x, lambda_y):

@@ -218,7 +218,7 @@ def test_criterion_6_coercivity():
             A, _ = assemble(mesh, spec, 3)
             M = assemble_mass(mesh)
             K = assemble_stiffness(mesh)
-            V = rng.standard_normal((100, mesh.n_interior))
+            V = rng.standard_normal((100, np.prod(mesh.interior)))
             for v in V:
                 lhs = v @ (A @ v)
                 rhs = 0.5 * (eps * (v @ (K @ v)) + v @ (M @ v))

@@ -51,7 +51,7 @@ def _scatter(mesh, local, corners):
     cols = np.tile(loc, (1, 4)).ravel()
     vals = local.reshape(len(corners), 16).ravel()  # row-outer (i, j) order
     keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_interior
+    n = np.prod(mesh.interior)
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
     A = A.tocsr()
     A.sum_duplicates()
@@ -66,7 +66,7 @@ def cell_by_cell_assemble(mesh, spec, quad_order):
     diff, conv, reac, load = local_matrices(x0, y0, h, k, spec, quad_order)
     A = _scatter(mesh, diff + conv + reac, corners)
     loc = interior_index(mesh)[corners]
-    F = np.zeros(mesh.n_interior)
+    F = np.zeros(np.prod(mesh.interior))
     keep = loc >= 0
     np.add.at(F, loc[keep], load[keep])
     return A, F
@@ -298,7 +298,7 @@ class TestMassStiffness:
         mesh = build_mesh(8, 0.1, 0.2)
         M = assemble_mass(mesh)
         rng = np.random.default_rng(11)
-        v = rng.standard_normal(mesh.n_interior)
+        v = rng.standard_normal(np.prod(mesh.interior))
         field = FeField.from_interior(mesh, v)
         from shishkinfem.errorlab import bilinear_interp
         xs, ys = mesh.x, mesh.y
@@ -366,10 +366,26 @@ class TestMassStiffness:
             assert abs(new - old).max() <= 1e-13 * abs(old).max()
 
 
+class TestInterior:
+    # the unknowns are the interior block of the node grid, in the one
+    # shape that meshgen names: A, F and from_interior all follow it
+    @pytest.mark.parametrize("N", [4, 8, 12])
+    def test_shape_of_the_unknowns(self, N):
+        mesh = build_mesh(N, 0.1, 0.2)
+        assert mesh.interior == (mesh.ny - 2, mesh.nx - 2)
+        assert mesh.interior == (N - 1, 2 * N - 1)
+        n = np.prod(mesh.interior)
+        A, F = assemble(mesh, constant_spec())
+        assert A.shape == (n, n) and F.shape == (n,)
+        u = np.random.default_rng(N).standard_normal(n)
+        field = FeField.from_interior(mesh, u)
+        assert np.array_equal(field.values[1:-1, 1:-1].ravel(), u)
+
+
 class TestFeField:
     def test_boundary_zero(self):
         mesh = build_mesh(4, 0.1, 0.2)
-        v = np.arange(1.0, mesh.n_interior + 1)
+        v = np.arange(1.0, np.prod(mesh.interior) + 1)
         field = FeField.from_interior(mesh, v)
         assert field.values.shape == (mesh.ny, mesh.nx)
         idx = interior_index(mesh)

@@ -35,7 +35,7 @@ class TestGreenFunction:
         _, mesh, A, _ = small_run
         node = mesh.nearest_node(0.0, 0.0)
         g = green_function(A, mesh, node)
-        e = np.zeros(mesh.n_interior)
+        e = np.zeros(np.prod(mesh.interior))
         e[interior_index(mesh)[flat_index(mesh, *node)]] = 1.0
         g_dense = dense_solve(sp.csr_matrix(A).T.tocsr(), e)
         np.testing.assert_allclose(g.values[1:-1, 1:-1].ravel(), g_dense,
@@ -57,7 +57,7 @@ class TestGreenFunction:
         k = interior_index(mesh)[flat_index(mesh, *node)]
         # (A e_j) . g = delta_{j,source} for every j
         prod = A.T @ g.values[1:-1, 1:-1].ravel()
-        expect = np.zeros(mesh.n_interior)
+        expect = np.zeros(np.prod(mesh.interior))
         expect[k] = 1.0
         np.testing.assert_allclose(prod, expect, atol=1e-8)
 
@@ -73,7 +73,7 @@ class TestGreenFunction:
 class TestNorms:
     def test_zero_field(self):
         mesh = build_mesh(4, 0.1, 0.2)
-        field = FeField.from_interior(mesh, np.zeros(mesh.n_interior))
+        field = FeField.from_interior(mesh, np.zeros(np.prod(mesh.interior)))
         assert fe_l2_norm(field) == 0.0
         assert fe_energy_norm(field, 1e-6) == 0.0
 
@@ -91,7 +91,7 @@ class TestNorms:
         rng = np.random.default_rng(5)
         for _ in range(10):
             field = FeField.from_interior(
-                mesh, rng.standard_normal(mesh.n_interior))
+                mesh, rng.standard_normal(np.prod(mesh.interior)))
             assert fe_energy_norm(field, 1e-7) >= fe_l2_norm(field)
 
     def test_energy_matches_stiffness_form(self):
@@ -100,7 +100,7 @@ class TestNorms:
         mesh = build_mesh(8, 0.1, 0.2)
         M = assemble_mass(mesh)
         K = assemble_stiffness(mesh)
-        v = np.random.default_rng(3).standard_normal(mesh.n_interior)
+        v = np.random.default_rng(3).standard_normal(np.prod(mesh.interior))
         field = FeField.from_interior(mesh, v)
         eps = 0.3
         expected = np.sqrt(eps * (v @ (K @ v)) + v @ (M @ v))
@@ -145,7 +145,7 @@ class TestNorms:
         A, _ = assemble(mesh, spec, 3)
         node = mesh.nearest_node(*default_probes(*lam)[Region.LAYER_X])
         g = green_function(A, mesh, node,
-                           mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
+                           mg=multigrid(A, mesh.interior))
         tracemalloc.start()
         try:
             fe_energy_norm(g, eps)
@@ -166,7 +166,7 @@ class TestNorms:
         M = assemble_mass(mesh)
         rng = np.random.default_rng(N)
         fields = [FeField.from_interior(mesh, rng.standard_normal(
-            mesh.n_interior)) for _ in range(3)]
+            np.prod(mesh.interior))) for _ in range(3)]
         fields += [green_function(A, mesh, mesh.nearest_node(*p))
                    for p in default_probes(*lam).values()]
         for field in fields:
@@ -246,7 +246,7 @@ class TestFactorReuse:
             mesh = build_mesh(N, *transition_params(eps, spec.alpha,
                                                     spec.beta))
             A, _ = assemble(mesh, spec, 3)
-            assert shape == (mesh.ny - 2, mesh.nx - 2)
+            assert shape == mesh.interior
             assert abs(A_seen - A).max() == 0.0
             assert built_from(mg, A)
             assert not built_from(mg, A.T)
@@ -280,7 +280,7 @@ class TestFactorReuse:
         for (_, _, region), r in reports.items():
             node = mesh.nearest_node(*probes[region])
             g = green_function(A, mesh, node,
-                               mg=multigrid(A, (mesh.ny - 2, mesh.nx - 2)))
+                               mg=multigrid(A, mesh.interior))
             assert r.l2_norm == fe_l2_norm(g)
             assert r.energy_norm == fe_energy_norm(g, eps)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shishkinfem.meshgen import (Region, transition_params, build_x_axis,
-                                 build_y_axis, build_mesh, classify_points,
-                                 region_masks)
+from shishkinfem.meshgen import (Region, transition_params, build_mesh,
+                                 classify_points, region_masks)
 
 from oracles import classify
 
@@ -45,17 +44,17 @@ class TestTransitionParams:
 
 class TestXAxis:
     def test_hand_evaluated(self):
-        ax = build_x_axis(4, 0.1)
+        ax = build_mesh(4, 0.1, 0.25).x
         np.testing.assert_allclose(
             ax, [-1, -0.55, -0.1, -0.05, 0, 0.05, 0.1, 0.55, 1],
             atol=1e-15)
 
     def test_uniform_at_cap(self):
-        ax = build_x_axis(4, 0.5)
+        ax = build_mesh(4, 0.5, 0.25).x
         np.testing.assert_allclose(np.diff(ax), 0.25, atol=1e-15)
 
     def test_transition_node_and_spacings(self):
-        ax = build_x_axis(8, 0.1)
+        ax = build_mesh(8, 0.1, 0.25).x
         n = len(ax) - 1  # 2N intervals
         assert n == 16
         # positive half: node N/2 past center is the transition point
@@ -64,53 +63,52 @@ class TestXAxis:
         assert ax[8 + 5] - ax[8 + 4] == pytest.approx(0.225)
 
     def test_symmetric(self):
-        ax = build_x_axis(12, 0.3)
+        ax = build_mesh(12, 0.3, 0.25).x
         np.testing.assert_allclose(ax, -ax[::-1], atol=1e-14)
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            build_x_axis(5, 0.1)
+        with pytest.raises(ValueError, match="N must be a positive multiple"):
+            build_mesh(5, 0.1, 0.25)
 
     @pytest.mark.parametrize("lambda_x", [0.0, 0.6, np.nan])
     def test_lambda_out_of_range(self, lambda_x):
         with pytest.raises(ValueError, match="lambda_x must lie in"):
-            build_x_axis(8, lambda_x)
+            build_mesh(8, lambda_x, 0.25)
 
 
 class TestYAxis:
     def test_hand_evaluated_n4(self):
-        ay = build_y_axis(4, 0.25)
+        ay = build_mesh(4, 0.5, 0.25).y
         np.testing.assert_allclose(ay, [-1, -0.75, 0, 0.75, 1], atol=1e-15)
 
     def test_hand_evaluated_n8(self):
-        ay = build_y_axis(8, 0.2)
+        ay = build_mesh(8, 0.5, 0.2).y
         np.testing.assert_allclose(
             ay, [-1, -0.9, -0.8, -0.4, 0, 0.4, 0.8, 0.9, 1], atol=1e-15)
 
     def test_branch_boundary(self):
-        ay = build_y_axis(4, 0.25)
+        ay = build_mesh(4, 0.5, 0.25).y
         assert ay[3] == pytest.approx(0.75)
 
     def test_not_multiple_of_4(self):
-        with pytest.raises(ValueError):
-            build_y_axis(6, 0.2)
+        with pytest.raises(ValueError, match="N must be a positive multiple"):
+            build_mesh(6, 0.5, 0.2)
 
     @pytest.mark.parametrize("lambda_y", [0.0, 0.3, np.nan])
     def test_lambda_out_of_range(self, lambda_y):
         with pytest.raises(ValueError, match="lambda_y must lie in"):
-            build_y_axis(8, lambda_y)
+            build_mesh(8, 0.5, lambda_y)
 
 
 class TestWidths:
     @pytest.mark.parametrize("N,lx,ly", [(8, 0.1, 0.2), (16, 0.02, 0.1)])
     def test_piecewise_spacings(self, N, lx, ly):
-        ax = build_x_axis(N, lx)
-        hx = np.diff(ax)
+        mesh = build_mesh(N, lx, ly)
+        hx = np.diff(mesh.x)
         # fine x-spacing 2*lx/N, coarse 2*(1-lx)/N on each half
         np.testing.assert_allclose(hx[N // 2:N], 2 * lx / N)
         np.testing.assert_allclose(hx[:N // 2], 2 * (1 - lx) / N)
-        ay = build_y_axis(N, ly)
-        hy = np.diff(ay)
+        hy = np.diff(mesh.y)
         np.testing.assert_allclose(hy[:N // 4], 4 * ly / N)
         np.testing.assert_allclose(hy[N // 4:3 * N // 4], 4 * (1 - ly) / N)
 
@@ -127,12 +125,29 @@ class TestDegenerateMesh:
 
     def test_collapsed_x_layer_rejected(self):
         with pytest.raises(ValueError, match="lambda_x = 4.94066e-324 "):
-            build_x_axis(8, 5e-324)
+            build_mesh(8, 5e-324, 0.25)
 
     def test_smallest_eps_of_the_studies_is_fine(self):
         lx, ly = transition_params(1e-9, 2.0, 1.0)
         for N in (4, 512, 1024):
             assert np.all(np.diff(build_mesh(N, lx, ly).y) > 0.0)
+
+
+class TestTransitionNodes:
+    # region_masks' closed-layer tie-break puts the nodes on the
+    # transition lines into the layer regions: it needs them to sit on
+    # the lines exactly, and the x-axis to be exactly mirrored
+    @given(st.floats(min_value=1e-30, max_value=0.999),
+           st.floats(min_value=0.1, max_value=10.0),
+           st.floats(min_value=0.1, max_value=10.0),
+           st.integers(min_value=1, max_value=256).map(lambda k: 4 * k))
+    def test_exactly_on_the_transition_points(self, eps, alpha, beta, N):
+        lx, ly = transition_params(eps, alpha, beta)
+        mesh = build_mesh(N, lx, ly)
+        x, y = mesh.x, mesh.y
+        assert x[N // 2] == -lx and x[3 * N // 2] == lx
+        assert y[N // 4] == -1 + ly and y[3 * N // 4] == 1 - ly
+        assert np.array_equal(x, -x[::-1])
 
 
 class TestNestedness:
