@@ -81,8 +81,9 @@ def assemble(mesh, spec, quad_order=3):
     A[i, j] = eps (grad phi_j, grad phi_i) + (b1 d(phi_j)/dx, phi_i)
               + (c phi_j, phi_i),  F[i] = (f, phi_i).
 
-    Uses quad_order Gauss-Legendre points per axis on every cell: b1, c
-    and f are called once each on the axes of Gauss points, and the Q1
+    Uses quad_order Gauss-Legendre points per axis on every cell (the
+    default 3 under-integrates an f with eps-wide layers at small N): b1,
+    c and f are called once each on the axes of Gauss points, and the Q1
     shape functions (products of 1D hats) act one axis at a time.
     Raises ValueError if a coefficient is not finite at a quadrature point.
     """

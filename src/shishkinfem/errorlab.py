@@ -168,15 +168,16 @@ def _solutions(spec, N_list, quad_order, lam=None):
     """(N, FeField) for each N of N_list, ascending, from one walk of
     `nested_systems`; lam None takes the spec's transition parameters.
     A solve whose coarse level was the previous solve's starts its
-    V-cycles from that solution, interpolated."""
+    V-cycles from that solution, interpolated onto the odd grid rows."""
     if lam is None:
         lam = transition_params(spec.eps, spec.alpha, spec.beta)
     prev_mg = prev_u = None
     for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order, lam):
-        seeded = mg is not None and prev_mg is not None \
-            and mg.coarse is prev_mg
-        u, _ = solve(A, F, mg=mg, x0=prolong(np.reshape(
-            prev_u, prev_mg.shape)).ravel() if seeded else None)
+        x0 = None
+        if mg is not None and prev_mg is not None and mg.coarse is prev_mg:
+            x0 = np.zeros(len(F))   # even rows: the first half-sweep sets them
+            x0.reshape(mg.shape)[1::2] = prolong(prev_u.reshape(prev_mg.shape))
+        u, _ = solve(A, F, mg=mg, x0=x0)
         prev_mg, prev_u = mg, u
         yield N, FeField.from_interior(mesh, u)
 

@@ -63,25 +63,16 @@ def coarsens(shape):
         and my * mx > COARSE_LIMIT
 
 
-def _interpolation(m):
-    """Linear interpolation from m to 2m + 1 interior nodes of an axis:
-    coarse node k is fine node 2k + 1, and each fine node between takes
-    half of each neighbour (boundary values are 0).  Exact on nested
-    meshes, whose new fine nodes are the midpoints of coarse cells."""
-    offsets, weights = zip(*_TERMS)
-    cols = np.repeat(np.arange(m), 3)
-    return sp.csr_matrix((np.tile(weights, m), (2 * cols + np.tile(
-        offsets, m), cols)), shape=(2 * m + 1, m))
-
-
-def prolong(C, rows=_TERMS):
-    """P C on the (2 cy + 1, 2 cx + 1) grid, summed as the CSR product of
-    P = P_y (x) P_x and C (cy, cx); rows ((1, 1.0),) fills the odd rows."""
+def prolong(C):
+    """The odd rows (cy, 2 cx + 1) of P C for C (cy, cx), summed as the
+    CSR product is; P = P_y (x) P_x, each 1D P linear interpolation from
+    m to 2m + 1 nodes (exact on nested meshes).  No even row is formed:
+    an even half-sweep, which follows the coarse-grid correction and
+    starts every cycle, sets the even rows from the odd ones alone."""
     cy, cx = C.shape
-    U = np.zeros((2 * cy + 1, 2 * cx + 1))
-    for oy, wy in rows:
-        for ox, wx in _TERMS:
-            U[oy:oy + 2 * cy:2, ox:ox + 2 * cx:2] += wy * wx * C
+    U = np.zeros((cy, 2 * cx + 1))
+    for ox, wx in _TERMS:
+        U[:, ox:ox + 2 * cx:2] += wx * C
     return U
 
 
@@ -109,6 +100,7 @@ class Multigrid:
     def __init__(self, A, shape, coarse=None):
         self.shape, self.coarse = shape, None
         if not coarsens(shape):
+            _check_splu(A, MemoryError)
             self.lu = spla.splu(A.tocsc())
             return
         my, mx = shape
@@ -138,8 +130,8 @@ class Multigrid:
             self.lines.append(factors)
         self.up, self.down = A[even][:, odd], A[odd][:, even]
         if coarse is None:
-            P = sp.kron(_interpolation(my // 2), _interpolation(mx // 2),
-                        format="csr")
+            P = sp.kron(*[sp.csr_matrix(prolong(np.eye(m // 2)).T)
+                          for m in shape], format="csr")
             coarse = Multigrid((P.T @ A @ P).tocsr(), (my // 2, mx // 2))
         self.coarse = coarse
 
@@ -166,9 +158,7 @@ class Multigrid:
         uo = lines(1, fo - down @ ue)
         r = _restrict(np.reshape(-(up @ uo), (-1, F.shape[1])))
         c = self.coarse.solve(r.ravel(), trans)
-        uo += prolong(c.reshape(r.shape), ((1, 1.0),))[1::2].ravel()
-        # the even half-sweep overwrites the even rows, so only the odd
-        # part of the coarse-grid correction is added
+        uo += prolong(c.reshape(r.shape)).ravel()
         ue = lines(0, fe - up @ uo)
         uo = lines(1, fo - down @ ue)
         U = np.empty_like(F)
@@ -189,8 +179,8 @@ def multigrid(A, shape, coarse=None):
     P^T A P, and so on down.  One zebra x-line Gauss-Seidel sweep, even
     rows then odd rows, smooths before and after the coarse-grid
     correction.  Returns a Multigrid, or None with a WARNING when setup
-    fails or runs out of memory.  (Gaspar, Clavero & Lisbona, J. Comput.
-    Appl. Math. 138, 2002.)
+    fails or the coarsest splu would exceed SPLU_MEMORY_SHARE (Gaspar,
+    Clavero & Lisbona, J. Comput. Appl. Math. 138, 2002).
     """
     A = sp.csr_matrix(A)
     if A.shape != (np.prod(shape),) * 2:
@@ -235,6 +225,15 @@ def _splu_bytes(n, nnz):
     return 16.0 * max(1.5 * np.log2(n) - 9.0, 1.0) * nnz
 
 
+def _check_splu(A, error, **kwargs):
+    """Raise error if `_splu_bytes` of A exceeds SPLU_MEMORY_SHARE of RAM."""
+    need, limit = _splu_bytes(A.shape[0], A.nnz), SPLU_MEMORY_SHARE * \
+        os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > limit:
+        raise error(f"splu of n = {A.shape[0]} would need about "
+                    f"{need:.3g} bytes, above {limit:.3g}", **kwargs)
+
+
 def _norm(v):
     """2-norm of v by einsum's own loop: BLAS ddot can stall on threads."""
     return np.sqrt(np.einsum("i,i->", v, v))
@@ -272,13 +271,8 @@ def _solve(A, b, mg, x0, trans):
                 return _accept(x, SolveReport(cycles, res, "mg"), mg)
         log.warning("multigrid stopped after %d cycles, residual %.3e",
                     MAX_CYCLES, res)
-    need, limit = _splu_bytes(len(b), A.nnz), SPLU_MEMORY_SHARE * \
-        os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     with _SPLU_LOCK:
-        if need > limit:
-            raise SolveError(f"splu of n = {len(b)} would need about "
-                             f"{need:.3g} bytes, above {limit:.3g}",
-                             best_residual=best)
+        _check_splu(A, SolveError, best_residual=best)
         try:
             x = spla.splu(A.tocsc()).solve(b, trans)
         except (MemoryError, RuntimeError) as exc:
