@@ -32,9 +32,6 @@ PROBLEMS = ("example51", "mms")
 DEFAULT_EPS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 DEFAULT_N = (16, 32, 64, 128, 256)
 
-# Transition parameters of an mms run at eps = 1, which has no Shishkin mesh.
-MMS_LAMBDA = (0.5, 0.25)
-
 
 class ConfigError(ValueError):
     pass
@@ -68,11 +65,9 @@ class RunConfig:
         for n in self.N_list:
             if n % 4 != 0 or n < 4:
                 raise ConfigError(f"N: {n} is not a multiple of 4 (>= 4)")
-        closed = self.mode == "mms"     # only mms solves at eps = 1
         for e in self.eps_list:
-            if not (0.0 < e < 1.0 or closed and e == 1.0):
-                interval = "(0, 1]" if closed else "(0, 1)"
-                raise ConfigError(f"eps: {e} outside {interval}")
+            if not 0.0 < e <= 1.0:
+                raise ConfigError(f"eps: {e} outside (0, 1]")
         if self.quad_order not in (1, 2, 3, 4):
             raise ConfigError(f"quad_order: must be 1..4, got {self.quad_order}")
         if not all(0.0 < v < math.inf for v in (self.alpha, self.beta)):
@@ -123,7 +118,7 @@ def _parse_value(key, kind, raw):
 
 def parse_config(text):
     """Parse key=value lines (blank lines and # comments ignored)."""
-    cfg = RunConfig()
+    cfg, given = RunConfig(), set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -134,10 +129,13 @@ def parse_config(text):
         if key not in _KEYS:
             raise ConfigError(f"{key}: unknown key")
         value = _parse_value(key, _KEYS[key], raw)
+        given.add(key)
         if key in _PROBE_REGION:
             cfg.probes[_PROBE_REGION[key]] = value
         else:
             setattr(cfg, _FIELDS.get(key, key), value)
+    if cfg.mode == "mms" and "problem" not in given:   # the one it takes
+        cfg.problem = "mms"
     return cfg.validate()
 
 
@@ -157,8 +155,6 @@ def _metadata_lines(cfg):
         f"# beta = {cfg.beta!r}",
         f"# quad_order = {cfg.quad_order}",
     ]
-    if cfg.mode == "mms" and cfg.eps_list[0] == 1.0:
-        lines.append("# lambda = {!r},{!r}".format(*MMS_LAMBDA))
     if cfg.mode == "interp":
         lines.append(f"# template = {cfg.template}")
     for key, region in _PROBE_REGION.items():
@@ -248,8 +244,7 @@ def _run_interp(cfg):
 
 def _run_mms(cfg):
     spec = _spec_family(cfg)(cfg.eps_list[0])
-    lam = MMS_LAMBDA if cfg.eps_list[0] == 1.0 else None
-    errors, rates = mms_convergence(spec, cfg.N_list, cfg.quad_order, lam)
+    errors, rates = mms_convergence(spec, cfg.N_list, cfg.quad_order)
     rows = ["N,error,rate"]
     for n, e in errors.items():
         rows.append(f"{n},{e!r},{repr(rates[n]) if n in rates else ''}")

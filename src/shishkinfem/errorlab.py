@@ -143,17 +143,18 @@ def _subcell_max(mesh, nodal, func):
             for region in Region}
 
 
-def nested_systems(spec, N_list, quad_order, lam):
-    """Assembled systems of N_list, ascending, on meshes with transition
-    parameters lam: yields (N, mesh, A, F, mg), mg = the multigrid of A.
+def nested_systems(spec, N_list, quad_order):
+    """Assembled systems of N_list, ascending, on the Shishkin meshes of
+    spec: yields (N, mesh, A, F, mg), mg = the multigrid of A.
 
-    Where N/2 came just before N (its mesh exists, so with the same lam
-    it is nested in N's) and N's interior grid `coarsens`, the coarse
-    level of mg is the multigrid of N/2; otherwise `multigrid` forms
-    Galerkin coarse levels.  So each N is assembled once, and no mesh
-    that N_list does not name.  A level whose setup failed is no coarse
-    level: the one above it forms its own.
+    Where N/2 came just before N (its mesh exists, and is nested in
+    N's) and N's interior grid `coarsens`, the coarse level of mg is
+    the multigrid of N/2; otherwise `multigrid` forms Galerkin coarse
+    levels.  So each N is assembled once, and no mesh that N_list does
+    not name.  A level whose setup failed is no coarse level: the one
+    above it forms its own.
     """
+    lam = transition_params(spec.eps, spec.alpha, spec.beta)
     prev_N = prev_mg = None
     for N in sorted(set(N_list)):
         mesh = build_mesh(N, *lam)
@@ -164,15 +165,13 @@ def nested_systems(spec, N_list, quad_order, lam):
         yield N, mesh, A, F, prev_mg
 
 
-def _solutions(spec, N_list, quad_order, lam=None):
+def _solutions(spec, N_list, quad_order):
     """(N, FeField) for each N of N_list, ascending, from one walk of
-    `nested_systems`; lam None takes the spec's transition parameters.
-    A solve whose coarse level was the previous solve's starts its
-    V-cycles from that solution, interpolated onto the odd grid rows."""
-    if lam is None:
-        lam = transition_params(spec.eps, spec.alpha, spec.beta)
+    `nested_systems`.  A solve whose coarse level was the previous
+    solve's starts its V-cycles from that solution, interpolated onto
+    the odd grid rows."""
     prev_mg = prev_u = None
-    for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order, lam):
+    for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order):
         x0 = None
         if mg is not None and prev_mg is not None and mg.coarse is prev_mg:
             x0 = np.zeros(len(F))   # even rows: the first half-sweep sets them
@@ -195,7 +194,7 @@ def solve_problem(spec, N, quad_order=3):
 
 def _compare_nested(u_N, u_2N):
     """Region-wise max |U_N - U_2N| at the N-mesh nodes; the meshes must
-    be nested (one lam), as those of one `_solutions` walk are."""
+    be nested (one spec), as those of one `_solutions` walk are."""
     mesh = u_N.mesh
     return _region_max(np.abs(u_N.values - u_2N.values[::2, ::2]),
                        mesh.x, mesh.y, mesh)
@@ -255,7 +254,7 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     return results
 
 
-def mms_convergence(spec, N_list, quad_order=3, lam=None):
+def mms_convergence(spec, N_list, quad_order=3):
     """Max nodal error against the exact solution, with observed rates.
 
     Returns (errors, rates): errors maps N -> max |u_h - u|, N
@@ -265,7 +264,7 @@ def mms_convergence(spec, N_list, quad_order=3, lam=None):
     if spec.exact is None:
         raise ValueError("spec has no exact solution")
     errors = {}
-    for N, uh in _solutions(spec, N_list, quad_order, lam):
+    for N, uh in _solutions(spec, N_list, quad_order):
         exact = on_grid(spec.exact, uh.mesh.x, uh.mesh.y)
         errors[N] = float(np.abs(uh.values - exact).max())
     return errors, _rates(errors, lambda n: 2 * n)

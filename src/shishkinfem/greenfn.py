@@ -127,8 +127,7 @@ def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
                 if not np.isfinite(point).all():
                     raise ValueError(
                         f"{region.value} probe {point} is not finite")
-            for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order,
-                                                    lam):
+            for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order):
                 def report(point):
                     i, j = mesh.nearest_node(*point)
                     g = green_function(A, mesh, (i, j), mg=mg)

@@ -200,12 +200,13 @@ def solve(A, b, mg=None, x0=None):
     """Solve A x = b to relative residual ||b - A x|| / ||b|| <= TOL.
 
     mg: a `multigrid(A, shape)` whose V-cycle, applied to the residual,
-    corrects x until ||b - A x|| / ||b|| <= 0.1 TOL, for at most
-    MAX_CYCLES cycles before the splu fallback; None goes straight to
-    splu.  x0: the first iterate of the cycles, zero when None; splu
-    ignores it.  Raises SolveError when no path reaches TOL or splu's
-    estimated peak exceeds SPLU_MEMORY_SHARE of physical memory.
-    Deterministic.  Returns (x, SolveReport), whose method names the
+    corrects x until ||b - A x|| / ||b|| <= 0.1 TOL, or <= TOL once a
+    cycle reduces it by less than a factor 0.9 (rounding's floor), for
+    at most MAX_CYCLES cycles before the splu fallback; None goes
+    straight to splu.  x0: the first iterate of the cycles, zero when
+    None; splu ignores it.  Raises SolveError when no path reaches TOL
+    or splu's estimated peak exceeds SPLU_MEMORY_SHARE of physical
+    memory.  Deterministic.  Returns (x, SolveReport), whose method names the
     path that succeeded and whose iterations counts its cycles.
     """
     return _solve(A, b, mg, x0, "N")
@@ -239,10 +240,10 @@ def _norm(v):
     return np.sqrt(np.einsum("i,i->", v, v))
 
 
-def _accept(x, report, mg):
-    log.debug("%s: n %d, levels %d, %d iterations, residual %.3e",
+def _accept(x, report, mg, stop="TOL"):
+    log.debug("%s: n %d, levels %d, %d iterations, residual %.3e, at %s",
               report.method, len(x), len(mg.levels) if mg else 0,
-              report.iterations, report.relative_residual)
+              report.iterations, report.relative_residual, stop)
     return x, report
 
 
@@ -261,14 +262,16 @@ def _solve(A, b, mg, x0, trans):
     best = np.inf
     if mg is not None:
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-        r = b - op @ x
+        r, res = b - op @ x, np.inf
         for cycles in range(1, MAX_CYCLES + 1):
             x += mg.solve(r, trans)
-            r = b - op @ x
+            r, last = b - op @ x, res
             res = _norm(r) / norm_b
             best = min(best, res)       # min and <= both pass over NaN
-            if res <= 0.1 * TOL:
-                return _accept(x, SolveReport(cycles, res, "mg"), mg)
+            floor = TOL >= res > 0.9 * last     # rounding's floor: no gain
+            if res <= 0.1 * TOL or floor:
+                return _accept(x, SolveReport(cycles, res, "mg"), mg,
+                               "0.1 TOL" if res <= 0.1 * TOL else "the floor")
         log.warning("multigrid stopped after %d cycles, residual %.3e",
                     MAX_CYCLES, res)
     with _SPLU_LOCK:

@@ -36,12 +36,14 @@ def transition_params(eps, alpha, beta):
     lambda_x = min((2 eps / alpha) log(1/eps), 1/2)
     lambda_y = min(2 sqrt(eps/beta) log(1/eps^(3/2)), 1/4)
 
-    log is the natural logarithm.
+    log is the natural logarithm.  eps = 1 has no layer: the caps.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if not (alpha > 0.0 and beta > 0.0):     # NaN fails too
         raise ValueError("alpha and beta must be positive")
+    if eps == 1.0:
+        return 0.5, 0.25
     log_inv_eps = -np.log(eps)
     lambda_x = min(2.0 * eps / alpha * log_inv_eps, 0.5)
     lambda_y = min(2.0 * np.sqrt(eps / beta) * 1.5 * log_inv_eps, 0.25)

@@ -78,8 +78,8 @@ def example_5_1(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     u ~ |x|^(c(0)/|a(0)|) with exponent 3/e (a = b1/x), not an O(1)
     interior layer.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return ProblemSpec(eps=eps, b1=_b1_ex, c=_c_ex, f=_f_ex,
                        alpha=alpha, beta=beta)
 

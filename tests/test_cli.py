@@ -78,10 +78,14 @@ class TestParseConfig:
             parse_config("mode = bogus")
 
     def test_mms_allows_eps_one(self):
-        cfg = parse_config("mode = mms\nproblem = mms\neps = 1.0\nN = 8")
-        assert cfg.eps_list == (1.0,)
-        with pytest.raises(ConfigError):
-            parse_config("mode = errors\neps = 1.0")
+        # eps = 1 has a mesh (the transition parameters' caps) in every mode
+        for mode in cli.MODES:
+            cfg = parse_config(f"mode = {mode}\neps = 1.0\nN = 8")
+            assert cfg.eps_list == (1.0,)
+            for eps in ("0.0", "1.5"):
+                with pytest.raises(ConfigError, match=rf"^eps: {eps} "
+                                   r"outside \(0, 1\]$"):
+                    parse_config(f"mode = {mode}\neps = {eps}\nN = 8")
 
 
 class TestRunModes:
@@ -213,22 +217,28 @@ class TestRunModes:
         assert body[1][2] == body[2][2] == ""  # 32 and 128 not solved
 
     def test_mms_header_records_lambda(self, tmp_path):
-        # eps = 1 has no Shishkin mesh; the header names the fixed one
+        # the mesh of eps = 1 follows from eps, alpha and beta as any
+        # other does, so its header records no transition parameters
+        headers = {}
         for eps in ("1", "1e-4"):
             out = tmp_path / eps
             assert main(["--mode", "mms", "--problem", "mms", "--eps", eps,
                          "--N", "8", "-o", str(out)]) == 0
-            lines = header(out / "mms.csv")
-            assert ("# lambda = 0.5,0.25" in lines) == (eps == "1")
+            headers[eps] = lines = header(out / "mms.csv")
+            assert not any(l.startswith("# lambda") for l in lines)
             assert "# problem = mms" in lines
             assert not any(l.startswith("# tol") for l in lines)
+        assert [l.replace("1.0", "0.0001") if l.startswith("# eps") else l
+                for l in headers["1"]] == headers["1e-4"]
 
     @pytest.mark.parametrize("argv, message", [
-        ([], "problem: mms mode takes problem mms"),
+        ([], "eps: mms mode takes one eps"),
+        (["--problem", "example51", "--eps", "1"],
+         "problem: mms mode takes problem mms"),
         (["--problem", "mms"], "eps: mms mode takes one eps"),
         (["--problem", "mms", "--eps", "1e-4,1"],
          "eps: mms mode takes one eps"),
-    ], ids=["example51", "default-eps", "two-eps"])
+    ], ids=["implied-problem", "example51", "default-eps", "two-eps"])
     def test_mms_rejects_what_it_cannot_solve(self, argv, message, tmp_path,
                                               capsys):
         out = tmp_path / "out"

@@ -181,8 +181,7 @@ class TestNestedSystems:
     def test_levels_are_the_assembled_nested_meshes(self, eps):
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
-        *_, (_, _, A, _, mg) = errorlab.nested_systems(spec, [16, 32, 64],
-                                                       3, lam)
+        *_, (_, _, A, _, mg) = errorlab.nested_systems(spec, [16, 32, 64], 3)
         assert built_from(mg.levels[0], A)
         for level, n in zip(mg.levels, (64, 32, 16)):
             A_n, _ = assemble(build_mesh(n, *lam), spec, 3)
@@ -210,9 +209,7 @@ class TestNestedSystems:
         # Either way the coarse levels are P^T A P
         calls = counted_assemble(monkeypatch)
         spec = example_5_1(1e-6)
-        lam = transition_params(spec.eps, spec.alpha, spec.beta)
-        *_, (_, mesh, A, F, mg) = errorlab.nested_systems(spec, N_list, 3,
-                                                          lam)
+        *_, (_, mesh, A, F, mg) = errorlab.nested_systems(spec, N_list, 3)
         assert calls == N_list
         fine, coarse = mg.levels[:2]
         P = interpolation(fine.shape)
@@ -286,6 +283,15 @@ class TestErrorTable:
         assert rates[1e-4, 8, Region.COARSE] == pytest.approx(
             math.log2(e8 / e16))
         assert (1e-4, 16, Region.COARSE) not in rates
+
+    def test_second_order_at_eps_one(self):
+        # eps = 1 has no layer: on the caps' mesh every region converges
+        # at the smooth-solution rate
+        _, rates = error_table(example_5_1, [1.0], [16, 32, 64])
+        assert list(rates) == [(1.0, N, region) for N in (16, 32)
+                               for region in Region]
+        for rate in rates.values():
+            assert rate == pytest.approx(2.0, abs=0.1)
 
     def test_rounding_level_errors_give_no_rate(self):
         # f scaled to 1e-15 scales u and its double-mesh errors with it:
@@ -512,8 +518,7 @@ class TestSubcellBlocks:
 class TestMmsConvergence:
     def test_second_order_uniform_regime(self):
         spec = mms_problem(1.0)
-        errors, rates = mms_convergence(spec, [8, 16, 32, 64],
-                                        lam=(0.5, 0.25))
+        errors, rates = mms_convergence(spec, [8, 16, 32, 64])
         for N, r in rates.items():
             assert r == pytest.approx(2.0, abs=0.15)
         assert errors[64] <= errors[32]
@@ -524,13 +529,12 @@ class TestMmsConvergence:
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         spec = ProblemSpec(eps=1.0, b1=zero, c=lambda x, y: 3 + 0 * x,
                            f=zero, alpha=2.0, beta=1.0, exact=zero)
-        errors, rates = mms_convergence(spec, [8, 16], lam=(0.5, 0.25))
+        errors, rates = mms_convergence(spec, [8, 16])
         assert 8 not in rates
 
     def test_rate_pairs_N_with_2N(self):
         # with 32 missing, no rate pairs 16 with 64 (that reads ~4)
-        errors, rates = mms_convergence(mms_problem(1.0), [8, 16, 64],
-                                        lam=(0.5, 0.25))
+        errors, rates = mms_convergence(mms_problem(1.0), [8, 16, 64])
         assert list(errors) == [8, 16, 64]
         assert list(rates) == [8]
         assert rates[8] == pytest.approx(2.0, abs=0.15)

@@ -306,8 +306,8 @@ class TestTwoAtATime:
         for eps in (1e-4, 1e-6):
             spec = example_5_1(eps)
             lam = transition_params(eps, spec.alpha, spec.beta)
-            for N, mesh, A, _, mg in errorlab.nested_systems(spec, [32, 64],
-                                                             3, lam):
+            walk = errorlab.nested_systems(spec, [32, 64], 3)
+            for N, mesh, A, _, mg in walk:
                 for region, point in default_probes(*lam).items():
                     i, j = mesh.nearest_node(*point)
                     g = function(A, mesh, (i, j), mg=mg)

@@ -35,24 +35,22 @@ def stalled_multigrid(value):
     return mg
 
 
-def system(eps, N, lam=None):
+def system(eps, N):
     """(mesh, A, F, interior grid shape) of example 5.1, or of the mms
-    problem when eps is 1 (on the uniform mesh lam = (1/2, 1/4))."""
+    problem when eps is 1."""
     spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
-    lam = lam or transition_params(eps, 2.0, 1.0)
-    mesh = build_mesh(N, *lam)
+    mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
     A, F = assemble(mesh, spec, 3)
     return mesh, A, F, mesh.interior
 
 
-def nested_multigrid(eps, N, lam=None):
-    """The multigrid of `system(eps, N, lam)`'s matrix whose coarse
-    levels are the matrices of the nested meshes, as errorlab sets it up
-    for a row that solves 16, 32, ..., N."""
+def nested_multigrid(eps, N):
+    """The multigrid of `system(eps, N)`'s matrix whose coarse levels
+    are the matrices of the nested meshes, as errorlab sets it up for a
+    row that solves 16, 32, ..., N."""
     spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
-    lam = lam or transition_params(eps, 2.0, 1.0)
     row = [n for n in (16, 32, 64, 128) if n <= N]
-    *_, (_, _, _, _, mg) = nested_systems(spec, row, 3, lam)
+    *_, (_, _, _, _, mg) = nested_systems(spec, row, 3)
     return mg
 
 
@@ -282,8 +280,8 @@ class TestFallbackLogging:
 
     @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
     def test_stalled_cycles_hand_over_to_splu(self, value, caplog):
-        # no stall heuristic: exactly MAX_CYCLES cycles, one WARNING, and
-        # a NaN residual is never accepted
+        # no stall rule above TOL: exactly MAX_CYCLES cycles, one WARNING,
+        # and a NaN residual is never accepted
         _, A, F, _ = system(1e-6, 32)
         mg = stalled_multigrid(value)
         with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
@@ -310,9 +308,30 @@ class TestFallbackLogging:
         first, second = [r.getMessage() for r in caplog.records]
         assert first == (f"mg: n 1953, levels 2, {report.iterations} "
                          f"iterations, residual "
-                         f"{report.relative_residual:.3e}")
+                         f"{report.relative_residual:.3e}, at 0.1 TOL")
         assert second.startswith("splu: n 1953, levels 0, 1 iterations")
+        assert second.endswith(", at TOL")
         assert direct.method == "splu"
+
+    def test_cycles_stop_at_the_rounding_floor(self, monkeypatch, caplog):
+        # the residual of a point source floors near 4e-13 at N = 128,
+        # between 0.1 TOL and TOL for TOL = 1e-12: once a cycle gains
+        # less than a factor 0.9 the cycles stop, with no splu
+        monkeypatch.setattr(linsolve, "TOL", 1e-12)
+        _, A, _, shape = system(1e-6, 128)
+        mg = multigrid(A, shape)
+        e = np.zeros(shape)
+        e[shape[0] // 2, shape[1] // 2] = 1.0
+        for run in (solve, solve_transpose):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG,
+                                 logger="shishkinfem.linsolve"):
+                _, report = run(A, e.ravel(), mg=mg)
+            assert report.method == "mg"
+            assert report.iterations <= 20
+            assert 1e-13 < report.relative_residual <= 1e-12
+            message, = [r.getMessage() for r in caplog.records]
+            assert message.endswith(", at the floor")
 
 
 class TestSharedMultigrid:
@@ -476,10 +495,9 @@ class TestMultigrid:
     def test_cycles_bounded(self, levels, eps, N):
         # coarse levels: Galerkin operators, or the matrices assembled on
         # the nested meshes
-        lam = (0.5, 0.25) if eps == 1.0 else None
-        _, A, F, shape = system(eps, N, lam)
+        _, A, F, shape = system(eps, N)
         mg = (multigrid(A, shape) if levels == "galerkin"
-              else nested_multigrid(eps, N, lam))
+              else nested_multigrid(eps, N))
         e = np.zeros(shape)
         e[shape[0] // 2, shape[1] // 3] = 1.0
         for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):

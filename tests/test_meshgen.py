@@ -22,7 +22,13 @@ class TestTransitionParams:
         lx, _ = transition_params(1e-9, 2.0, 1.0)
         assert lx == pytest.approx(2.0723e-8, rel=1e-4)
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1])
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 1.0), (0.5, 1.0),
+                                             (2.0, 0.1), (10.0, 10.0)])
+    def test_eps_one_gives_the_caps(self, alpha, beta):
+        # both formulas vanish at eps = 1, which has no layer
+        assert transition_params(1.0, alpha, beta) == (0.5, 0.25)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.5, -0.1])
     def test_domain_errors(self, eps):
         with pytest.raises(ValueError):
             transition_params(eps, 2.0, 1.0)

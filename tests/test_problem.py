@@ -38,8 +38,10 @@ class TestExample51:
         np.testing.assert_allclose(example_5_1_db1_dx(x, y), fd, atol=1e-6)
 
     def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            example_5_1(1.0)
+        for eps in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                example_5_1(eps)
+        assert example_5_1(1.0).eps == 1.0
 
 
 class TestMms:

@@ -4,11 +4,12 @@ The files under tests/data were written by the commands in COMMANDS;
 the interp_<template>.csv files are interp.csv of the other templates.
 Header lines must match exactly; a value token matches when it is the
 same string or within the bound of its mode, |value - ref| <= atol +
-rtol * |ref|.  The bounds are those of perfbench/workloads.py
-TOLERANCE, so last-bit differences between numpy versions pass; rates
-and mms take the errors bound.
+rtol * |ref|.  The bound of a command is the TOLERANCE of its --mode in
+perfbench/workloads.py, so last-bit differences between numpy versions
+pass; rates and mms take the errors bound.
 """
 
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -17,7 +18,9 @@ import pytest
 
 from shishkinfem.cli import main
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 COMMANDS = {
     "errors.csv": "--mode errors --eps 1e-4,1e-8 --N 16,32,64",
@@ -33,18 +36,25 @@ COMMANDS = {
     "mms.csv": "--mode mms --problem mms --eps 1 --N 8,16",
 }
 
-# (atol, rtol) per output file
-BOUNDS = {
-    "errors.csv": (1e-9, 0.0),
-    "rates.csv": (1e-9, 0.0),
-    "green.csv": (0.0, 1e-8),
-    "interp.csv": (1e-15, 1e-12),
-    "interp_smooth.csv": (1e-15, 1e-12),
-    "interp_interior_x.csv": (1e-15, 1e-12),
-    "interp_boundary_y.csv": (1e-15, 1e-12),
-    "field.txt": (1e-9, 0.0),
-    "mms.csv": (1e-9, 0.0),
-}
+
+def load_tolerance():
+    """TOLERANCE of perfbench/workloads.py: {mode: {"atol", "rtol"}}."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TOLERANCE
+
+
+TOLERANCE = load_tolerance()
+
+
+def bounds(command):
+    """(atol, rtol) of a command, by its --mode."""
+    args = command.split()
+    mode = args[args.index("--mode") + 1]
+    tol = TOLERANCE["errors" if mode in ("rates", "mms") else mode]
+    return tol["atol"], tol["rtol"]
 
 
 def _close(token, ref, atol, rtol):
@@ -66,7 +76,7 @@ def test_output_matches_reference(name, tmp_path, capsys):
     got = written.read_text().splitlines()
     ref = (DATA / name).read_text().splitlines()
     assert len(got) == len(ref)
-    atol, rtol = BOUNDS[name]
+    atol, rtol = bounds(COMMANDS[name])
     for line, want in zip(got, ref):
         if want.startswith("#"):
             assert line == want
