@@ -42,13 +42,6 @@ class FeField:
         return cls(mesh=mesh, values=np.pad(inner, 1))
 
 
-def _gauss(order):
-    """1D Gauss-Legendre points and weights on [-1, 1]."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"quadrature order must be in 1..4, got {order}")
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _axis_points(nodes, g):
     """Gauss points of every interval of an axis's nodes, shape
     (len(nodes) - 1, q); also returns the interval lengths."""
@@ -75,19 +68,19 @@ def _reach(m, t, s):
     return slice(lo + 1 - s, hi + 1 - s), slice(lo, hi)
 
 
-def assemble(mesh, spec, quad_order=3):
+def assemble(mesh, spec):
     """Assemble the discrete operator and load vector over interior nodes.
 
     A[i, j] = eps (grad phi_j, grad phi_i) + (b1 d(phi_j)/dx, phi_i)
               + (c phi_j, phi_i),  F[i] = (f, phi_i).
 
-    Uses quad_order Gauss-Legendre points per axis on every cell (the
+    Uses spec.quad_order Gauss-Legendre points per axis on every cell (the
     default 3 under-integrates an f with eps-wide layers at small N): b1,
     c and f are called once each on the axes of Gauss points, and the Q1
     shape functions (products of 1D hats) act one axis at a time.
     Raises ValueError if a coefficient is not finite at a quadrature point.
     """
-    g, w = _gauss(quad_order)
+    g, w = np.polynomial.legendre.leggauss(spec.quad_order)
     q = len(g)
     xq, h = _axis_points(mesh.x, g)
     yq, k = _axis_points(mesh.y, g)

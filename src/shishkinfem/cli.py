@@ -12,7 +12,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 # perfbench/tracer.py wraps transition_params and default_probes here.
@@ -141,7 +141,8 @@ def parse_config(text):
 
 def _spec_family(cfg):
     make = mms_problem if cfg.problem == "mms" else example_5_1
-    return lambda eps: make(eps, cfg.alpha, cfg.beta)
+    return lambda eps: replace(make(eps, cfg.alpha, cfg.beta),
+                               quad_order=cfg.quad_order)
 
 
 def _metadata_lines(cfg):
@@ -207,8 +208,7 @@ def _table(header, table):
 
 
 def _run_errors(cfg):
-    errors, rates = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list,
-                                quad_order=cfg.quad_order)
+    errors, rates = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list)
     if cfg.mode == "rates":
         return "rates.csv", _table("eps,N,region,rate", rates)
     return "errors.csv", _table("eps,N,region,error", errors)
@@ -216,14 +216,14 @@ def _run_errors(cfg):
 
 def _run_green(cfg):
     reports = green_norm_sweep(_spec_family(cfg), cfg.eps_list, cfg.N_list,
-                               probes=cfg.probes, quad_order=cfg.quad_order)
+                               probes=cfg.probes)
     return "green.csv", _table(
         "eps,N,region,source_x,source_y,l2_norm,energy_norm", reports)
 
 
 def _run_field(cfg):
     spec = _spec_family(cfg)(cfg.eps_list[0])
-    uh = solve_problem(spec, cfg.N_list[0], quad_order=cfg.quad_order)
+    uh = solve_problem(spec, cfg.N_list[0])
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
     xs = [repr(x) + " " for x in mesh.x.tolist()]
@@ -244,7 +244,7 @@ def _run_interp(cfg):
 
 def _run_mms(cfg):
     spec = _spec_family(cfg)(cfg.eps_list[0])
-    errors, rates = mms_convergence(spec, cfg.N_list, cfg.quad_order)
+    errors, rates = mms_convergence(spec, cfg.N_list)
     rows = ["N,error,rate"]
     for n, e in errors.items():
         rows.append(f"{n},{e!r},{repr(rates[n]) if n in rates else ''}")

@@ -143,7 +143,7 @@ def _subcell_max(mesh, nodal, func):
             for region in Region}
 
 
-def nested_systems(spec, N_list, quad_order):
+def nested_systems(spec, N_list):
     """Assembled systems of N_list, ascending, on the Shishkin meshes of
     spec: yields (N, mesh, A, F, mg), mg = the multigrid of A.
 
@@ -159,19 +159,19 @@ def nested_systems(spec, N_list, quad_order):
     for N in sorted(set(N_list)):
         mesh = build_mesh(N, *lam)
         on_half = prev_N == N // 2 and coarsens(mesh.interior)
-        A, F = assemble(mesh, spec, quad_order)
+        A, F = assemble(mesh, spec)
         prev_N, prev_mg = N, multigrid(A, mesh.interior,
                                        prev_mg if on_half else None)
         yield N, mesh, A, F, prev_mg
 
 
-def _solutions(spec, N_list, quad_order):
+def _solutions(spec, N_list):
     """(N, FeField) for each N of N_list, ascending, from one walk of
     `nested_systems`.  A solve whose coarse level was the previous
     solve's starts its V-cycles from that solution, interpolated onto
     the odd grid rows."""
     prev_mg = prev_u = None
-    for N, mesh, A, F, mg in nested_systems(spec, N_list, quad_order):
+    for N, mesh, A, F, mg in nested_systems(spec, N_list):
         x0 = None
         if mg is not None and prev_mg is not None and mg.coarse is prev_mg:
             x0 = np.zeros(len(F))   # even rows: the first half-sweep sets them
@@ -181,14 +181,14 @@ def _solutions(spec, N_list, quad_order):
         yield N, FeField.from_interior(mesh, u)
 
 
-def solve_problem(spec, N, quad_order=3):
+def solve_problem(spec, N):
     """Build the Shishkin mesh for (spec, N), assemble, and solve.
 
     The V-cycles of the multigrid of A, whose coarse levels are Galerkin
     operators (no other N is assembled), solve the system; if its setup
     fails, `solve` goes straight to splu.
     """
-    (_, u), = _solutions(spec, [N], quad_order)
+    (_, u), = _solutions(spec, [N])
     return u
 
 
@@ -208,7 +208,7 @@ def _rates(errors, twice):
             if min(e, errors.get(twice(key), 0.0)) > ZERO_TOL}
 
 
-def error_table(spec_family, eps_list, N_list, quad_order=3):
+def error_table(spec_family, eps_list, N_list):
     """Double-mesh errors and rates over an (eps, N) grid.
 
     spec_family maps eps -> ProblemSpec.  Returns the tables (errors,
@@ -222,7 +222,7 @@ def error_table(spec_family, eps_list, N_list, quad_order=3):
     N_list = sorted(set(N_list))
     solve_Ns = set(N_list) | {2 * n for n in N_list}
     for eps in dict.fromkeys(eps_list):
-        fields = dict(_solutions(spec_family(eps), solve_Ns, quad_order))
+        fields = dict(_solutions(spec_family(eps), solve_Ns))
         for n in N_list:
             for region, e in _compare_nested(fields[n],
                                              fields[2 * n]).items():
@@ -254,7 +254,7 @@ def interp_error_study(template, eps, alpha, beta, N_list):
     return results
 
 
-def mms_convergence(spec, N_list, quad_order=3):
+def mms_convergence(spec, N_list):
     """Max nodal error against the exact solution, with observed rates.
 
     Returns (errors, rates): errors maps N -> max |u_h - u|, N
@@ -264,7 +264,7 @@ def mms_convergence(spec, N_list, quad_order=3):
     if spec.exact is None:
         raise ValueError("spec has no exact solution")
     errors = {}
-    for N, uh in _solutions(spec, N_list, quad_order):
+    for N, uh in _solutions(spec, N_list):
         exact = on_grid(spec.exact, uh.mesh.x, uh.mesh.y)
         errors[N] = float(np.abs(uh.values - exact).max())
     return errors, _rates(errors, lambda n: 2 * n)

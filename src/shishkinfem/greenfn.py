@@ -58,6 +58,12 @@ def green_function(A, mesh, source, mg=None):
     return FeField.from_interior(mesh, g)
 
 
+def _edge_sum(a, b):
+    """a^2 + b^2 + (a + b)^2: 6 times the mean square, over an interval,
+    of the linear function with end values a and b."""
+    return a ** 2 + b ** 2 + (a + b) ** 2
+
+
 def fe_l2_norm(field):
     """sqrt(int v^2) = sqrt(v^T (M_y (x) M_x) v), summed exactly cell by
     cell: on an h x k cell with corner values u, int v^2 is h k / 36 times
@@ -66,8 +72,8 @@ def fe_l2_norm(field):
     h = np.diff(field.mesh.x)
     k = np.diff(field.mesh.y)[:, None]
     lo, hi = field.values[:, :-1], field.values[:, 1:]
-    sq = sum(np.sum((X[:-1] ** 2 + X[1:] ** 2 + (X[:-1] + X[1:]) ** 2)
-                    * (h * k)) for X in (lo, hi, lo + hi))
+    sq = sum(np.sum(_edge_sum(X[:-1], X[1:]) * (h * k))
+             for X in (lo, hi, lo + hi))
     return float(np.sqrt(sq / 36.0))
 
 
@@ -84,12 +90,10 @@ def fe_energy_norm(field, eps):
     h = np.diff(field.mesh.x)
     k = np.diff(field.mesh.y)[:, None]
     dx = np.diff(field.values, axis=1)
-    ex = np.sum((dx[:-1] ** 2 + dx[1:] ** 2 + (dx[:-1] + dx[1:]) ** 2)
-                * (k / h))
+    ex = np.sum(_edge_sum(dx[:-1], dx[1:]) * (k / h))
     del dx      # one difference grid at a time
     dy = np.diff(field.values, axis=0)
-    ey = np.sum((dy[:, :-1] ** 2 + dy[:, 1:] ** 2 + (dy[:, :-1] + dy[:, 1:])
-                 ** 2) * (h / k))
+    ey = np.sum(_edge_sum(dy[:, :-1], dy[:, 1:]) * (h / k))
     return float(np.sqrt(eps * ((ex + ey) / 6.0) + l2_sq))
 
 
@@ -103,7 +107,7 @@ def default_probes(lambda_x, lambda_y):
     }
 
 
-def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
+def green_norm_sweep(spec_family, eps_list, N_list, probes=None):
     """Green's-function norms per (eps, N, region).
 
     spec_family maps eps -> ProblemSpec.  For each run the source is the
@@ -127,7 +131,7 @@ def green_norm_sweep(spec_family, eps_list, N_list, probes=None, quad_order=3):
                 if not np.isfinite(point).all():
                     raise ValueError(
                         f"{region.value} probe {point} is not finite")
-            for N, mesh, A, _, mg in nested_systems(spec, N_list, quad_order):
+            for N, mesh, A, _, mg in nested_systems(spec, N_list):
                 def report(point):
                     i, j = mesh.nearest_node(*point)
                     g = green_function(A, mesh, (i, j), mg=mg)

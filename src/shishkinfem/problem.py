@@ -30,7 +30,8 @@ DEFAULT_BETA = 1.0
 @dataclass(frozen=True)
 class ProblemSpec:
     """A turning-point convection-diffusion problem instance: b1, c, f
-    and exact are elementwise numpy callables of (x, y) (see `on_grid`)."""
+    and exact are elementwise numpy callables of (x, y) (see `on_grid`);
+    `assemble` integrates with quad_order Gauss points per cell axis."""
 
     eps: float
     b1: Callable
@@ -39,12 +40,16 @@ class ProblemSpec:
     alpha: float
     beta: float
     exact: Optional[Callable] = None
+    quad_order: int = 3
 
     def __post_init__(self):
-        if not self.eps > 0.0:     # NaN fails too
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps <= 1.0:     # NaN fails too
+            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
         if not (self.alpha > 0.0 and self.beta > 0.0):     # NaN fails too
             raise ValueError("alpha and beta must be positive")
+        if self.quad_order not in (1, 2, 3, 4):
+            raise ValueError("quadrature order must be in 1..4, "
+                             f"got {self.quad_order}")
 
 
 def on_grid(func, x, y):
@@ -78,8 +83,6 @@ def example_5_1(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     u ~ |x|^(c(0)/|a(0)|) with exponent 3/e (a = b1/x), not an O(1)
     interior layer.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return ProblemSpec(eps=eps, b1=_b1_ex, c=_c_ex, f=_f_ex,
                        alpha=alpha, beta=beta)
 
@@ -92,8 +95,6 @@ def mms_problem(eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
 
         f = 2 eps pi^2 u + b1 * pi cos(pi x) sin(pi y) + c * u.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
 
     def exact(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)

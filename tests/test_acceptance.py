@@ -214,7 +214,7 @@ def test_criterion_6_coercivity():
         spec = example_5_1(eps)
         for N in (16, 64):
             mesh = build_mesh(N, *transition_params(eps, spec.alpha, spec.beta))
-            A, _ = assemble(mesh, spec, 3)
+            A, _ = assemble(mesh, spec)
             M = assemble_mass(mesh)
             K = assemble_stiffness(mesh)
             V = rng.standard_normal((100, np.prod(mesh.interior)))
@@ -231,7 +231,7 @@ def test_criterion_7_reproducing_identity():
     spec = example_5_1(eps)
     lam = transition_params(eps, spec.alpha, spec.beta)
     mesh = build_mesh(N, *lam)
-    A, F = assemble(mesh, spec, 3)
+    A, F = assemble(mesh, spec)
     u, _ = solve(A, F)
     idx = interior_index(mesh)
     worst = 0.0
@@ -271,7 +271,7 @@ def test_criterion_9_oracle_equivalence():
         for N in (4, 8):
             mesh = build_mesh(N, *transition_params(eps, spec.alpha,
                                                     spec.beta))
-            A, F = assemble(mesh, spec, 3)
+            A, F = assemble(mesh, spec)
             assert A.shape[0] <= 2000
             x_sparse, _ = solve(A, F)
             x_dense = dense_solve(A, F)

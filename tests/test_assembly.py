@@ -59,11 +59,12 @@ def _scatter(mesh, local, corners):
     return A
 
 
-def cell_by_cell_assemble(mesh, spec, quad_order):
-    """Oracle: per-cell local matrices (`element_matrices`' quadrature),
-    scattered through COO."""
+def cell_by_cell_assemble(mesh, spec):
+    """Oracle: per-cell local matrices (`element_matrices`' quadrature,
+    of spec.quad_order), scattered through COO."""
     x0, y0, h, k, corners = _cell_arrays(mesh)
-    diff, conv, reac, load = local_matrices(x0, y0, h, k, spec, quad_order)
+    diff, conv, reac, load = local_matrices(x0, y0, h, k, spec,
+                                            spec.quad_order)
     A = _scatter(mesh, diff + conv + reac, corners)
     loc = interior_index(mesh)[corners]
     F = np.zeros(np.prod(mesh.interior))
@@ -97,8 +98,14 @@ class TestQuadRule:
         assert wts.sum() == pytest.approx(4.0, abs=1e-14)
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
-            quad_rule(5)
+        # the order is checked where it is set: on the problem
+        spec = example_5_1(1e-4)
+        for order in (0, 5):
+            with pytest.raises(ValueError, match="quadrature order"):
+                ProblemSpec(spec.eps, spec.b1, spec.c, spec.f, 2.0, 1.0,
+                            quad_order=order)
+            with pytest.raises(ValueError, match="quadrature order"):
+                dataclasses.replace(spec, quad_order=order)
 
 
 class TestElementMatrices:
@@ -127,20 +134,20 @@ class TestElementMatrices:
 class TestAssemble:
     def test_stencil_width(self):
         mesh = build_mesh(8, 0.1, 0.2)
-        A, _ = assemble(mesh, example_5_1(1e-3), 3)
+        A, _ = assemble(mesh, example_5_1(1e-3))
         row_nnz = np.diff(A.indptr)
         assert row_nnz.max() <= 9
 
     def test_symmetric_without_convection(self):
         mesh = uniform_mesh(6)
-        A, _ = assemble(mesh, constant_spec(eps=0.5, c=2.0), 3)
+        A, _ = assemble(mesh, constant_spec(eps=0.5, c=2.0))
         asym = abs(A - A.T).max()
         assert asym <= 1e-12 * abs(A).max()
 
     def test_mms_tiny_solve(self):
         spec = mms_problem(1.0)
         mesh = build_mesh(4, 0.5, 0.25)
-        A, F = assemble(mesh, spec, 3)
+        A, F = assemble(mesh, spec)
         u = dense_solve(A, F)
         field = FeField.from_interior(mesh, u)
         coords = node_coords(mesh)
@@ -153,8 +160,8 @@ class TestAssemble:
         # for the 3-point and 4-point rules to agree to 1e-8 relative
         mesh = build_mesh(32, *transition_params(1e-4, 2.0, 1.0))
         spec = example_5_1(1e-4)
-        A3, _ = assemble(mesh, spec, 3)
-        A4, _ = assemble(mesh, spec, 4)
+        A3, _ = assemble(mesh, spec)
+        A4, _ = assemble(mesh, dataclasses.replace(spec, quad_order=4))
         assert abs(A3 - A4).max() <= 1e-8 * abs(A4).max()
 
     def test_transient_memory_bounded_by_result(self):
@@ -165,7 +172,7 @@ class TestAssemble:
         spec = example_5_1(1e-7)
         tracemalloc.start()
         try:
-            A, F = assemble(mesh, spec, 3)
+            A, F = assemble(mesh, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -181,7 +188,7 @@ class TestAssemble:
         spec = example_5_1(1e-6)
         tracemalloc.start()
         try:
-            A, _ = assemble(mesh, spec, 3)
+            A, _ = assemble(mesh, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -194,11 +201,11 @@ class TestTensorAssembly:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_spec", [example_5_1, mms_problem])
     def test_matches_cell_by_cell_oracle(self, N, order, make_spec):
-        spec = make_spec(1e-6)
+        spec = dataclasses.replace(make_spec(1e-6), quad_order=order)
         mesh = build_mesh(N, *transition_params(spec.eps, spec.alpha,
                                                 spec.beta))
-        A, F = assemble(mesh, spec, order)
-        A0, F0 = cell_by_cell_assemble(mesh, spec, order)
+        A, F = assemble(mesh, spec)
+        A0, F0 = cell_by_cell_assemble(mesh, spec)
         assert A.shape == A0.shape
         for a, a0 in ((A.indptr, A0.indptr), (A.indices, A0.indices)):
             assert a.dtype == a0.dtype
@@ -219,7 +226,7 @@ class TestTensorAssembly:
         spec = dataclasses.replace(spec, b1=counted("b1", spec.b1),
                                    c=counted("c", spec.c),
                                    f=counted("f", spec.f))
-        assemble(build_mesh(16, *transition_params(1e-6, 2.0, 1.0)), spec, 3)
+        assemble(build_mesh(16, *transition_params(1e-6, 2.0, 1.0)), spec)
         assert sorted(calls) == ["b1", "c", "f"]
 
     @pytest.mark.parametrize("order", [1, 3])
@@ -237,9 +244,9 @@ class TestTensorAssembly:
         spec = example_5_1(1e-6)
         spec = dataclasses.replace(spec, b1=recorded("b1", spec.b1),
                                    c=recorded("c", spec.c),
-                                   f=recorded("f", spec.f))
+                                   f=recorded("f", spec.f), quad_order=order)
         mesh = build_mesh(16, *transition_params(1e-6, 2.0, 1.0))
-        assemble(mesh, spec, order)
+        assemble(mesh, spec)
         ni, nj = mesh.nx - 1, mesh.ny - 1
         assert sorted(shapes) == ["b1", "c", "f"]
         for x_shape, y_shape in shapes.values():
@@ -255,8 +262,8 @@ class TestTensorAssembly:
         mesh = TensorMesh(np.linspace(-1.0, 1.0, nx),
                           np.linspace(-1.0, 1.0, ny), 0.5, 0.25)
         spec = example_5_1(1e-3)
-        A, F = assemble(mesh, spec, 3)
-        A0, F0 = cell_by_cell_assemble(mesh, spec, 3)
+        A, F = assemble(mesh, spec)
+        A0, F0 = cell_by_cell_assemble(mesh, spec)
         assert A.shape == A0.shape
         np.testing.assert_array_equal(A.indptr, A0.indptr)
         np.testing.assert_array_equal(A.indices, A0.indices)
@@ -273,7 +280,7 @@ class TestTensorAssembly:
         spec = dataclasses.replace(example_5_1(1e-6), f=f)
         with pytest.raises(ValueError,
                            match="f is not finite at 1 quadrature point$"):
-            assemble(build_mesh(8, 0.1, 0.2), spec, 3)
+            assemble(build_mesh(8, 0.1, 0.2), spec)
 
     def test_infinite_convection_counted(self):
         def b1(x, y):
@@ -282,7 +289,7 @@ class TestTensorAssembly:
         spec = dataclasses.replace(example_5_1(1e-6), b1=b1)
         with pytest.raises(ValueError, match=r"b1 is not finite at \d+ "
                                              r"quadrature points"):
-            assemble(build_mesh(8, 0.1, 0.2), spec, 3)
+            assemble(build_mesh(8, 0.1, 0.2), spec)
 
 
 class TestMassStiffness:

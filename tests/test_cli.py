@@ -104,6 +104,21 @@ class TestRunModes:
             eps, N, region, err = row.split(",")
             assert float(err) > 0.0
 
+    def test_errors_csv_of_the_quad_order(self, tmp_path):
+        # --quad-order reaches assemble through the spec of each eps
+        def errors(order):
+            assert main(["--mode", "errors", "--eps", "1e-4", "--N", "8",
+                         "--quad-order", str(order),
+                         "-o", str(tmp_path / str(order))]) == 0
+            return [l for l in read_lines(tmp_path / str(order) / "errors.csv")
+                    if not l.startswith("#")][1:]
+
+        spec = dataclasses.replace(cli.example_5_1(1e-4), quad_order=4)
+        table, _ = errorlab.error_table(lambda eps: spec, [1e-4], [8])
+        assert errors(4) == [f"{eps!r},{N},{region.value},{e!r}"
+                             for (eps, N, region), e in table.items()]
+        assert errors(3) != errors(4)
+
     def test_rates_csv(self, tmp_path):
         cfg = parse_config(f"mode = rates\neps = 1e-4\nN = 8,16\n"
                            f"output = {tmp_path}")

@@ -13,6 +13,7 @@ from shishkinfem.meshgen import (Region, TensorMesh, build_mesh,
 from shishkinfem.problem import (example_5_1, mms_problem, layer_template,
                                  on_grid)
 from shishkinfem.assembly import FeField, assemble
+from shishkinfem.greenfn import green_norm_sweep
 from shishkinfem.errorlab import (bilinear_interp, error_table,
                                   interp_error_study, mms_convergence,
                                   solve_problem, _compare_nested, _rates,
@@ -113,7 +114,7 @@ class TestDoubleMesh:
         spec = example_5_1(1e-6)
         errors, _ = error_table(lambda eps: spec, [spec.eps], [16])
         assert calls == [16, 32]
-        fields = dict(errorlab._solutions(spec, [16, 32], 3))
+        fields = dict(errorlab._solutions(spec, [16, 32]))
         errs = _compare_nested(fields[16], fields[32])
         for region in Region:
             assert errs[region] == errors[1e-6, 16, region]
@@ -168,9 +169,9 @@ def counted_assemble(monkeypatch):
     """Record the N of every `assemble` call errorlab makes."""
     calls, assemble = [], errorlab.assemble
 
-    def counting(mesh, spec, quad_order=3):
+    def counting(mesh, spec):
         calls.append(mesh.ny - 1)
-        return assemble(mesh, spec, quad_order)
+        return assemble(mesh, spec)
 
     monkeypatch.setattr(errorlab, "assemble", counting)
     return calls
@@ -181,10 +182,10 @@ class TestNestedSystems:
     def test_levels_are_the_assembled_nested_meshes(self, eps):
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
-        *_, (_, _, A, _, mg) = errorlab.nested_systems(spec, [16, 32, 64], 3)
+        *_, (_, _, A, _, mg) = errorlab.nested_systems(spec, [16, 32, 64])
         assert built_from(mg.levels[0], A)
         for level, n in zip(mg.levels, (64, 32, 16)):
-            A_n, _ = assemble(build_mesh(n, *lam), spec, 3)
+            A_n, _ = assemble(build_mesh(n, *lam), spec)
             assert level.shape == (n - 1, 2 * n - 1)
             assert built_from(level, A_n)
             assert not built_from(level, A_n.T)
@@ -201,6 +202,24 @@ class TestNestedSystems:
         solve_problem(example_5_1(1e-6), 64)
         assert calls == [64]
 
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_sweeps_assemble_with_the_order_of_their_spec(self, order,
+                                                          monkeypatch):
+        orders, assemble = [], errorlab.assemble
+
+        def recording(mesh, spec):
+            orders.append(spec.quad_order)
+            return assemble(mesh, spec)
+
+        monkeypatch.setattr(errorlab, "assemble", recording)
+        spec = dataclasses.replace(example_5_1(1e-4), quad_order=order)
+        mms = dataclasses.replace(mms_problem(1e-4), quad_order=order)
+        error_table(lambda eps: spec, [spec.eps], [8])
+        green_norm_sweep(lambda eps: spec, [spec.eps], [8])
+        solve_problem(spec, 8)
+        mms_convergence(mms, [8])
+        assert orders == [order] * 5
+
     @pytest.mark.parametrize("N_list", [[28], [100], [16, 64]])
     def test_no_solved_half_mesh_takes_galerkin_levels(self, N_list,
                                                        monkeypatch):
@@ -209,7 +228,7 @@ class TestNestedSystems:
         # Either way the coarse levels are P^T A P
         calls = counted_assemble(monkeypatch)
         spec = example_5_1(1e-6)
-        *_, (_, mesh, A, F, mg) = errorlab.nested_systems(spec, N_list, 3)
+        *_, (_, mesh, A, F, mg) = errorlab.nested_systems(spec, N_list)
         assert calls == N_list
         fine, coarse = mg.levels[:2]
         P = interpolation(fine.shape)

@@ -26,7 +26,7 @@ def small_run():
     eps = 0.1
     spec = example_5_1(eps)
     mesh = build_mesh(4, *transition_params(eps, 2.0, 1.0))
-    A, F = assemble(mesh, spec, 3)
+    A, F = assemble(mesh, spec)
     return eps, mesh, A, F
 
 
@@ -114,7 +114,7 @@ class TestNorms:
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         mesh = build_mesh(N, *lam)
-        A, _ = assemble(mesh, spec, 3)
+        A, _ = assemble(mesh, spec)
         node = mesh.nearest_node(*default_probes(*lam)[Region.LAYER_X])
         g = green_function(A, mesh, node)
         M = assemble_mass(mesh)
@@ -142,7 +142,7 @@ class TestNorms:
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         mesh = build_mesh(N, *lam)
-        A, _ = assemble(mesh, spec, 3)
+        A, _ = assemble(mesh, spec)
         node = mesh.nearest_node(*default_probes(*lam)[Region.LAYER_X])
         g = green_function(A, mesh, node,
                            mg=multigrid(A, mesh.interior))
@@ -162,7 +162,7 @@ class TestNorms:
         eps = 1e-6
         lam = transition_params(eps, 2.0, 1.0)
         mesh = build_mesh(N, *lam)
-        A, _ = assemble(mesh, example_5_1(eps), 3)
+        A, _ = assemble(mesh, example_5_1(eps))
         M = assemble_mass(mesh)
         rng = np.random.default_rng(N)
         fields = [FeField.from_interior(mesh, rng.standard_normal(
@@ -245,7 +245,7 @@ class TestFactorReuse:
             spec = example_5_1(eps)
             mesh = build_mesh(N, *transition_params(eps, spec.alpha,
                                                     spec.beta))
-            A, _ = assemble(mesh, spec, 3)
+            A, _ = assemble(mesh, spec)
             assert shape == mesh.interior
             assert abs(A_seen - A).max() == 0.0
             assert built_from(mg, A)
@@ -275,7 +275,7 @@ class TestFactorReuse:
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         mesh = build_mesh(N, *lam)
-        A, _ = assemble(mesh, spec, 3)
+        A, _ = assemble(mesh, spec)
         probes = default_probes(*lam)
         for (_, _, region), r in reports.items():
             node = mesh.nearest_node(*probes[region])
@@ -306,7 +306,7 @@ class TestTwoAtATime:
         for eps in (1e-4, 1e-6):
             spec = example_5_1(eps)
             lam = transition_params(eps, spec.alpha, spec.beta)
-            walk = errorlab.nested_systems(spec, [32, 64], 3)
+            walk = errorlab.nested_systems(spec, [32, 64])
             for N, mesh, A, _, mg in walk:
                 for region, point in default_probes(*lam).items():
                     i, j = mesh.nearest_node(*point)

@@ -40,7 +40,7 @@ def system(eps, N):
     problem when eps is 1."""
     spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
     mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
-    A, F = assemble(mesh, spec, 3)
+    A, F = assemble(mesh, spec)
     return mesh, A, F, mesh.interior
 
 
@@ -50,7 +50,7 @@ def nested_multigrid(eps, N):
     row that solves 16, 32, ..., N."""
     spec = mms_problem(1.0) if eps == 1.0 else example_5_1(eps)
     row = [n for n in (16, 32, 64, 128) if n <= N]
-    *_, (_, _, _, _, mg) = nested_systems(spec, row, 3)
+    *_, (_, _, _, _, mg) = nested_systems(spec, row)
     return mg
 
 
@@ -82,7 +82,7 @@ class TestSolve:
     def test_mms_residual(self):
         spec = mms_problem(1.0)
         mesh = build_mesh(8, 0.5, 0.25)
-        A, F = assemble(mesh, spec, 3)
+        A, F = assemble(mesh, spec)
         x, report = solve(A, F)
         # recompute independently of the report
         res = np.linalg.norm(F - A @ x) / np.linalg.norm(F)
@@ -466,14 +466,14 @@ class TestMultigrid:
                            alpha=2.0, beta=1.0)
         lam = transition_params(eps, 2.0, 1.0)
         fine = build_mesh(2 * N, *lam)
-        A_2N, _ = assemble(fine, spec, 3)
-        A_N, _ = assemble(build_mesh(N, *lam), spec, 3)
+        A_2N, _ = assemble(fine, spec)
+        A_N, _ = assemble(build_mesh(N, *lam), spec)
         P = interpolation(fine.interior)
         gap = abs(P.T @ A_2N @ P - A_N).max()
         assert gap <= 1e-13 * abs(A_N).max()
         # a coarse mesh of another eps is caught
         A_other, _ = assemble(build_mesh(N, *transition_params(
-            10 * eps, 2.0, 1.0)), spec, 3)
+            10 * eps, 2.0, 1.0)), spec)
         assert abs(P.T @ A_2N @ P - A_other).max() > 1e-6 * abs(A_N).max()
 
     def test_coarse_level_must_be_the_coarsened_grid(self):
@@ -593,7 +593,7 @@ class TestSolveTranspose:
     def test_against_dense_lu(self):
         spec = example_5_1(0.1)
         mesh = build_mesh(4, *transition_params(0.1, 2.0, 1.0))
-        A, _ = assemble(mesh, spec, 3)
+        A, _ = assemble(mesh, spec)
         e = np.zeros(A.shape[0])
         e[A.shape[0] // 2] = 1.0
         g, _ = solve_transpose(A, e)
@@ -607,7 +607,7 @@ class TestSparseVsDense:
     def test_agreement(self, N, eps):
         spec = example_5_1(eps)
         mesh = build_mesh(N, *transition_params(eps, 2.0, 1.0))
-        A, F = assemble(mesh, spec, 3)
+        A, F = assemble(mesh, spec)
         assert A.shape[0] <= 2000
         x_sparse, report = solve(A, F)
         assert report.method == "splu"

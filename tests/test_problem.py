@@ -123,10 +123,10 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="alpha and beta"):
             example_5_1(1e-4, alpha=alpha, beta=beta)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan, 1.5])
     def test_eps_errors(self, eps):
         spec = example_5_1(1e-4)
-        with pytest.raises(ValueError, match="eps must be positive"):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
             ProblemSpec(eps, spec.b1, spec.c, spec.f, 2.0, 1.0)
 
 

@@ -75,7 +75,7 @@ def test_spec_coefficients_are_replaced(factory):
         name: counting(getattr(spec, name), calls) for name in ("b1", "c",
                                                                  "f")})
     mesh = errorlab.build_mesh(8, *errorlab.transition_params(1e-4, 2.0, 1.0))
-    A, F = errorlab.assemble(mesh, traced, 3)
+    A, F = errorlab.assemble(mesh, traced)
     assert set(calls) >= {spec.b1.__name__, spec.c.__name__, spec.f.__name__}
     # what the tracer reads of assemble's result
     assert A.shape[0] == len(F) and A.nnz > 0
@@ -84,7 +84,7 @@ def test_spec_coefficients_are_replaced(factory):
 def test_solves_return_u_and_report():
     spec = cli.example_5_1(1e-4, 2.0, 1.0)
     mesh = errorlab.build_mesh(8, *errorlab.transition_params(1e-4, 2.0, 1.0))
-    A, F = errorlab.assemble(mesh, spec, 3)
+    A, F = errorlab.assemble(mesh, spec)
     for solve in (errorlab.solve, greenfn.solve_transpose):
         u, report = solve(A, F)
         assert u.shape == F.shape
@@ -105,7 +105,6 @@ def test_traced_run(argv, tmp_path):
            "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [
                str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    env.pop("SHISHKINFEM_OUTDIR", None)
     result = tmp_path / "result.json"
     subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
                     str(result), "1", *argv, "-o", str(tmp_path)],
