@@ -139,10 +139,9 @@ def parse_config(text):
     return cfg.validate()
 
 
-def _spec_family(cfg):
+def _spec(cfg, eps):
     make = mms_problem if cfg.problem == "mms" else example_5_1
-    return lambda eps: replace(make(eps, cfg.alpha, cfg.beta),
-                               quad_order=cfg.quad_order)
+    return replace(make(eps, cfg.alpha, cfg.beta), quad_order=cfg.quad_order)
 
 
 def _metadata_lines(cfg):
@@ -197,32 +196,34 @@ def _write(path, cfg, lines):
         raise
 
 
-def _table(header, table):
-    """CSV rows of a {(eps, N, Region): value or tuple of values} table."""
+def _table(cfg, header, study):
+    """CSV rows of the tables study(eps), {(eps, N, Region): value or
+    tuple of values}, over the distinct eps of cfg.eps_list in order."""
     rows = [header]
-    for (eps, N, region), values in table.items():
-        values = values if isinstance(values, tuple) else (values,)
-        rows.append(",".join([repr(eps), str(N), region.value,
-                              *map(repr, values)]))
+    for eps in dict.fromkeys(cfg.eps_list):
+        for (e, N, region), values in study(eps).items():
+            values = values if isinstance(values, tuple) else (values,)
+            rows.append(",".join([repr(e), str(N), region.value,
+                                  *map(repr, values)]))
     return rows
 
 
 def _run_errors(cfg):
-    errors, rates = error_table(_spec_family(cfg), cfg.eps_list, cfg.N_list)
-    if cfg.mode == "rates":
-        return "rates.csv", _table("eps,N,region,rate", rates)
-    return "errors.csv", _table("eps,N,region,error", errors)
+    rates = cfg.mode == "rates"     # error_table returns (errors, rates)
+    return f"{cfg.mode}.csv", _table(
+        cfg, f"eps,N,region,{'rate' if rates else 'error'}",
+        lambda eps: error_table(_spec(cfg, eps), cfg.N_list)[rates])
 
 
 def _run_green(cfg):
-    reports = green_norm_sweep(_spec_family(cfg), cfg.eps_list, cfg.N_list,
-                               probes=cfg.probes)
     return "green.csv", _table(
-        "eps,N,region,source_x,source_y,l2_norm,energy_norm", reports)
+        cfg, "eps,N,region,source_x,source_y,l2_norm,energy_norm",
+        lambda eps: green_norm_sweep(_spec(cfg, eps), cfg.N_list,
+                                     probes=cfg.probes))
 
 
 def _run_field(cfg):
-    spec = _spec_family(cfg)(cfg.eps_list[0])
+    spec = _spec(cfg, cfg.eps_list[0])
     uh = solve_problem(spec, cfg.N_list[0])
     mesh = uh.mesh
     lines = [f"{mesh.nx} {mesh.ny}"]
@@ -234,16 +235,15 @@ def _run_field(cfg):
 
 
 def _run_interp(cfg):
-    errors = {}
-    for eps in dict.fromkeys(cfg.eps_list):
+    def study(eps):
         template = layer_template(cfg.template, eps, cfg.alpha, cfg.beta)
-        errors.update(interp_error_study(template, eps, cfg.alpha, cfg.beta,
-                                         cfg.N_list))
-    return "interp.csv", _table("eps,N,region,error", errors)
+        return interp_error_study(template, eps, cfg.alpha, cfg.beta,
+                                  cfg.N_list)
+    return "interp.csv", _table(cfg, "eps,N,region,error", study)
 
 
 def _run_mms(cfg):
-    spec = _spec_family(cfg)(cfg.eps_list[0])
+    spec = _spec(cfg, cfg.eps_list[0])
     errors, rates = mms_convergence(spec, cfg.N_list)
     rows = ["N,error,rate"]
     for n, e in errors.items():

@@ -8,8 +8,9 @@ once each, from the smallest N up: the multigrid of each matrix uses
 the matrix of the nested N/2 mesh, where that one is solved too, as
 its coarse level, and each solve at 2N starts from the solution at N.
 
-Every study returns its values as a table: a dict keyed (eps, N,
-Region), in (eps, N, Region) order, which is the CSV row order.
+Every study is of one eps, a `ProblemSpec` or a template with its eps,
+and returns its values as a table: a dict keyed (eps, N, Region), in
+(N, Region) order, which is the CSV row order of that eps.
 """
 
 import math
@@ -208,26 +209,20 @@ def _rates(errors, twice):
             if min(e, errors.get(twice(key), 0.0)) > ZERO_TOL}
 
 
-def error_table(spec_family, eps_list, N_list):
-    """Double-mesh errors and rates over an (eps, N) grid.
+def error_table(spec, N_list):
+    """Double-mesh errors and rates of spec over N_list.
 
-    spec_family maps eps -> ProblemSpec.  Returns the tables (errors,
-    rates), N ascending.  The rate at N is log2(e_N / e_2N), so it
-    exists only where N_list holds N and 2N and both errors are above
-    ZERO_TOL.  Each (eps, N) is solved once, to `linsolve.TOL`, for the
-    errors at N and N/2; one cell, error_table(lambda eps: spec,
-    [spec.eps], [N]), solves N and 2N in one walk.
+    Returns the tables (errors, rates), N ascending.  The rate at N is
+    log2(e_N / e_2N), so it exists only where N_list holds N and 2N and
+    both errors are above ZERO_TOL.  Each N is solved once, to
+    `linsolve.TOL`, for the errors at N and N/2; one cell,
+    error_table(spec, [N]), solves N and 2N in one walk.
     """
-    errors = {}
     N_list = sorted(set(N_list))
-    solve_Ns = set(N_list) | {2 * n for n in N_list}
-    for eps in dict.fromkeys(eps_list):
-        fields = dict(_solutions(spec_family(eps), solve_Ns))
-        for n in N_list:
-            for region, e in _compare_nested(fields[n],
-                                             fields[2 * n]).items():
-                errors[eps, n, region] = e
-        del fields      # free this row's solutions before the next walk
+    fields = dict(_solutions(spec, set(N_list) | {2 * n for n in N_list}))
+    errors = {(spec.eps, n, region): e for n in N_list
+              for region, e in _compare_nested(fields[n],
+                                               fields[2 * n]).items()}
     return errors, _rates(errors, lambda key: (key[0], 2 * key[1], key[2]))
 
 

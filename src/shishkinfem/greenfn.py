@@ -2,11 +2,11 @@
 
 The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
-B_h(v, g) = v(x_m, y_n).  Norm sweeps over (eps, N) probe the scaling
-of ||g|| and ||g||_{1,eps} with the source region.  A sweep assembles
-the matrices of one eps and their multigrids once each, as forward solves
-do, and solves two sources at a time on one multigrid: it stores no
-transfer matrix nor state between cycles, and splu fallbacks take turns.
+B_h(v, g) = v(x_m, y_n).  A norm sweep of one eps over N probes the
+scaling of ||g|| and ||g||_{1,eps} with the source region.  It assembles
+the matrices and their multigrids once each, as forward solves do, and
+solves two sources at a time on one multigrid: it stores no transfer
+matrix nor state between cycles, and splu fallbacks take turns.
 """
 
 from concurrent import futures
@@ -107,41 +107,38 @@ def default_probes(lambda_x, lambda_y):
     }
 
 
-def green_norm_sweep(spec_family, eps_list, N_list, probes=None):
-    """Green's-function norms per (eps, N, region).
+def green_norm_sweep(spec, N_list, probes=None):
+    """Green's-function norms of spec per (N, region).
 
-    spec_family maps eps -> ProblemSpec.  For each run the source is the
-    interior node nearest the region's probe point.  probes maps some or
-    all regions to a point; the other regions keep each eps's
-    `default_probes`; a non-finite probe raises ValueError before any
-    assembly.  The matrices of one eps are assembled once each, with the
-    multigrids of `errorlab.nested_systems` (N ascending); each multigrid
-    serves the solves with A^T, to `linsolve.TOL`, of all four sources,
-    two at a time (every other one on a worker thread), and if its setup
-    fails, all four go to splu without trying again.  Returns the table
-    {(eps, N, Region): GreenReport}, N ascending.
+    For each run the source is the interior node nearest the region's
+    probe point.  probes maps some or all regions to a point; the other
+    regions keep the `default_probes` of spec.eps; a non-finite probe
+    raises ValueError before any assembly.  The matrices are assembled
+    once each, with the multigrids of `errorlab.nested_systems` (N
+    ascending); each multigrid serves the solves with A^T, to
+    `linsolve.TOL`, of all four sources, two at a time (every other one
+    on a worker thread), and if its setup fails, all four go to splu
+    without trying again.  Returns the table
+    {(spec.eps, N, Region): GreenReport}, N ascending.
     """
+    lam = transition_params(spec.eps, spec.alpha, spec.beta)
+    probe_map = {**default_probes(*lam), **(probes or {})}
+    for region, point in probe_map.items():
+        if not np.isfinite(point).all():
+            raise ValueError(f"{region.value} probe {point} is not finite")
+    points = list(probe_map.values())
     reports = {}
     with futures.ThreadPoolExecutor(1) as worker:
-        for eps in dict.fromkeys(eps_list):
-            spec = spec_family(eps)
-            lam = transition_params(eps, spec.alpha, spec.beta)
-            probe_map = {**default_probes(*lam), **(probes or {})}
-            for region, point in probe_map.items():
-                if not np.isfinite(point).all():
-                    raise ValueError(
-                        f"{region.value} probe {point} is not finite")
-            for N, mesh, A, _, mg in nested_systems(spec, N_list):
-                def report(point):
-                    i, j = mesh.nearest_node(*point)
-                    g = green_function(A, mesh, (i, j), mg=mg)
-                    return GreenReport(float(mesh.x[i]), float(mesh.y[j]),
-                                       fe_l2_norm(g), fe_energy_norm(g, eps))
-                points = list(probe_map.values())
-                for n, region in enumerate(probe_map):
-                    if n % 2 == 0 and n + 1 < len(points):
-                        # partner first, so a raise leaves one solve running
-                        partner = worker.submit(report, points[n + 1])
-                    reports[eps, N, region] = partner.result() if n % 2 \
-                        else report(points[n])
+        for N, mesh, A, _, mg in nested_systems(spec, N_list):
+            def report(point):
+                i, j = mesh.nearest_node(*point)
+                g = green_function(A, mesh, (i, j), mg=mg)
+                return GreenReport(float(mesh.x[i]), float(mesh.y[j]),
+                                   fe_l2_norm(g), fe_energy_norm(g, spec.eps))
+            for n, region in enumerate(probe_map):
+                if n % 2 == 0 and n + 1 < len(points):
+                    # partner first, so a raise leaves one solve running
+                    partner = worker.submit(report, points[n + 1])
+                reports[spec.eps, N, region] = partner.result() if n % 2 \
+                    else report(points[n])
     return reports

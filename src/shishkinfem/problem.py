@@ -140,8 +140,8 @@ def layer_template(kind, eps, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     `interp_error_study` calls it on the axes (`on_grid`: a row
     x[None, :] and a column y[:, None]), so each exp runs on an axis.
     """
-    if not (eps > 0.0 and alpha > 0.0 and beta > 0.0):     # NaN fails too
-        raise ValueError("eps, alpha, beta must be positive")
+    if not (0.0 < eps <= 1.0 and alpha > 0.0 and beta > 0.0):  # NaN fails too
+        raise ValueError("eps (at most 1), alpha, beta must be positive")
     kind = TemplateKind(kind)
     se = np.sqrt(eps)
     layer_x = kind in (TemplateKind.INTERIOR_X, TemplateKind.CORNER_XY)

@@ -114,7 +114,7 @@ class TestRunModes:
                     if not l.startswith("#")][1:]
 
         spec = dataclasses.replace(cli.example_5_1(1e-4), quad_order=4)
-        table, _ = errorlab.error_table(lambda eps: spec, [1e-4], [8])
+        table, _ = errorlab.error_table(spec, [8])
         assert errors(4) == [f"{eps!r},{N},{region.value},{e!r}"
                              for (eps, N, region), e in table.items()]
         assert errors(3) != errors(4)
@@ -188,19 +188,20 @@ class TestRunModes:
             "config error: eps/N: field mode takes one eps and one N\n"
         assert not out.exists()
 
-    def test_interp_uses_every_eps(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["errors", "rates", "green", "interp"])
+    def test_every_mode_uses_every_eps(self, mode, tmp_path):
         # the rows of each eps, in the order given, equal a run of that
         # eps alone
         def rows(eps, out):
-            assert main(["--mode", "interp", "--eps", eps, "--N", "8,16",
+            assert main(["--mode", mode, "--eps", eps, "--N", "8,16",
                          "--template", "corner_xy", "-o", str(out)]) == 0
-            return [l for l in read_lines(out / "interp.csv")
+            return [l for l in read_lines(out / f"{mode}.csv")
                     if not l.startswith("#")][1:]
 
-        both = rows("1e-6,1e-4", tmp_path / "both")
-        assert len(both) == 2 * 2 * 4
-        assert both == rows("1e-6", tmp_path / "a") + rows("1e-4",
-                                                         tmp_path / "b")
+        first = rows("1e-6", tmp_path / "a")
+        second = rows("1e-4", tmp_path / "b")
+        assert len(first) == len(second) == 4 * (1 if mode == "rates" else 2)
+        assert rows("1e-6,1e-4", tmp_path / "both") == first + second
 
     def test_interp_csv(self, tmp_path):
         cfg = parse_config(f"mode = interp\neps = 1e-6\nN = 8,16\n"

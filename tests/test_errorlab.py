@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from shishkinfem import errorlab, linsolve
+from shishkinfem import cli, errorlab, linsolve
 from shishkinfem.meshgen import (Region, TensorMesh, build_mesh,
                                  classify_points, transition_params)
 from shishkinfem.problem import (example_5_1, mms_problem, layer_template,
@@ -103,7 +103,7 @@ class TestDoubleMesh:
 
     def test_errors_positive_and_regionwise(self):
         spec = example_5_1(1e-5)
-        errors, _ = error_table(lambda eps: spec, [spec.eps], [8])
+        errors, _ = error_table(spec, [8])
         assert list(errors) == [(1e-5, 8, region) for region in Region]
         for v in errors.values():
             assert v > 0.0
@@ -112,7 +112,7 @@ class TestDoubleMesh:
         # one cell of the table is one walk over N and 2N
         calls = counted_assemble(monkeypatch)
         spec = example_5_1(1e-6)
-        errors, _ = error_table(lambda eps: spec, [spec.eps], [16])
+        errors, _ = error_table(spec, [16])
         assert calls == [16, 32]
         fields = dict(errorlab._solutions(spec, [16, 32]))
         errs = _compare_nested(fields[16], fields[32])
@@ -195,8 +195,8 @@ class TestNestedSystems:
         calls = counted_assemble(monkeypatch)
         monkeypatch.setattr(errorlab, "solve",
                             lambda A, b, **kwargs: (np.zeros_like(b), None))
-        error_table(example_5_1, [1e-5, 1e-6, 1e-7, 1e-8, 1e-9],
-                    [16, 32, 64, 128])
+        for eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            error_table(example_5_1(eps), [16, 32, 64, 128])
         assert calls == [16, 32, 64, 128, 256] * 5
         calls.clear()
         solve_problem(example_5_1(1e-6), 64)
@@ -214,8 +214,8 @@ class TestNestedSystems:
         monkeypatch.setattr(errorlab, "assemble", recording)
         spec = dataclasses.replace(example_5_1(1e-4), quad_order=order)
         mms = dataclasses.replace(mms_problem(1e-4), quad_order=order)
-        error_table(lambda eps: spec, [spec.eps], [8])
-        green_norm_sweep(lambda eps: spec, [spec.eps], [8])
+        error_table(spec, [8])
+        green_norm_sweep(spec, [8])
         solve_problem(spec, 8)
         mms_convergence(mms, [8])
         assert orders == [order] * 5
@@ -249,7 +249,7 @@ class TestNestedSystems:
             return u, report
 
         monkeypatch.setattr(errorlab, "solve", recording_solve)
-        error_table(example_5_1, [1e-7], [16, 32])
+        error_table(example_5_1(1e-7), [16, 32])
         (_, mg16, x16, _, u16, _), (A32, mg32, x32, b32, u32, r32), \
             (A64, mg64, x64, b64, _, r64) = seen
         assert x16 is None
@@ -269,16 +269,17 @@ class TestNestedSystems:
 
 class TestErrorTable:
     def test_grid_complete(self):
-        errors, _ = error_table(example_5_1, [1e-4, 1e-5], [8, 16])
-        # keyed (eps, N, Region) in row order: eps, then N, then Region
-        assert list(errors) == [(eps, N, region) for eps in (1e-4, 1e-5)
-                                for N in (8, 16) for region in Region]
+        errors, _ = error_table(example_5_1(1e-4), [16, 8])
+        # keyed (eps, N, Region) in row order: N, then Region
+        assert list(errors) == [(1e-4, N, region) for N in (8, 16)
+                                for region in Region]
         for e in errors.values():
             assert type(e) is float and e >= 0.0
 
-    def test_each_row_freed_before_the_next(self, monkeypatch):
-        # one eps row's solution grids are freed before the next row's
-        # solves, so no solve of a row runs with the last row's fields
+    def test_each_row_freed_before_the_next(self, monkeypatch, tmp_path):
+        # in a CLI table, one eps row's solution grids are freed before
+        # the next row's solves, so no solve of a row runs with the last
+        # row's fields
         rows, live, solutions = [], [], errorlab._solutions
 
         def watched(*args):
@@ -291,12 +292,13 @@ class TestErrorTable:
                 yield N, field
 
         monkeypatch.setattr(errorlab, "_solutions", watched)
-        error_table(example_5_1, [1e-4, 1e-5], [8])
+        assert cli.main(["--mode", "errors", "--eps", "1e-4,1e-5",
+                         "--N", "8", "-o", str(tmp_path)]) == 0
         assert [len(refs) for refs in rows] == [2, 2]
         assert live == [False, False]
 
     def test_rates_derive_from_errors(self):
-        errors, rates = error_table(example_5_1, [1e-4], [8, 16])
+        errors, rates = error_table(example_5_1(1e-4), [8, 16])
         e8 = errors[1e-4, 8, Region.COARSE]
         e16 = errors[1e-4, 16, Region.COARSE]
         assert rates[1e-4, 8, Region.COARSE] == pytest.approx(
@@ -306,7 +308,7 @@ class TestErrorTable:
     def test_second_order_at_eps_one(self):
         # eps = 1 has no layer: on the caps' mesh every region converges
         # at the smooth-solution rate
-        _, rates = error_table(example_5_1, [1.0], [16, 32, 64])
+        _, rates = error_table(example_5_1(1.0), [16, 32, 64])
         assert list(rates) == [(1.0, N, region) for N in (16, 32)
                                for region in Region]
         for rate in rates.values():
@@ -317,13 +319,13 @@ class TestErrorTable:
         # those are rounding, below ZERO_TOL, and form no rate
         spec = example_5_1(1e-4)
         tiny = dataclasses.replace(spec, f=lambda x, y: 1e-15 * spec.f(x, y))
-        errors, rates = error_table(lambda eps: tiny, [1e-4], [8, 16])
+        errors, rates = error_table(tiny, [8, 16])
         for e in errors.values():
             assert 0.0 < e <= ZERO_TOL
         assert rates == {}
 
     def test_duplicated_inputs_give_one_entry_per_key(self):
-        errors, rates = error_table(example_5_1, [1e-4, 1e-4], [16, 8, 16])
+        errors, rates = error_table(example_5_1(1e-4), [16, 8, 16])
         assert list(errors) == [(1e-4, N, region) for N in (8, 16)
                                 for region in Region]
         assert list(rates) == [(1e-4, 8, region) for region in Region]

@@ -178,9 +178,9 @@ class TestNorms:
 
 class TestSweep:
     def test_report_cardinality_and_regions(self):
-        reports = green_norm_sweep(example_5_1, [1e-4, 1e-6], [8, 16])
-        assert list(reports) == [(eps, N, region) for eps in (1e-4, 1e-6)
-                                 for N in (8, 16) for region in Region]
+        reports = green_norm_sweep(example_5_1(1e-6), [16, 8])
+        assert list(reports) == [(1e-6, N, region) for N in (8, 16)
+                                 for region in Region]
         for r in reports.values():
             assert all(type(v) is float for v in r)
 
@@ -192,25 +192,25 @@ class TestSweep:
 
         for module in (greenfn, assembly):
             monkeypatch.setattr(module, "assemble_mass", no_mass)
-        reports = green_norm_sweep(example_5_1, [1e-6], [8, 16])
+        reports = green_norm_sweep(example_5_1(1e-6), [8, 16])
         assert len(reports) == 8
         assert all(0.0 < r.l2_norm <= r.energy_norm for r in reports.values())
 
     def test_sources_land_in_their_region(self):
-        reports = green_norm_sweep(example_5_1, [1e-6], [16])
+        reports = green_norm_sweep(example_5_1(1e-6), [16])
         lam = transition_params(1e-6, 2.0, 1.0)
         for (_, _, region), r in reports.items():
             assert classify(r.source_x, r.source_y, *lam) is region
 
     def test_norm_invariants(self):
-        reports = green_norm_sweep(example_5_1, [1e-5], [8])
+        reports = green_norm_sweep(example_5_1(1e-5), [8])
         for r in reports.values():
             assert r.energy_norm >= r.l2_norm > 0.0
 
     def test_probe_override(self):
         probes = default_probes(0.1, 0.2)
         probes[Region.COARSE] = (-0.5, 0.1)
-        reports = green_norm_sweep(example_5_1, [1e-4], [8], probes=probes)
+        reports = green_norm_sweep(example_5_1(1e-4), [8], probes=probes)
         assert reports[1e-4, 8, Region.COARSE].source_x < 0.0
 
     def test_non_finite_probe_rejected(self, monkeypatch):
@@ -220,7 +220,7 @@ class TestSweep:
         monkeypatch.setattr(errorlab, "assemble",
                             lambda *a: assembled.append(a) or assemble(*a))
         with pytest.raises(ValueError, match="not finite"):
-            green_norm_sweep(example_5_1, [1e-4], [8],
+            green_norm_sweep(example_5_1(1e-4), [8],
                              probes={Region.COARSE: (np.nan, 0.0)})
         assert assembled == []
 
@@ -235,7 +235,9 @@ class TestFactorReuse:
         # four sources; the N = 32 multigrid sits on the N = 16 one of
         # the same eps
         setups, methods = recorded
-        reports = green_norm_sweep(example_5_1, [1e-4, 1e-6], [32, 16])
+        reports = {}
+        for eps in (1e-4, 1e-6):
+            reports.update(green_norm_sweep(example_5_1(eps), [32, 16]))
         assert len(reports) == 16
         assert [key[:2] for key in list(reports)[::4]] == \
             [(1e-4, 16), (1e-4, 32), (1e-6, 16), (1e-6, 32)]
@@ -263,7 +265,7 @@ class TestFactorReuse:
             raise MemoryError
 
         monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
-        reports = green_norm_sweep(example_5_1, [1e-6], [32, 64])
+        reports = green_norm_sweep(example_5_1(1e-6), [32, 64])
         assert len(reports) == 8
         assert [mg for _, _, _, mg in setups] == [None, None]
         assert len(calls) == 2
@@ -271,7 +273,7 @@ class TestFactorReuse:
 
     def test_norms_match_separate_solves_bitwise(self):
         eps, N = 1e-6, 16
-        reports = green_norm_sweep(example_5_1, [eps], [N])
+        reports = green_norm_sweep(example_5_1(eps), [N])
         spec = example_5_1(eps)
         lam = transition_params(eps, spec.alpha, spec.beta)
         mesh = build_mesh(N, *lam)
@@ -298,9 +300,12 @@ class TestTwoAtATime:
             return function(*args, **kwargs)
 
         monkeypatch.setattr(greenfn, "green_function", spy)
-        table = green_norm_sweep(example_5_1, [1e-4, 1e-6], [32, 64])
-        assert len(threads) == 2
-        assert threading.active_count() == before
+        table = {}
+        for eps in (1e-4, 1e-6):
+            threads.clear()
+            table.update(green_norm_sweep(example_5_1(eps), [32, 64]))
+            assert len(threads) == 2
+            assert threading.active_count() == before
         # the same sweep one source at a time, on this thread
         serial = {}
         for eps in (1e-4, 1e-6):
@@ -347,7 +352,7 @@ class TestTwoAtATime:
         before = threading.active_count()
         self.failing(monkeypatch, main_thread_fails=False)
         with pytest.raises(SolveError, match="on the worker"):
-            green_norm_sweep(example_5_1, [1e-4], [16])
+            green_norm_sweep(example_5_1(1e-4), [16])
         assert threading.active_count() == before
         out = tmp_path / "out"
         assert main(["--mode", "green", "--eps", "1e-4", "--N", "16",
@@ -364,6 +369,6 @@ class TestTwoAtATime:
         before = threading.active_count()
         entered = self.failing(monkeypatch, main_thread_fails=True)
         with pytest.raises(SolveError, match="on the caller"):
-            green_norm_sweep(example_5_1, [1e-4], [16])
+            green_norm_sweep(example_5_1(1e-4), [16])
         assert sorted(entered) == [False, True]
         assert threading.active_count() == before

@@ -110,7 +110,8 @@ class TestLayerTemplates:
     @pytest.mark.parametrize("eps, alpha, beta", [(0.0, 2.0, 1.0),
                                                   (np.nan, 2.0, 1.0),
                                                   (1e-6, np.nan, 1.0),
-                                                  (1e-6, 2.0, np.nan)])
+                                                  (1e-6, 2.0, np.nan),
+                                                  (1.5, 2.0, 1.0)])
     def test_parameter_errors(self, eps, alpha, beta):
         with pytest.raises(ValueError, match="must be positive"):
             layer_template("corner_xy", eps, alpha, beta)

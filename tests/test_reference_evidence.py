@@ -148,7 +148,7 @@ def layer_study():
     out = {}
     for eps in LAYER_EPS:
         spec = layer_problem(eps)
-        errors, _ = error_table(lambda _: spec, [eps], LAYER_NS)
+        errors, _ = error_table(spec, LAYER_NS)
         true = {}
         for N in LAYER_NS:
             uh = solve_problem(spec, N)
