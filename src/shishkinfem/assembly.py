@@ -22,6 +22,10 @@ __all__ = [
     "assemble_stiffness",
 ]
 
+# Cells in a block of `assemble`, about: 1.5 MiB for its element arrays.
+BLOCK_CELLS = 2 ** 12
+
+
 @dataclass
 class FeField:
     """Nodal-valued finite element function on the (ny, nx) node grid;
@@ -61,11 +65,12 @@ def _coefficient(name, fn, xq, yq):
     return vals
 
 
-def _reach(m, t, s):
-    """Cells of an axis with m interior nodes whose local test node t and
-    trial node s are both interior, and those trial nodes: two slices."""
-    lo, hi = max(0, s - t), m + min(0, s - t)
-    return slice(lo + 1 - s, hi + 1 - s), slice(lo, hi)
+def _reach(lo, hi, m, t, s):
+    """Test nodes u, lo <= u < hi, of an axis with m interior nodes whose
+    local node t's cell has its node s interior too, as a slice from lo,
+    and those cells, as a slice from cell lo (cell u + 1 - t holds u as t)."""
+    a, b = max(lo, t - s), min(hi, m + t - s)
+    return slice(a - lo, b - lo), slice(a - lo + 1 - t, b - lo + 1 - t)
 
 
 def assemble(mesh, spec):
@@ -75,9 +80,11 @@ def assemble(mesh, spec):
               + (c phi_j, phi_i),  F[i] = (f, phi_i).
 
     Uses spec.quad_order Gauss-Legendre points per axis on every cell (the
-    default 3 under-integrates an f with eps-wide layers at small N): b1,
-    c and f are called once each on the axes of Gauss points, and the Q1
-    shape functions (products of 1D hats) act one axis at a time.
+    default 3 under-integrates an f with eps-wide layers at small N): f,
+    b1 and c are called once each on the axes of Gauss points, and the Q1
+    shape functions (products of 1D hats) act one axis at a time.  A is
+    formed per block of whole interior node rows, about BLOCK_CELLS cells,
+    and written straight into its CSR arrays, without its zeros.
     Raises ValueError if a coefficient is not finite at a quadrature point.
     """
     g, w = np.polynomial.legendre.leggauss(spec.quad_order)
@@ -95,31 +102,16 @@ def assemble(mesh, spec):
     load = w[:, None] * hat
     mass_1d = mass.sum(axis=0)
     stiff_1d = w.sum() * np.outer(dhat, dhat).ravel()
-
-    b1 = _coefficient("b1", spec.b1, xq, yq)
-    c = _coefficient("c", spec.c, xq, yq)
+    # the diffusion's y and x factors, (nj, 4) and (ni, 4), per term
+    diffusion = ((np.multiply.outer(0.5 * k, mass_1d),
+                  np.multiply.outer(2.0 / h, stiff_1d)),
+                 (np.multiply.outer(2.0 / k, stiff_1d),
+                  np.multiply.outer(0.5 * h, mass_1d)))
+    my, mx = mesh.interior
+    n = my * mx
 
     # x direction first, then y; jac = (h/2)(k/2), d/dx = (2/h) d/dxi.
-    # Each array is freed after its last use and products are formed in
-    # place, so few arrays of the quadrature grid's size live at once.
-    ax = (c.reshape(-1, q) @ mass).reshape(nj, q, ni, 4)
-    del c
-    ax *= (0.5 * h)[:, None]
-    ax += (b1.reshape(-1, q) @ conv).reshape(nj, q, ni, 4)
-    del b1
-    local = mass.T @ ax.reshape(nj, q, ni * 4)
-    del ax
-    local *= (0.5 * k)[:, None, None]
-    local = local.reshape(nj, 4, ni, 4)
-    for ky, kx in ((np.multiply.outer(0.5 * k, mass_1d),
-                    np.multiply.outer(2.0 / h, stiff_1d)),
-                   (np.multiply.outer(2.0 / k, stiff_1d),
-                    np.multiply.outer(0.5 * h, mass_1d))):
-        diffusion = np.multiply.outer(ky, kx)
-        diffusion *= spec.eps
-        local += diffusion
-        del diffusion
-    local = local.reshape(nj, 2, 2, ni, 2, 2)     # (j, ty, sy, i, tx, sx)
+    # f's grid is freed before b1 and c are called.
     f = _coefficient("f", spec.f, xq, yq)
     fx = (f.reshape(-1, q) @ load).reshape(nj, q, ni, 2)
     del f
@@ -128,27 +120,55 @@ def assemble(mesh, spec):
     del fx
     fl *= (0.5 * k)[:, None, None]
     fl = fl.reshape(nj, 2, ni, 2)                 # (j, ty, i, tx)
-
-    # one DIA data row per diagonal dy * mx + dx of the interior
-    # numbering, indexed by the trial node u; where mx < 3 two (dy, dx)
-    # share a diagonal, at distinct trial nodes
-    my, mx = mesh.interior
-    n = my * mx
-    keys, slot = np.unique(np.add.outer(np.arange(-1, 2) * mx,
-                                        np.arange(-1, 2)), return_inverse=True)
-    slot = slot.reshape(3, 3)
-    data = np.zeros((len(keys), my, mx))
     F = np.zeros((my, mx))
     for ty, tx in np.ndindex(2, 2):
-        (cy, uy), (cx, ux) = _reach(my, ty, ty), _reach(mx, tx, tx)
+        (uy, cy), (ux, cx) = (_reach(0, my, my, ty, ty),
+                              _reach(0, mx, mx, tx, tx))
         F[uy, ux] += fl[cy, ty, cx, tx]
-        for sy, sx in np.ndindex(2, 2):
-            (cy, uy), (cx, ux) = _reach(my, ty, sy), _reach(mx, tx, sx)
-            data[slot[sy - ty + 1, sx - tx + 1], uy, ux] += \
+    del fl
+
+    b1 = _coefficient("b1", spec.b1, xq, yq)
+    c = _coefficient("c", spec.c, xq, yq)
+    # nine entries a row, offsets dy * mx + dx, (dy, dx) row-major, so in
+    # column order; those of no interior node (zero, their column any
+    # node) and any other zero are eliminated once all rows are written
+    offsets = np.add.outer(np.arange(-1, 2) * mx, np.arange(-1, 2)).ravel()
+    data = np.zeros((n, 3, 3))
+    indices = np.empty((n, 9), dtype=np.int32)
+    step = max(1, BLOCK_CELLS // ni)    # node rows a block
+    for r0 in range(0, my, step):
+        # node rows r0 to r1 - 1 take cell rows r0 to r1; the next block
+        # recomputes cell row r1, so each entry sums its terms in order
+        r1 = min(r0 + step, my)
+        j = slice(r0, r1 + 1)
+        ax = (c[j].reshape(-1, q) @ mass).reshape(-1, q, ni, 4)
+        ax *= (0.5 * h)[:, None]
+        ax += (b1[j].reshape(-1, q) @ conv).reshape(-1, q, ni, 4)
+        local = mass.T @ ax.reshape(len(ax), q, ni * 4)
+        del ax
+        local *= (0.5 * k[j])[:, None, None]
+        local = local.reshape(-1, 4, ni, 4)
+        for ky, kx in diffusion:
+            term = np.multiply.outer(ky[j], kx)
+            term *= spec.eps
+            local += term
+            del term
+        local = local.reshape(-1, 2, 2, ni, 2, 2)  # (j, ty, sy, i, tx, sx)
+        rows = data[r0 * mx:r1 * mx].reshape(r1 - r0, mx, 3, 3)
+        for ty, tx, sy, sx in np.ndindex(2, 2, 2, 2):
+            (uy, cy), (ux, cx) = (_reach(r0, r1, my, ty, sy),
+                                  _reach(0, mx, mx, tx, sx))
+            rows[uy, ux, sy - ty + 1, sx - tx + 1] += \
                 local[cy, ty, sy, cx, tx, sx]
-    del local, fl
-    return sp.dia_matrix((data.reshape(len(keys), n), keys),
-                         shape=(n, n)).tocsr(), F.ravel()
+        del local
+        cols = indices[r0 * mx:r1 * mx]
+        np.add.outer(np.arange(r0 * mx, r1 * mx), offsets, out=cols,
+                     casting="unsafe")
+        np.clip(cols, 0, n - 1, out=cols)
+    A = sp.csr_matrix((data.ravel(), indices.ravel(),
+                       np.arange(0, 9 * n + 1, 9)), shape=(n, n))
+    A.eliminate_zeros()
+    return A, F.ravel()
 
 
 def _axis_matrices(nodes):

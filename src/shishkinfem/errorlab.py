@@ -153,7 +153,8 @@ def nested_systems(spec, N_list):
     the multigrid of N/2; otherwise `multigrid` forms Galerkin coarse
     levels.  So each N is assembled once, and no mesh that N_list does
     not name.  A level whose setup failed is no coarse level: the one
-    above it forms its own.
+    above it forms its own.  No reference to the previous A and F is
+    kept while N is assembled; callers that drop theirs hold one matrix.
     """
     lam = transition_params(spec.eps, spec.alpha, spec.beta)
     prev_N = prev_mg = None
@@ -164,6 +165,7 @@ def nested_systems(spec, N_list):
         prev_N, prev_mg = N, multigrid(A, mesh.interior,
                                        prev_mg if on_half else None)
         yield N, mesh, A, F, prev_mg
+        del A, F
 
 
 def _solutions(spec, N_list):
@@ -178,6 +180,7 @@ def _solutions(spec, N_list):
             x0 = np.zeros(len(F))   # even rows: the first half-sweep sets them
             x0.reshape(mg.shape)[1::2] = prolong(prev_u.reshape(prev_mg.shape))
         u, _ = solve(A, F, mg=mg, x0=x0)
+        del A, F, x0        # not alive while the next N is assembled
         prev_mg, prev_u = mg, u
         yield N, FeField.from_interior(mesh, u)
 

@@ -129,7 +129,7 @@ def green_norm_sweep(spec, N_list, probes=None):
     points = list(probe_map.values())
     reports = {}
     with futures.ThreadPoolExecutor(1) as worker:
-        for N, mesh, A, _, mg in nested_systems(spec, N_list):
+        for N, mesh, A, F, mg in nested_systems(spec, N_list):
             def report(point):
                 i, j = mesh.nearest_node(*point)
                 g = green_function(A, mesh, (i, j), mg=mg)
@@ -141,4 +141,5 @@ def green_norm_sweep(spec, N_list, probes=None):
                     partner = worker.submit(report, points[n + 1])
                 reports[spec.eps, N, region] = partner.result() if n % 2 \
                     else report(points[n])
+            del A, F            # not alive while the next N is assembled
     return reports

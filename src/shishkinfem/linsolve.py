@@ -4,11 +4,17 @@
 at most MAX_CYCLES `multigrid` V-cycles on the true residual, then a
 complete sparse LU if its estimated memory fits, then `SolveError`;
 with no multigrid they go straight to the LU.  Every accepted solution
-has its relative residual, recomputed from scratch, at most TOL and is
-logged at DEBUG; each fallback is logged at WARNING.  One multigrid of
-A serves both directions and many right-hand sides, from any number of
-threads: no level stores a transfer matrix, and a cycle keeps no state
-between calls.  Fallback factorizations run one at a time.
+has its relative residual, recomputed from scratch in float64, at most
+TOL and is logged at DEBUG; each fallback is logged at WARNING.  The
+cycles only correct x and need only contract, so every level but the
+coarsest, whose splu is float64, smooths in float32: iterative
+refinement with a low-precision correction (Carson & Higham, SIAM J.
+Sci. Comput. 40, 2018), each cycle given the residual scaled by a power
+of 2 to a largest entry near 1, so any scale of b stays in float32's
+range.  One multigrid of A serves both directions and
+many right-hand sides, from any number of threads: no level stores a
+transfer matrix, and a cycle keeps no state between calls.  Fallback
+factorizations run one at a time.
 """
 
 import logging
@@ -35,6 +41,8 @@ COARSE_LIMIT = 1000
 SPLU_MEMORY_SHARE = 0.5
 # One fallback splu at a time: SPLU_MEMORY_SHARE budgets for one.
 _SPLU_LOCK = threading.Lock()
+# Grid rows (x-lines) in a block of `_couplings`.
+BLOCK_LINES = 32
 # Terms (offset, weight) of 1D interpolation: coarse k to fine 2k + offset.
 _TERMS = ((2, 0.5), (1, 1.0), (0, 0.5))
 
@@ -66,11 +74,12 @@ def coarsens(shape):
 def prolong(C):
     """The odd rows (cy, 2 cx + 1) of P C for C (cy, cx), summed as the
     CSR product is; P = P_y (x) P_x, each 1D P linear interpolation from
-    m to 2m + 1 nodes (exact on nested meshes).  No even row is formed:
-    an even half-sweep, which follows the coarse-grid correction and
-    starts every cycle, sets the even rows from the odd ones alone."""
+    m to 2m + 1 nodes (exact on nested meshes), in C's dtype.  No even
+    row is formed: an even half-sweep, which follows the coarse-grid
+    correction and starts every cycle, sets the even rows from the odd
+    ones alone."""
     cy, cx = C.shape
-    U = np.zeros((cy, 2 * cx + 1))
+    U = np.zeros((cy, 2 * cx + 1), dtype=C.dtype)
     for ox, wx in _TERMS:
         U[:, ox:ox + 2 * cx:2] += wx * C
     return U
@@ -78,10 +87,58 @@ def prolong(C):
 
 def _restrict(E):
     """(P's even rows)^T E for the even rows E (cy + 1, 2 cx + 1) of a
-    fine grid, summed as that CSC product is."""
+    fine grid, summed as that CSC product is, in E's dtype."""
     cy, cx = E.shape[0] - 1, E.shape[1] // 2
     return sum(0.5 * wx * E[oy:oy + cy, ox:ox + 2 * cx:2]
                for oy in (0, 1) for ox, wx in _TERMS[::-1])
+
+
+def _couplings(A, shape):
+    """(A[even][:, odd], A[odd][:, even]) in float32, less the entries
+    that are zero in float32, even and odd the nodes of the even and odd
+    grid rows of the interior grid shape (x fastest), entries in A's
+    order.  They are read off A's CSR rows BLOCK_LINES grid rows at a
+    time, so no copy of half of A is made."""
+    my, mx = shape
+    parts = [[[], [], []], [[], [], []]]    # per colour: data, columns, counts
+    for l0 in range(0, my, BLOCK_LINES):
+        ptr = A.indptr[l0 * mx:min(l0 + BLOCK_LINES, my) * mx + 1]
+        col = A.indices[ptr[0]:ptr[-1]]
+        line = col // mx                # the grid row of each column
+        odd = np.repeat(np.arange(l0, l0 + len(ptr) // mx) % 2 == 1,
+                        np.diff(ptr[::mx]))     # of each row, odd or not
+        cross = (line & 1) != odd       # a coupling to the other colour
+        vals = A.data[ptr[0]:ptr[-1]].astype(np.float32)
+        vals *= cross
+        # node x of grid row l is node x of row l // 2 of its colour; the
+        # other entries go to column 0, in range also if not finite
+        line += 1
+        line >>= 1
+        line *= mx
+        np.subtract(col, line, out=line)
+        line *= cross
+        block = sp.csr_matrix((vals, line, ptr - ptr[0]),
+                              shape=(len(ptr) - 1, my * mx))
+        block.eliminate_zeros()     # the zeros: same colour, or float32's
+        ends, count = block.indptr[::mx], np.diff(block.indptr)
+        for c, (data, cols, counts) in enumerate(parts):
+            rows = range((c + l0) % 2, len(ends) - 1, 2)    # grid rows
+            if not rows:    # a last block of one grid row has one colour
+                continue
+            data.append(np.concatenate(
+                [block.data[ends[k]:ends[k + 1]] for k in rows]))
+            cols.append(np.concatenate(
+                [block.indices[ends[k]:ends[k + 1]] for k in rows]))
+            counts.append(count.reshape(-1, mx)[rows.start::2].ravel())
+    levels = []
+    for c in (0, 1):
+        data, cols, counts = parts.pop(0)   # freed once joined
+        indptr = np.zeros(len(range(c, my, 2)) * mx + 1, A.indptr.dtype)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        levels.append(sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(cols), indptr),
+            shape=(len(indptr) - 1, len(range(1 - c, my, 2)) * mx)))
+    return levels
 
 
 class Multigrid:
@@ -94,7 +151,9 @@ class Multigrid:
     so threads may share one.  Grid rows (x-lines) of one colour, even or
     odd, couple only to rows of the other colour (`up`: even to odd,
     `down`: odd to even), so the lines of a colour form one tridiagonal
-    system, zero at line ends; `lines` has both factored.
+    system, zero at line ends; `lines` has both factored.  `up`, `down`
+    and `lines` are float32 (sgttrf), A's values rounded once; `up` and
+    `down` are read off A's rows a block at a time (`_couplings`).
     """
 
     def __init__(self, A, shape, coarse=None):
@@ -104,31 +163,32 @@ class Multigrid:
             self.lu = spla.splu(A.tocsc())
             return
         my, mx = shape
-        rows = np.arange(my * mx).reshape(shape)
-        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
         west, east = np.zeros((2, my * mx))
         west[1:], east[:-1] = A.diagonal(-1), A.diagonal(1)
-        west[rows[:, 0]] = east[rows[:, -1]] = 0.0
+        west.reshape(shape)[:, 0] = east.reshape(shape)[:, -1] = 0.0
         diag = A.diagonal()
-        # dgttrf pivots a zero row down its x-line, so a node whose row or
+        # sgttrf pivots a zero row down its x-line, so a node whose row or
         # column of its line block is zero is looked for before factoring
-        zero = np.flatnonzero((diag == 0) & ((west == 0) & (east == 0) | (
-            np.roll(east, 1) == 0) & (np.roll(west, -1) == 0)))
+        zero = np.flatnonzero(diag == 0)
+        zero = zero[(west[zero] == 0) & (east[zero] == 0) | (
+            east[zero - 1] == 0) & (west[(zero + 1) % len(diag)] == 0)]
         if zero.size:
             row, col = divmod(zero[0], mx)
             raise np.linalg.LinAlgError(
                 f"singular x-line: zero pivot in the {('even', 'odd')[row % 2]}"
                 f" rows at interior node (row {row}, column {col})")
         self.lines = []
-        for c, colour in enumerate((even, odd)):
-            *factors, info = lapack.dgttrf(west[colour][1:], diag[colour],
-                                           east[colour][:-1])
+        for c in (0, 1):
+            dl, d, du = (v.reshape(shape)[c::2].astype(np.float32).ravel()
+                         for v in (west, diag, east))
+            *factors, info = lapack.sgttrf(dl[1:], d, du[:-1])
             if info > 0:    # the 1-based zero pivot among the lines of c
                 raise np.linalg.LinAlgError(
                     f"singular x-line: zero pivot in the {('even', 'odd')[c]}"
                     f" rows on x-line (row {2 * ((info - 1) // mx) + c})")
             self.lines.append(factors)
-        self.up, self.down = A[even][:, odd], A[odd][:, even]
+        del west, east, diag        # checked and factored
+        self.up, self.down = _couplings(A, shape)
         if coarse is None:
             P = sp.kron(*[sp.csr_matrix(prolong(np.eye(m // 2)).T)
                           for m in shape], format="csr")
@@ -141,17 +201,18 @@ class Multigrid:
         return [self] + (self.coarse.levels if self.coarse else [])
 
     def solve(self, f, trans="N"):
-        """One cycle applied to f; with trans "T", the cycle of A^T."""
+        """One cycle applied to f; with trans "T", the cycle of A^T.  It
+        runs in float32 but on the coarsest level, whose splu is float64."""
         if self.coarse is None:
             return self.lu.solve(f, trans)
         up, down = ((self.down.T, self.up.T) if trans == "T"
                     else (self.up, self.down))
 
         def lines(colour, b):
-            return lapack.dgttrs(*self.lines[colour], b, trans=trans)[0]
+            return lapack.sgttrs(*self.lines[colour], b, trans=trans)[0]
 
         F = np.reshape(f, self.shape)
-        fe, fo = F[0::2].ravel(), F[1::2].ravel()
+        fe, fo = (F[c::2].astype(np.float32).ravel() for c in (0, 1))
         # pre-smoothing from u = 0 leaves the odd rows solved, so only
         # the even rows carry a residual
         ue = lines(0, fe)
@@ -161,7 +222,7 @@ class Multigrid:
         uo += prolong(c.reshape(r.shape)).ravel()
         ue = lines(0, fe - up @ uo)
         uo = lines(1, fo - down @ ue)
-        U = np.empty_like(F)
+        U = np.empty(F.shape, dtype=np.float32)
         U[0::2] = ue.reshape(-1, F.shape[1])
         U[1::2] = uo.reshape(-1, F.shape[1])
         return U.ravel()
@@ -178,9 +239,11 @@ def multigrid(A, shape, coarse=None):
     half the intervals; None forms it from the Galerkin operator
     P^T A P, and so on down.  One zebra x-line Gauss-Seidel sweep, even
     rows then odd rows, smooths before and after the coarse-grid
-    correction.  Returns a Multigrid, or None with a WARNING when setup
-    fails or the coarsest splu would exceed SPLU_MEMORY_SHARE (Gaspar,
-    Clavero & Lisbona, J. Comput. Appl. Math. 138, 2002).
+    correction, in float32 on every level but the coarsest (float64
+    splu); the singular-line check runs on A's float64 diagonals.
+    Returns a Multigrid, or None with a WARNING when setup fails or the
+    coarsest splu would exceed SPLU_MEMORY_SHARE (Gaspar, Clavero &
+    Lisbona, J. Comput. Appl. Math. 138, 2002).
     """
     A = sp.csr_matrix(A)
     if A.shape != (np.prod(shape),) * 2:
@@ -264,7 +327,9 @@ def _solve(A, b, mg, x0, trans):
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
         r, res = b - op @ x, np.inf
         for cycles in range(1, MAX_CYCLES + 1):
-            x += mg.solve(r, trans)
+            # scaled by a power of 2 into float32's range, so exactly
+            s = np.ldexp(1.0, np.frexp(np.abs(r).max())[1])
+            x += s * mg.solve(r / s, trans)
             r, last = b - op @ x, res
             res = _norm(r) / norm_b
             best = min(best, res)       # min and <= both pass over NaN

@@ -154,11 +154,15 @@ class TestSolveProblemOrdering:
         setups, methods = recorded
         u_mg = solve_problem(example_5_1(1e-6), 32)
 
+        calls = []
+
         def no_memory(*args, **kwargs):
+            calls.append(args)
             raise MemoryError
 
-        monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
+        monkeypatch.setattr(linsolve.lapack, "sgttrf", no_memory)
         u = solve_problem(example_5_1(1e-6), 32)
+        assert len(calls) > 0
         assert [mg is None for *_, mg in setups] == [False, True]
         assert methods == ["mg", "splu"]
         np.testing.assert_allclose(u.values, u_mg.values, rtol=0.0,

@@ -264,7 +264,7 @@ class TestFactorReuse:
             calls.append(args)
             raise MemoryError
 
-        monkeypatch.setattr(linsolve.lapack, "dgttrf", no_memory)
+        monkeypatch.setattr(linsolve.lapack, "sgttrf", no_memory)
         reports = green_norm_sweep(example_5_1(1e-6), [32, 64])
         assert len(reports) == 8
         assert [mg for _, _, _, mg in setups] == [None, None]

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -54,16 +55,17 @@ def nested_multigrid(eps, N):
     return mg
 
 
-def failing_dgttrf(error):
-    """A stand-in for LAPACK dgttrf that raises `error`, or reports a
-    singular line block when error is None; `calls` counts its calls."""
-    def dgttrf(dl, d, du):
-        dgttrf.calls += 1
+def failing_sgttrf(error):
+    """A stand-in for LAPACK sgttrf, which factors the x-lines of a
+    float32 level, that raises `error`, or reports a singular line block
+    when error is None; `calls` counts its calls."""
+    def sgttrf(dl, d, du):
+        sgttrf.calls += 1
         if error is not None:
             raise error
         return dl, d, du, du[:-1], np.zeros(len(d), dtype=np.int32), 3
-    dgttrf.calls = 0
-    return dgttrf
+    sgttrf.calls = 0
+    return sgttrf
 
 
 class TestSolve:
@@ -210,10 +212,12 @@ class TestFallbackLogging:
                              ids=["out-of-memory", "singular-line"])
     def test_multigrid_setup_failure_logged(self, error, monkeypatch, caplog):
         _, A, F, shape = system(1e-6, 32)
-        monkeypatch.setattr(linsolve.lapack, "dgttrf", failing_dgttrf(error))
+        stub = failing_sgttrf(error)
+        monkeypatch.setattr(linsolve.lapack, "sgttrf", stub)
         with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
             mg = multigrid(A, shape)
             x, report = solve(A, F, mg=mg)
+        assert stub.calls > 0
         assert mg is None
         assert report.method == "splu"
         np.testing.assert_allclose(x, solve(A, F)[0], rtol=0.0, atol=0.0)
@@ -239,7 +243,7 @@ class TestFallbackLogging:
                 "(row 5, column 10)") in message
 
     def test_zero_row_names_its_node(self, caplog):
-        # dgttrf pivots a zero row down its x-line to the line's last
+        # sgttrf pivots a zero row down its x-line to the line's last
         # node; the row is found before factoring and named instead
         _, A, _, shape = system(1e-6, 32)
         k = 5 * shape[1] + 10
@@ -377,9 +381,10 @@ class TestSharedMultigrid:
 
     def test_failed_factor_falls_back(self, monkeypatch):
         _, A, _, shape = system(1e-4, 32)
-        monkeypatch.setattr(linsolve.lapack, "dgttrf",
-                            failing_dgttrf(MemoryError()))
+        stub = failing_sgttrf(MemoryError())
+        monkeypatch.setattr(linsolve.lapack, "sgttrf", stub)
         mg = multigrid(A, shape)
+        assert stub.calls > 0
         assert mg is None
         e = np.zeros(A.shape[0])
         e[0] = 1.0
@@ -449,7 +454,9 @@ class TestMultigrid:
         r = np.random.default_rng(2).standard_normal(A.shape[0])
         got = multigrid(A, shape).solve(r, "T")
         want = multigrid(A.T.tocsr(), shape).solve(r)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # float32 levels: the two cycles round differently, by 6.2e-6
+        # and 6.6e-6 of the cycle here (2^-24 is 6.0e-8)
+        assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
         # and it is not the forward cycle
         forward = multigrid(A, shape).solve(r)
         assert np.linalg.norm(forward - want) > 1e-3 * np.linalg.norm(want)
@@ -506,6 +513,137 @@ class TestMultigrid:
             assert report.iterations <= 25
             res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
             assert res <= 1e-10
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    @pytest.mark.parametrize("eps", [1e-20, 1e-30])
+    @pytest.mark.parametrize("levels", ["galerkin", "nested"])
+    def test_cycles_bounded_at_tiny_eps(self, levels, eps, N):
+        # the smallest entries of A, 5e-13 down to 3e-19, are far inside
+        # float32's range: the float32 cycles still contract, both ways,
+        # to 0.1 TOL (11 cycles in every case)
+        _, A, F, shape = system(eps, N)
+        assert abs(A.data).min() <= 1e-12
+        mg = (multigrid(A, shape) if levels == "galerkin"
+              else nested_multigrid(eps, N))
+        e = np.zeros(shape)
+        e[shape[0] // 2, shape[1] // 3] = 1.0
+        for run, b, op in ((solve, F, A), (solve_transpose, e.ravel(), A.T)):
+            x, report = run(A, b, mg=mg)
+            assert report.method == "mg"
+            assert report.iterations <= 25
+            res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
+            assert res <= 0.1 * linsolve.TOL
+
+    def test_levels_are_float32_and_solutions_float64(self):
+        # every level but the coarsest smooths in float32; the coarsest
+        # keeps its float64 splu, and the residual is float64
+        _, A, F, shape = system(1e-6, 128)
+        mg = nested_multigrid(1e-6, 128)
+        *levels, coarsest = mg.levels
+        assert len(levels) == 3
+        for level in levels:
+            assert level.up.dtype == level.down.dtype == np.float32
+            for factors in level.lines:
+                assert [f.dtype for f in factors] == [np.float32] * 4 \
+                    + [np.int32]
+        assert coarsest.lu.L.dtype == coarsest.lu.U.dtype == np.float64
+        e = np.zeros(A.shape[0])
+        e[A.shape[0] // 3] = 1.0
+        for run, b, op in ((solve, F, A), (solve_transpose, e, A.T)):
+            x, report = run(A, b, mg=mg)
+            assert report.method == "mg" and x.dtype == np.float64
+            res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
+            assert res <= linsolve.TOL
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9])
+    def test_couplings_are_the_colour_blocks_of_a(self, eps, monkeypatch):
+        # read off A's rows in blocks of grid rows (here 4 rows, so the
+        # 127 rows at N = 128 end in a short block), they are A[even][:,
+        # odd] and A[odd][:, even] rounded to float32, array for array,
+        # also for A^T and for rows that lost an entry
+        monkeypatch.setattr(linsolve, "BLOCK_LINES", 4)
+        _, A, _, shape = system(eps, 128)
+        B = A.tolil()
+        B[5 * shape[1] + 7, 4 * shape[1] + 6] = 0.0
+        rows = np.arange(A.shape[0]).reshape(shape)
+        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
+        for M in (A, A.T.tocsr(), B.tocsr()):
+            got = linsolve._couplings(M, shape)
+            for level, (r, c) in zip(got, ((even, odd), (odd, even))):
+                want = M[r][:, c].astype(np.float32)
+                assert level.shape == want.shape
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(level, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_couplings_stay_in_range_where_a_is_not_finite(self):
+        # a same-colour entry is dropped by its value, which a NaN keeps:
+        # it must still point at a node of the other colour, also on the
+        # last even grid row, which has no odd row above it
+        _, A, _, shape = system(1e-6, 32)
+        k = (shape[0] - 1) * shape[1] + 7
+        A[k, k] = np.nan
+        for level in linsolve._couplings(A, shape):
+            assert level.indices.max() < level.shape[1]
+
+    @pytest.mark.parametrize("lines", [2, 6])
+    def test_couplings_of_a_last_block_of_one_grid_row(self, lines,
+                                                       monkeypatch):
+        # the 127 grid rows at N = 128 end in a block of one even row,
+        # which has no odd row
+        monkeypatch.setattr(linsolve, "BLOCK_LINES", lines)
+        _, A, _, shape = system(1e-6, 128)
+        assert shape[0] % lines == 1
+        rows = np.arange(A.shape[0]).reshape(shape)
+        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
+        got = linsolve._couplings(A, shape)
+        for level, (r, c) in zip(got, ((even, odd), (odd, even))):
+            want = A[r][:, c].astype(np.float32)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(level, name),
+                                      getattr(want, name))
+
+    def test_galerkin_level_of_a_last_block_of_one_grid_row(self):
+        # N = 68: the (67, 135) grid's Galerkin level has 33 grid rows,
+        # one past a whole block
+        _, A, F, shape = system(1e-6, 68)
+        mg = multigrid(A, shape)
+        assert [level.shape for level in mg.levels] == [
+            (67, 135), (33, 67), (16, 33)]
+        assert 33 % linsolve.BLOCK_LINES == 1
+        _, report = solve(A, F, mg=mg)
+        assert report.method == "mg"
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e40])
+    def test_cycles_of_any_scale_of_b(self, scale):
+        # the float32 cycle is given the residual scaled into its range,
+        # so b far below or above it solves in the cycles of b itself
+        _, A, F, shape = system(1e-6, 64)
+        mg = multigrid(A, shape)
+        _, plain = solve(A, F, mg=mg)
+        for run, b, op in ((solve, scale * F, A),
+                           (solve_transpose, scale * F, A.T)):
+            x, report = run(A, b, mg=mg)
+            assert report.method == "mg"
+            assert report.iterations <= plain.iterations + 1
+            assert np.linalg.norm(b - op @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_setup_peak_bounded_by_the_matrix(self):
+        # a nested level reads its couplings off A's rows a block at a
+        # time, into float32: its traced peak is 1.14 times A's CSR bytes
+        # here and 1.04 times at N = 256 (1.93 when A[even][:, odd]
+        # copied half of A)
+        spec = example_5_1(1e-6)
+        (*_, coarse), (_, mesh, A, _, _) = nested_systems(spec, [64, 128])
+        tracemalloc.start()
+        try:
+            mg = multigrid(A, mesh.interior, coarse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mg.coarse is coarse
+        assert peak <= 1.5 * (A.data.nbytes + A.indices.nbytes
+                              + A.indptr.nbytes)
 
 
 class TestGridTransfers:
