@@ -82,9 +82,11 @@ def assemble(mesh, spec):
     Uses spec.quad_order Gauss-Legendre points per axis on every cell (the
     default 3 under-integrates an f with eps-wide layers at small N): f,
     b1 and c are called once each on the axes of Gauss points, and the Q1
-    shape functions (products of 1D hats) act one axis at a time.  A is
-    formed per block of whole interior node rows, about BLOCK_CELLS cells,
-    and written straight into its CSR arrays, without its zeros.
+    shape functions (products of 1D hats) act one axis at a time.  f is
+    contracted per block of about BLOCK_CELLS cells, so no product is
+    large enough for BLAS to take a second thread; A is formed per block
+    of whole interior node rows, about BLOCK_CELLS cells, and written
+    straight into its CSR arrays, without its zeros.
     Raises ValueError if a coefficient is not finite at a quadrature point.
     """
     g, w = np.polynomial.legendre.leggauss(spec.quad_order)
@@ -111,13 +113,17 @@ def assemble(mesh, spec):
     n = my * mx
 
     # x direction first, then y; jac = (h/2)(k/2), d/dx = (2/h) d/dxi.
-    # f's grid is freed before b1 and c are called.
+    # f is contracted per block of cell rows, and its grid is freed
+    # before b1 and c are called.
+    step = max(1, BLOCK_CELLS // ni)    # cell rows a block
     f = _coefficient("f", spec.f, xq, yq)
-    fx = (f.reshape(-1, q) @ load).reshape(nj, q, ni, 2)
-    del f
-    fx *= (0.5 * h)[:, None]
-    fl = load.T @ fx.reshape(nj, q, ni * 2)
-    del fx
+    fl = np.empty((nj, 2, ni * 2))
+    for j0 in range(0, nj, step):
+        j = slice(j0, j0 + step)
+        fx = (f[j].reshape(-1, q) @ load).reshape(-1, q, ni, 2)
+        fx *= (0.5 * h)[:, None]
+        fl[j] = load.T @ fx.reshape(-1, q, ni * 2)
+    del f, fx
     fl *= (0.5 * k)[:, None, None]
     fl = fl.reshape(nj, 2, ni, 2)                 # (j, ty, i, tx)
     F = np.zeros((my, mx))
@@ -135,8 +141,7 @@ def assemble(mesh, spec):
     offsets = np.add.outer(np.arange(-1, 2) * mx, np.arange(-1, 2)).ravel()
     data = np.zeros((n, 3, 3))
     indices = np.empty((n, 9), dtype=np.int32)
-    step = max(1, BLOCK_CELLS // ni)    # node rows a block
-    for r0 in range(0, my, step):
+    for r0 in range(0, my, step):       # step node rows a block
         # node rows r0 to r1 - 1 take cell rows r0 to r1; the next block
         # recomputes cell row r1, so each entry sums its terms in order
         r1 = min(r0 + step, my)

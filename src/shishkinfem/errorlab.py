@@ -154,7 +154,9 @@ def nested_systems(spec, N_list):
     levels.  So each N is assembled once, and no mesh that N_list does
     not name.  A level whose setup failed is no coarse level: the one
     above it forms its own.  No reference to the previous A and F is
-    kept while N is assembled; callers that drop theirs hold one matrix.
+    kept while N is assembled: callers that drop theirs hold one matrix,
+    and `greenfn.green_norm_sweep`, whose worker still solves with the
+    previous A, holds two.
     """
     lam = transition_params(spec.eps, spec.alpha, spec.beta)
     prev_N = prev_mg = None

@@ -4,11 +4,14 @@ The Green's function for source node (x_m, y_n) is the discrete field
 g with A^T g = e_mn over interior nodes, so that for every discrete v,
 B_h(v, g) = v(x_m, y_n).  A norm sweep of one eps over N probes the
 scaling of ||g|| and ||g||_{1,eps} with the source region.  It assembles
-the matrices and their multigrids once each, as forward solves do, and
-solves two sources at a time on one multigrid: it stores no transfer
-matrix nor state between cycles, and splu fallbacks take turns.
+the matrices and their multigrids once each, as forward solves do; a
+worker thread solves the sources of one matrix while the caller
+assembles the next, and the caller takes those the worker has not
+started.  Two threads share one multigrid: it stores no transfer matrix
+nor state between cycles, and splu fallbacks take turns.
 """
 
+import threading
 from concurrent import futures
 from typing import NamedTuple
 
@@ -86,7 +89,11 @@ def fe_energy_norm(field, eps):
     in y.  Every term is nonnegative, so unlike v^T K v, which cancels
     badly for fields with steep layers, the sum keeps full precision.
     """
-    l2_sq = fe_l2_norm(field) ** 2
+    return _energy_norm(field, eps, fe_l2_norm(field))
+
+
+def _energy_norm(field, eps, l2):
+    """`fe_energy_norm` of field, whose `fe_l2_norm` is l2."""
     h = np.diff(field.mesh.x)
     k = np.diff(field.mesh.y)[:, None]
     dx = np.diff(field.values, axis=1)
@@ -94,7 +101,7 @@ def fe_energy_norm(field, eps):
     del dx      # one difference grid at a time
     dy = np.diff(field.values, axis=0)
     ey = np.sum(_edge_sum(dy[:, :-1], dy[:, 1:]) * (h / k))
-    return float(np.sqrt(eps * ((ex + ey) / 6.0) + l2_sq))
+    return float(np.sqrt(eps * ((ex + ey) / 6.0) + l2 ** 2))
 
 
 def default_probes(lambda_x, lambda_y):
@@ -116,10 +123,13 @@ def green_norm_sweep(spec, N_list, probes=None):
     raises ValueError before any assembly.  The matrices are assembled
     once each, with the multigrids of `errorlab.nested_systems` (N
     ascending); each multigrid serves the solves with A^T, to
-    `linsolve.TOL`, of all four sources, two at a time (every other one
-    on a worker thread), and if its setup fails, all four go to splu
-    without trying again.  Returns the table
-    {(spec.eps, N, Region): GreenReport}, N ascending.
+    `linsolve.TOL`, of all four sources, and if its setup fails, all
+    four go to splu without trying again.  The four sources of a matrix
+    go to one worker thread, which solves them while the caller
+    assembles and sets up the next matrix; the caller then solves, from
+    the last, those the worker has not started.  A source that raises
+    ends the sweep with its error, and no queued source starts after it.
+    Returns the table {(spec.eps, N, Region): GreenReport}, N ascending.
     """
     lam = transition_params(spec.eps, spec.alpha, spec.beta)
     probe_map = {**default_probes(*lam), **(probes or {})}
@@ -128,18 +138,53 @@ def green_norm_sweep(spec, N_list, probes=None):
             raise ValueError(f"{region.value} probe {point} is not finite")
     points = list(probe_map.values())
     reports = {}
-    with futures.ThreadPoolExecutor(1) as worker:
+    # set when a source fails or the sweep ends: no queued source starts
+    stop = threading.Event()
+
+    def submit(N, mesh, A, mg):
+        def report(point):
+            i, j = mesh.nearest_node(*point)
+            g = green_function(A, mesh, (i, j), mg=mg)
+            l2 = fe_l2_norm(g)
+            return GreenReport(float(mesh.x[i]), float(mesh.y[j]), l2,
+                               _energy_norm(g, spec.eps, l2))
+
+        def queued(point):      # a source on the worker
+            if stop.is_set():
+                raise futures.CancelledError
+            try:
+                return report(point)
+            except BaseException:
+                stop.set()
+                raise
+        return N, report, [worker.submit(queued, p) for p in points]
+
+    def finish(N, report, jobs):
+        # from the back, the sources the worker has not started; it takes
+        # them in order, so the rest have started or been skipped
+        mine = {}
+        for n in reversed(range(len(jobs))):
+            if stop.is_set() or not jobs[n].cancel():
+                break
+            mine[n] = report(points[n])
+        for n, region in enumerate(probe_map):
+            reports[spec.eps, N, region] = mine[n] if n in mine \
+                else jobs[n].result()
+
+    worker = futures.ThreadPoolExecutor(1)
+    try:
+        pending = None
+        # the worker solves the sources of one matrix while the next one
+        # is assembled and set up here
         for N, mesh, A, F, mg in nested_systems(spec, N_list):
-            def report(point):
-                i, j = mesh.nearest_node(*point)
-                g = green_function(A, mesh, (i, j), mg=mg)
-                return GreenReport(float(mesh.x[i]), float(mesh.y[j]),
-                                   fe_l2_norm(g), fe_energy_norm(g, spec.eps))
-            for n, region in enumerate(probe_map):
-                if n % 2 == 0 and n + 1 < len(points):
-                    # partner first, so a raise leaves one solve running
-                    partner = worker.submit(report, points[n + 1])
-                reports[spec.eps, N, region] = partner.result() if n % 2 \
-                    else report(points[n])
-            del A, F            # not alive while the next N is assembled
+            del F
+            latest = submit(N, mesh, A, mg)
+            if pending:
+                finish(*pending)
+            pending = latest
+        if pending:
+            finish(*pending)
+    finally:
+        stop.set()
+        worker.shutdown(cancel_futures=True)
     return reports

@@ -41,8 +41,14 @@ COARSE_LIMIT = 1000
 SPLU_MEMORY_SHARE = 0.5
 # One fallback splu at a time: SPLU_MEMORY_SHARE budgets for one.
 _SPLU_LOCK = threading.Lock()
-# Grid rows (x-lines) in a block of `_couplings`.
+# Grid rows (x-lines) in a block of `_stencil`.
 BLOCK_LINES = 32
+# Stencil slots 3 (dy + 1) + dx + 1 of the couplings to grid rows l + dy,
+# in the order of their DIA offsets in colour numbering (`_stencil`).
+_CROSS = (0, 1, 2, 6, 7, 8)
+# float32's smallest normal and largest finite value.
+_TINY, _HUGE = np.finfo(np.float32).tiny, np.finfo(np.float32).max
+_BEYOND = "A couples a node beyond its eight grid neighbours"
 # Terms (offset, weight) of 1D interpolation: coarse k to fine 2k + offset.
 _TERMS = ((2, 0.5), (1, 1.0), (0, 0.5))
 
@@ -93,52 +99,95 @@ def _restrict(E):
                for oy in (0, 1) for ox, wx in _TERMS[::-1])
 
 
-def _couplings(A, shape):
-    """(A[even][:, odd], A[odd][:, even]) in float32, less the entries
-    that are zero in float32, even and odd the nodes of the even and odd
-    grid rows of the interior grid shape (x fastest), entries in A's
-    order.  They are read off A's CSR rows BLOCK_LINES grid rows at a
-    time, so no copy of half of A is made."""
+def _stencil(A, shape):
+    """A's nine-point stencil on the (my, mx) interior grid (x fastest),
+    read off its CSR rows BLOCK_LINES grid rows at a time: returns
+    ((west, diag, east), (up, down, up^T, down^T)).  west, diag and east
+    are the float64 same-row entries of every node, zero at line ends;
+    up = A[even][:, odd] and down = A[odd][:, even], even and odd the
+    nodes of the even and odd grid rows in colour numbering (node x of
+    row l is node x of row l // 2 of its colour), are float32 DIA
+    matrices with six diagonals, in ascending offset order, so that a
+    product sums in column order; so are their transposes.
+
+    Raises LinAlgError if A couples a node beyond its eight grid
+    neighbours or float32 loses an entry: a nonzero turns zero or
+    subnormal, or a finite one inf.
+    """
     my, mx = shape
-    parts = [[[], [], []], [[], [], []]]    # per colour: data, columns, counts
+    # the slot 3 (dy + 1) + dx + 1 of column offset dy mx + dx, from
+    # -mx - 1; 9 where no grid neighbour is
+    slots = np.full(2 * mx + 3, 9, dtype=A.indices.dtype)
+    for dy, dx in np.ndindex(3, 3):
+        slots[dy * mx + dx] = 3 * dy + dx
+    lines = np.empty((3, my * mx))
+    counts = [len(range(c, my, 2)) for c in (0, 1)]     # grid rows a colour
+    # the DIA data of the rows of colour c, columns the other colour's
+    # nodes, and of its transpose, columns colour c's nodes
+    fwd = [np.zeros((6, counts[1 - c], mx), np.float32) for c in (0, 1)]
+    bwd = [np.empty((6, counts[c], mx), np.float32) for c in (0, 1)]
+    S = np.empty((BLOCK_LINES * mx, 9))
     for l0 in range(0, my, BLOCK_LINES):
-        ptr = A.indptr[l0 * mx:min(l0 + BLOCK_LINES, my) * mx + 1]
-        col = A.indices[ptr[0]:ptr[-1]]
-        line = col // mx                # the grid row of each column
-        odd = np.repeat(np.arange(l0, l0 + len(ptr) // mx) % 2 == 1,
-                        np.diff(ptr[::mx]))     # of each row, odd or not
-        cross = (line & 1) != odd       # a coupling to the other colour
-        vals = A.data[ptr[0]:ptr[-1]].astype(np.float32)
-        vals *= cross
-        # node x of grid row l is node x of row l // 2 of its colour; the
-        # other entries go to column 0, in range also if not finite
-        line += 1
-        line >>= 1
-        line *= mx
-        np.subtract(col, line, out=line)
-        line *= cross
-        block = sp.csr_matrix((vals, line, ptr - ptr[0]),
-                              shape=(len(ptr) - 1, my * mx))
-        block.eliminate_zeros()     # the zeros: same colour, or float32's
-        ends, count = block.indptr[::mx], np.diff(block.indptr)
-        for c, (data, cols, counts) in enumerate(parts):
-            rows = range((c + l0) % 2, len(ends) - 1, 2)    # grid rows
-            if not rows:    # a last block of one grid row has one colour
+        l1 = min(l0 + BLOCK_LINES, my)
+        ptr = A.indptr[l0 * mx:l1 * mx + 1]
+        vals = A.data[ptr[0]:ptr[-1]].astype(float, copy=False)
+        _check_float32(A, vals, ptr)
+        col = np.repeat(np.arange(l0 * mx - mx - 1, l1 * mx - mx - 1,
+                                  dtype=slots.dtype), np.diff(ptr))
+        np.subtract(A.indices[ptr[0]:ptr[-1]], col, out=col)
+        if len(col) and (col.min() < 0 or col.max() >= len(slots)):
+            raise np.linalg.LinAlgError(_BEYOND)
+        slot = np.take(slots, col)
+        if len(slot) and slot.max() > 8:
+            raise np.linalg.LinAlgError(_BEYOND)
+        block = S[:len(ptr) - 1]
+        block.fill(0.0)
+        sp.csr_matrix((vals, slot, ptr - ptr[0]),
+                      shape=block.shape).toarray(out=block)
+        del col, slot
+        rows = block.reshape(l1 - l0, mx, 9)
+        # a column offset that wraps to a neighbouring grid row
+        if rows[:, 0, 0::3].any() or rows[:, -1, 2::3].any():
+            raise np.linalg.LinAlgError(_BEYOND)
+        lines[:, l0 * mx:l1 * mx] = block[:, 3:6].T
+        for c in (0, 1):
+            part = rows[(l0 + c) % 2::2]    # the block's rows of colour c
+            k0 = (l0 + (l0 + c) % 2) // 2   # the first one's colour row
+            if not len(part):   # a last block of one grid row has one colour
                 continue
-            data.append(np.concatenate(
-                [block.data[ends[k]:ends[k + 1]] for k in rows]))
-            cols.append(np.concatenate(
-                [block.indices[ends[k]:ends[k + 1]] for k in rows]))
-            counts.append(count.reshape(-1, mx)[rows.start::2].ravel())
-    levels = []
-    for c in (0, 1):
-        data, cols, counts = parts.pop(0)   # freed once joined
-        indptr = np.zeros(len(range(c, my, 2)) * mx + 1, A.indptr.dtype)
-        np.cumsum(np.concatenate(counts), out=indptr[1:])
-        levels.append(sp.csr_matrix(
-            (np.concatenate(data), np.concatenate(cols), indptr),
-            shape=(len(indptr) - 1, len(range(1 - c, my, 2)) * mx)))
-    return levels
+            for d, s in enumerate(_CROSS):
+                bwd[c][5 - d, k0:k0 + len(part)] = part[..., s]
+                dy, dx = s // 3 - 1, s % 3 - 1
+                k = k0 + (c + dy) // 2      # colour row of grid row l + dy
+                lo, hi = max(k, 0), min(k + len(part), counts[1 - c])
+                fwd[c][d, lo:hi, max(dx, 0):mx + min(dx, 0)] = \
+                    part[lo - k:hi - k, max(-dx, 0):mx - max(dx, 0), s]
+    n = [counts[c] * mx for c in (0, 1)]
+    offsets = [np.array([(c + s // 3 - 1) // 2 * mx + s % 3 - 1
+                         for s in _CROSS]) for c in (0, 1)]
+    return tuple(lines), (
+        *(sp.dia_matrix((fwd[c].reshape(6, -1), offsets[c]),
+                        shape=(n[c], n[1 - c])) for c in (0, 1)),
+        *(sp.dia_matrix((bwd[c].reshape(6, -1), -offsets[c][::-1]),
+                        shape=(n[1 - c], n[c])) for c in (0, 1)))
+
+
+def _check_float32(A, vals, ptr):
+    """Raise LinAlgError if float32 loses an entry of vals, the entries
+    of A's rows from ptr[0], ptr a slice of A.indptr."""
+    a = np.abs(vals)
+    if not len(a) or a.min() >= _TINY and a.max() <= _HUGE:
+        return
+    with np.errstate(over="ignore"):
+        b = a.astype(np.float32)
+    lost = np.flatnonzero((a != 0) & (b < _TINY)
+                          | np.isfinite(a) & np.isinf(b))
+    if lost.size:
+        k = ptr[0] + lost[0]
+        row = np.searchsorted(A.indptr, k, side="right") - 1
+        raise np.linalg.LinAlgError(
+            f"A[{row}, {A.indices[k]}] = {A.data[k]:.3g} is zero, subnormal"
+            f" or inf in float32")
 
 
 class Multigrid:
@@ -151,9 +200,11 @@ class Multigrid:
     so threads may share one.  Grid rows (x-lines) of one colour, even or
     odd, couple only to rows of the other colour (`up`: even to odd,
     `down`: odd to even), so the lines of a colour form one tridiagonal
-    system, zero at line ends; `lines` has both factored.  `up`, `down`
-    and `lines` are float32 (sgttrf), A's values rounded once; `up` and
-    `down` are read off A's rows a block at a time (`_couplings`).
+    system, zero at line ends; `lines` has both factored.  `up`, `down`,
+    their transposes `up_t` and `down_t` (for the cycle of A^T) and
+    `lines` are float32 (sgttrf), A's values rounded once; the four
+    couplings are DIA matrices of six diagonals, read off A's rows in one
+    blocked pass with the line diagonals (`_stencil`).
     """
 
     def __init__(self, A, shape, coarse=None):
@@ -163,10 +214,7 @@ class Multigrid:
             self.lu = spla.splu(A.tocsc())
             return
         my, mx = shape
-        west, east = np.zeros((2, my * mx))
-        west[1:], east[:-1] = A.diagonal(-1), A.diagonal(1)
-        west.reshape(shape)[:, 0] = east.reshape(shape)[:, -1] = 0.0
-        diag = A.diagonal()
+        (west, diag, east), couplings = _stencil(A, shape)
         # sgttrf pivots a zero row down its x-line, so a node whose row or
         # column of its line block is zero is looked for before factoring
         zero = np.flatnonzero(diag == 0)
@@ -188,7 +236,7 @@ class Multigrid:
                     f" rows on x-line (row {2 * ((info - 1) // mx) + c})")
             self.lines.append(factors)
         del west, east, diag        # checked and factored
-        self.up, self.down = _couplings(A, shape)
+        self.up, self.down, self.up_t, self.down_t = couplings
         if coarse is None:
             P = sp.kron(*[sp.csr_matrix(prolong(np.eye(m // 2)).T)
                           for m in shape], format="csr")
@@ -205,7 +253,7 @@ class Multigrid:
         runs in float32 but on the coarsest level, whose splu is float64."""
         if self.coarse is None:
             return self.lu.solve(f, trans)
-        up, down = ((self.down.T, self.up.T) if trans == "T"
+        up, down = ((self.down_t, self.up_t) if trans == "T"
                     else (self.up, self.down))
 
         def lines(colour, b):

@@ -70,7 +70,8 @@ def record_solves(monkeypatch, module, name):
     """Wrap `errorlab.multigrid` and the solve function `module.name`.
     Returns (setups, methods): one (A, shape, coarse, mg) per multigrid
     setup and one report method per solve.  Each solve must use the
-    matrix and the multigrid of the latest setup."""
+    matrix and the multigrid of one setup, its own matrix's; a later
+    matrix may have been set up meanwhile."""
     setups, methods = [], []
     multigrid, solve = errorlab.multigrid, getattr(module, name)
 
@@ -80,7 +81,7 @@ def record_solves(monkeypatch, module, name):
         return mg
 
     def recording_solve(A, b, **kwargs):
-        assert A is setups[-1][0] and kwargs["mg"] is setups[-1][3]
+        assert any(A is a and kwargs["mg"] is mg for a, _, _, mg in setups)
         x, report = solve(A, b, **kwargs)
         methods.append(report.method)
         return x, report

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -330,27 +331,17 @@ class TestTwoAtATime:
             assert tuple(r) == pytest.approx(
                 tuple(map(float, row[3:])), rel=1e-8, abs=0.0)
 
-    @staticmethod
-    def failing(monkeypatch, main_thread_fails):
-        """Make solve_transpose raise on the main thread or on the worker;
-        returns the list of threads that entered it."""
-        entered, solve_transpose = [], greenfn.solve_transpose
-
-        def fails(A, e, **kwargs):
-            on_main = threading.current_thread() is threading.main_thread()
-            entered.append(on_main)
-            if on_main == main_thread_fails:
-                raise SolveError("no solver reached TOL on the "
-                                 + ("caller" if on_main else "worker"), 1.0)
-            return solve_transpose(A, e, **kwargs)
-
-        monkeypatch.setattr(greenfn, "solve_transpose", fails)
-        return entered
-
     def test_worker_solve_error_reaches_the_caller(self, monkeypatch,
                                                    tmp_path, capsys):
         before = threading.active_count()
-        self.failing(monkeypatch, main_thread_fails=False)
+        solve_transpose = greenfn.solve_transpose
+
+        def fails(A, e, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise SolveError("no solver reached TOL on the worker", 1.0)
+            return solve_transpose(A, e, **kwargs)
+
+        monkeypatch.setattr(greenfn, "solve_transpose", fails)
         with pytest.raises(SolveError, match="on the worker"):
             green_norm_sweep(example_5_1(1e-4), [16])
         assert threading.active_count() == before
@@ -364,11 +355,81 @@ class TestTwoAtATime:
 
     def test_caller_solve_error_waits_for_one_worker_solve(self,
                                                            monkeypatch):
-        # the first source fails on the caller while its partner, the
-        # second, runs on the worker; the fourth is never started
+        # the worker holds the first source of N = 16 until the caller,
+        # having assembled N = 32, fails on the fourth, which it runs
+        # itself: the second and third are still queued and never start,
+        # nor does any source of N = 32
         before = threading.active_count()
-        entered = self.failing(monkeypatch, main_thread_fails=True)
+        failed, entered = threading.Event(), []
+        solve_transpose = greenfn.solve_transpose
+
+        def fails(A, e, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            entered.append((on_main, A.shape[0]))
+            if on_main:
+                failed.set()
+                raise SolveError("no solver reached TOL on the caller", 1.0)
+            assert failed.wait(timeout=60)
+            time.sleep(0.1)     # the queued sources are cancelled meanwhile
+            return solve_transpose(A, e, **kwargs)
+
+        monkeypatch.setattr(greenfn, "solve_transpose", fails)
         with pytest.raises(SolveError, match="on the caller"):
-            green_norm_sweep(example_5_1(1e-4), [16])
-        assert sorted(entered) == [False, True]
+            green_norm_sweep(example_5_1(1e-4), [16, 32])
+        assert sorted(entered) == [(False, 15 * 31), (True, 15 * 31)]
         assert threading.active_count() == before
+
+    def test_worker_solve_error_while_the_next_matrix_is_assembled(
+            self, monkeypatch):
+        # the worker fails on the first source of N = 16 once N = 32 is
+        # being assembled on the caller; the error reaches the caller
+        # after that assembly, and no other source starts: the worker
+        # skips the three it had queued, and the four of N = 32
+        before = threading.active_count()
+        assembling, entered = threading.Event(), []
+        solve_transpose, assemble = greenfn.solve_transpose, errorlab.assemble
+
+        def fails(A, e, **kwargs):
+            first = not entered
+            entered.append(A.shape[0])
+            if first:
+                assert assembling.wait(timeout=60)
+                raise SolveError("no solver reached TOL on the worker", 1.0)
+            return solve_transpose(A, e, **kwargs)
+
+        def assembly(mesh, spec):
+            if mesh.ny == 33:       # N = 32
+                assembling.set()
+            return assemble(mesh, spec)
+
+        monkeypatch.setattr(greenfn, "solve_transpose", fails)
+        monkeypatch.setattr(errorlab, "assemble", assembly)
+        with pytest.raises(SolveError, match="on the worker"):
+            green_norm_sweep(example_5_1(1e-4), [16, 32])
+        assert assembling.is_set()
+        assert entered == [15 * 31]      # the unknowns at N = 16
+        assert threading.active_count() == before
+
+    def test_next_matrix_is_assembled_while_sources_are_solved(
+            self, monkeypatch):
+        # the first source of N = 16 waits for the assembly of N = 32, so
+        # the sweep completes only if that assembly overlaps the solves
+        assembling = threading.Event()
+        green_function, assemble = greenfn.green_function, errorlab.assemble
+
+        def solved(A, mesh, source, mg=None):
+            if mesh.ny == 17 and source == mesh.nearest_node(0.5, 0.0):
+                assert assembling.wait(timeout=60)
+            return green_function(A, mesh, source, mg=mg)
+
+        def assembly(mesh, spec):
+            if mesh.ny == 33:       # N = 32
+                assembling.set()
+            return assemble(mesh, spec)
+
+        monkeypatch.setattr(greenfn, "green_function", solved)
+        monkeypatch.setattr(errorlab, "assemble", assembly)
+        table = green_norm_sweep(example_5_1(1e-4), [16, 32])
+        monkeypatch.undo()
+        assert list(table.items()) == \
+            list(green_norm_sweep(example_5_1(1e-4), [16, 32]).items())

@@ -55,6 +55,39 @@ def nested_multigrid(eps, N):
     return mg
 
 
+def assert_stencil_of(M, shape):
+    """`linsolve._stencil` of M on the interior grid shape: the same-row
+    entries in float64, zero at line ends, and the couplings, float32
+    DIA matrices of six ascending diagonals, equal to the colour blocks
+    of M rounded to float32 (the transposes to theirs), entry for entry;
+    NaN equals NaN."""
+    (west, diag, east), couplings = linsolve._stencil(M, shape)
+    mx = shape[1]
+    np.testing.assert_array_equal(diag, M.diagonal())
+    for got, k, edge in ((west, -1, 0), (east, 1, -1)):
+        want = np.zeros(M.shape[0])
+        want[max(-k, 0):len(want) - max(k, 0)] = M.diagonal(k)
+        want.reshape(shape)[:, edge] = 0.0
+        np.testing.assert_array_equal(got, want)
+    rows = np.arange(M.shape[0]).reshape(shape)
+    even, odd = rows[0::2].ravel(), rows[1::2].ravel()
+    up, down = M[even][:, odd], M[odd][:, even]
+    for level, want in zip(couplings, (up, down, up.T, down.T)):
+        assert isinstance(level, sp.dia_matrix)
+        assert level.dtype == np.float32 and level.shape == want.shape
+        assert len(level.offsets) == 6
+        assert list(level.offsets) == sorted(level.offsets)
+        assert max(abs(level.offsets)) <= mx + 1
+        got = sp.csr_matrix(level)      # without the zeros of the diagonals
+        want = sp.csr_matrix(want).astype(np.float32)
+        want.eliminate_zeros()
+        for m in (got, want):
+            m.sort_indices()
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+
 def failing_sgttrf(error):
     """A stand-in for LAPACK sgttrf, which factors the x-lines of a
     float32 level, that raises `error`, or reports a singular line block
@@ -542,7 +575,8 @@ class TestMultigrid:
         *levels, coarsest = mg.levels
         assert len(levels) == 3
         for level in levels:
-            assert level.up.dtype == level.down.dtype == np.float32
+            for c in (level.up, level.down, level.up_t, level.down_t):
+                assert c.dtype == np.float32
             for factors in level.lines:
                 assert [f.dtype for f in factors] == [np.float32] * 4 \
                     + [np.int32]
@@ -555,36 +589,58 @@ class TestMultigrid:
             res = np.linalg.norm(b - op @ x) / np.linalg.norm(b)
             assert res <= linsolve.TOL
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_matrix_of_another_real_dtype_sets_up(self, dtype):
+        # the stencil is read in float64 whatever A's dtype: a five-point
+        # Laplacian with integer or float32 entries gives the cycles of
+        # its float64 copy
+        m = 63
+        line = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(m, m))
+        rows = sp.diags([-1.0, -1.0], [-1, 1], shape=(m, m))
+        A = (sp.kron(sp.eye(m), line) + sp.kron(rows, sp.eye(m))).tocsr()
+        b = np.ones(m * m)
+        x, report = solve(A, b, mg=multigrid(A, (m, m)))
+        y, same = solve(A, b, mg=multigrid(A.astype(dtype), (m, m)))
+        assert report.method == "mg" and same == report
+        np.testing.assert_array_equal(y, x)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-9])
     def test_couplings_are_the_colour_blocks_of_a(self, eps, monkeypatch):
         # read off A's rows in blocks of grid rows (here 4 rows, so the
         # 127 rows at N = 128 end in a short block), they are A[even][:,
-        # odd] and A[odd][:, even] rounded to float32, array for array,
-        # also for A^T and for rows that lost an entry
+        # odd] and A[odd][:, even] rounded to float32 and their
+        # transposes, entry for entry, also for A^T, for rows that lost an
+        # entry, for a Galerkin level and for a NaN on the last even row
         monkeypatch.setattr(linsolve, "BLOCK_LINES", 4)
         _, A, _, shape = system(eps, 128)
         B = A.tolil()
         B[5 * shape[1] + 7, 4 * shape[1] + 6] = 0.0
-        rows = np.arange(A.shape[0]).reshape(shape)
-        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
-        for M in (A, A.T.tocsr(), B.tocsr()):
-            got = linsolve._couplings(M, shape)
-            for level, (r, c) in zip(got, ((even, odd), (odd, even))):
-                want = M[r][:, c].astype(np.float32)
-                assert level.shape == want.shape
-                for name in ("data", "indices", "indptr"):
-                    a, b = getattr(level, name), getattr(want, name)
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        P = interpolation(shape)
+        C = A.copy()
+        k = (shape[0] - 1) * shape[1] + 7
+        C[k, k] = np.nan
+        for M, grid in ((A, shape), (A.T.tocsr(), shape), (B.tocsr(), shape),
+                        ((P.T @ A @ P).tocsr(),
+                         (shape[0] // 2, shape[1] // 2)),
+                        (C, shape)):
+            assert_stencil_of(M, grid)
 
     def test_couplings_stay_in_range_where_a_is_not_finite(self):
-        # a same-colour entry is dropped by its value, which a NaN keeps:
-        # it must still point at a node of the other colour, also on the
-        # last even grid row, which has no odd row above it
+        # a NaN coupling of the last even grid row, which has no odd row
+        # above it, lands in its own entry of up and up^T and nowhere else
         _, A, _, shape = system(1e-6, 32)
-        k = (shape[0] - 1) * shape[1] + 7
-        A[k, k] = np.nan
-        for level in linsolve._couplings(A, shape):
-            assert level.indices.max() < level.shape[1]
+        (my, mx), x = shape, 7
+        k = (my - 1) * mx + x
+        A[k, k - mx + 1] = np.nan
+        _, (up, down, up_t, down_t) = linsolve._stencil(A, shape)
+        # colour numbers of node x of grid row my - 1 and x + 1 of my - 2
+        i, j = (my - 1) // 2 * mx + x, (my - 2) // 2 * mx + x + 1
+        for level, entry in ((up, (i, j)), (up_t, (j, i))):
+            dense = sp.coo_matrix(level)
+            nan = np.isnan(dense.data)
+            assert list(zip(dense.row[nan], dense.col[nan])) == [entry]
+        for level in (down, down_t):
+            assert not np.isnan(level.data).any()
 
     @pytest.mark.parametrize("lines", [2, 6])
     def test_couplings_of_a_last_block_of_one_grid_row(self, lines,
@@ -594,14 +650,27 @@ class TestMultigrid:
         monkeypatch.setattr(linsolve, "BLOCK_LINES", lines)
         _, A, _, shape = system(1e-6, 128)
         assert shape[0] % lines == 1
-        rows = np.arange(A.shape[0]).reshape(shape)
-        even, odd = rows[0::2].ravel(), rows[1::2].ravel()
-        got = linsolve._couplings(A, shape)
-        for level, (r, c) in zip(got, ((even, odd), (odd, even))):
-            want = A[r][:, c].astype(np.float32)
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(level, name),
-                                      getattr(want, name))
+        assert_stencil_of(A, shape)
+
+    @pytest.mark.parametrize("entry", ["two columns east", "wraps east",
+                                       "wraps west", "two rows up"])
+    def test_stencil_beyond_the_grid_neighbours_gives_no_multigrid(
+            self, entry, caplog):
+        # the stencil has nine slots; an entry outside them would alias
+        # another slot, so setup fails and splu solves
+        _, A, F, shape = system(1e-6, 32)
+        mx = shape[1]
+        k, j = {"two columns east": (5 * mx + 7, 5 * mx + 9),
+                "wraps east": (6 * mx - 1, 6 * mx),
+                "wraps west": (5 * mx, 5 * mx - 1 + mx),
+                "two rows up": (5 * mx + 7, 7 * mx + 7)}[entry]
+        A = A.tolil()
+        A[k, j] = 1e-3
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            mg = multigrid(A.tocsr(), shape)
+        assert mg is None
+        [message] = [r.getMessage() for r in caplog.records]
+        assert "beyond its eight grid neighbours" in message
 
     def test_galerkin_level_of_a_last_block_of_one_grid_row(self):
         # N = 68: the (67, 135) grid's Galerkin level has 33 grid rows,
@@ -628,10 +697,40 @@ class TestMultigrid:
             assert report.iterations <= plain.iterations + 1
             assert np.linalg.norm(b - op @ x) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("scale, method, cycles",
+                             [(1e-38, "splu", 1), (1e-30, "mg", 11)])
+    def test_entries_float32_loses_give_no_multigrid(self, scale, method,
+                                                     cycles, caplog):
+        # at 1e-38 the smallest entries (1.3e-6 before scaling) are
+        # subnormal in float32, so setup fails and splu solves, with no
+        # NaN cycles first; at 1e-30 they are normal and the cycles solve
+        _, A, F, shape = system(1e-6, 64)
+        A = scale * A
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            x, report = solve(A, F, mg=multigrid(A, shape))
+        assert (report.method, report.iterations) == (method, cycles)
+        assert np.linalg.norm(F - A @ x) <= 1e-10 * np.linalg.norm(F)
+        messages = [r.getMessage() for r in caplog.records]
+        if method == "mg":
+            assert messages == []
+        else:
+            [message] = messages
+            assert message.startswith("multigrid setup failed")
+            assert "subnormal or inf in float32" in message
+
+    def test_entry_float32_overflows_gives_no_multigrid(self, caplog):
+        _, A, _, shape = system(1e-6, 32)
+        k = 5 * shape[1] + 7
+        A[k, k + 1] = 1e39
+        with caplog.at_level(logging.WARNING, logger="shishkinfem.linsolve"):
+            assert multigrid(A, shape) is None
+        [message] = [r.getMessage() for r in caplog.records]
+        assert f"A[{k}, {k + 1}] = 1e+39 is zero, subnormal or inf" in message
+
     def test_setup_peak_bounded_by_the_matrix(self):
-        # a nested level reads its couplings off A's rows a block at a
-        # time, into float32: its traced peak is 1.14 times A's CSR bytes
-        # here and 1.04 times at N = 256 (1.93 when A[even][:, odd]
+        # a nested level reads its stencil off A's rows a block at a
+        # time, into float32: its traced peak is 1.15 times A's CSR bytes
+        # here and 0.89 times at N = 256 (1.93 when A[even][:, odd]
         # copied half of A)
         spec = example_5_1(1e-6)
         (*_, coarse), (_, mesh, A, _, _) = nested_systems(spec, [64, 128])
